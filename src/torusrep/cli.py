@@ -39,6 +39,13 @@ def _rational(s: str):
         raise argparse.ArgumentTypeError(f"not a rational: {s}") from exc
 
 
+def _degree_bound(s: str):
+    n = int(s)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"degree bound must be >= 0, got {n}")
+    return n
+
+
 def _rational_list(s: str):
     return [as_scalar(x) for x in s.split(",") if x.strip()]
 
@@ -98,25 +105,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-duality", help="graded skew-duality bookkeeping")
     common(sp)
-    sp.add_argument("--n-max", type=int, default=2)
+    sp.add_argument("--n-max", type=_degree_bound, default=2)
     sp.add_argument("--skip-hw", action="store_true")
 
     sp = sub.add_parser("verify-tensor", help="tensor branching through Levi restriction")
     common(sp)
     sp.add_argument("--ellp", type=int, default=1)
     sp.add_argument("--b", type=_rational_list, default=[as_scalar(3)])
-    sp.add_argument("--n-max", type=int, default=1)
+    sp.add_argument("--n-max", type=_degree_bound, default=1)
 
     sp = sub.add_parser("verify-levi", help="diagonal Levi branching of the big Fock space")
     common(sp)
     sp.add_argument("--bfN", type=_int_list, default=[2, 2])
-    sp.add_argument("--n-max", type=int, default=1)
+    sp.add_argument("--n-max", type=_degree_bound, default=1)
 
     sp = sub.add_parser("verify-lattice", help="index-sublattice refolding intertwiner")
     common(sp)
     sp.add_argument("--M0", type=int, default=2)
     sp.add_argument("--M1", type=int, default=1)
-    sp.add_argument("--n-max", type=int, default=1)
+    sp.add_argument("--n-max", type=_degree_bound, default=1)
     sp.add_argument("--trials", type=int, default=100)
 
     sp = sub.add_parser("dims", help="graded slice dimension")

@@ -3,7 +3,9 @@ decomposition checks.
 
 Everything is compared inside one ambient graded space: multiplicity =
 dimension of the subspace fixed by the Levi raising operators at a fixed
-weight, computed by exact nullspace.  The torus-side highest-weight
+weight, computed by exact sparse elimination (``linalg.nullspace``).  Each
+check enumerates a degree's weight slices once and hands every slice's
+monomials to ``fixed_space`` / ``fixed_dim``.  The torus-side highest-weight
 conditions are imposed through the block-triangular doubly-infinite
 operators, which span the same constraints as the raising half of the
 torus algebra on any bounded-degree slice once the parameters are generic
@@ -13,7 +15,6 @@ separate).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,14 +47,6 @@ from .reports import DecompositionReport, weight_key
 from .scalars import ParameterSet, SetPartition, qpow, validate_spectrum
 
 
-@dataclass(frozen=True)
-class FixedSpaceQuery:
-    partition: SetPartition
-    weight: Tuple[int, ...]
-    degree: int
-    params: ParameterSet
-
-
 def weight_spaces(n: int, N: int, ell: int) -> Dict[Tuple[int, ...], List[Monomial]]:
     """Degree-n monomials grouped by flavor weight."""
     out: Dict[Tuple[int, ...], List[Monomial]] = {}
@@ -83,13 +76,13 @@ def _vector_rows(images: Sequence[FockVector]) -> List[List[Fraction]]:
     return rows
 
 
-def fixed_space(query: FixedSpaceQuery) -> List[FockVector]:
-    """Exact basis of the raising-fixed subspace of one weight slice."""
-    N, ell = query.params.N, query.params.ell
-    monos = weight_spaces(query.degree, N, ell).get(tuple(query.weight), [])
+def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
+                N: int) -> List[FockVector]:
+    """Exact basis of the raising-fixed subspace of one weight slice, given
+    by its monomials (one value of ``weight_spaces``)."""
     if not monos:
         return []
-    ops = raising_pairs(query.partition)
+    ops = raising_pairs(partition)
     if not ops:
         return [FockVector.monomial(m) for m in monos]
     rows: List[List[Fraction]] = []
@@ -99,14 +92,27 @@ def fixed_space(query: FixedSpaceQuery) -> List[FockVector]:
     kernel = nullspace(rows, len(monos))
     out = []
     for vec in kernel:
-        terms = {m: c for m, c in zip(monos, vec) if c != 0}
+        terms = {m: c for m, c in zip(monos, vec) if c}
         out.append(FockVector(terms))
     return out
 
 
-def fixed_dim(partition: SetPartition, weight: Sequence[int], degree: int,
-              params: ParameterSet) -> int:
-    return len(fixed_space(FixedSpaceQuery(partition, tuple(weight), degree, params)))
+def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], N: int) -> int:
+    return len(fixed_space(partition, monos, N))
+
+
+def _dominant_fixed_dims(partition: SetPartition,
+                        spaces: Dict[Tuple[int, ...], List[Monomial]],
+                        N: int) -> Dict[Tuple[int, ...], int]:
+    """The nonzero fixed dimensions of the dominant weight slices of one
+    degree, in increasing weight order."""
+    out = {}
+    for w in sorted(spaces):
+        if is_dominant(w, partition):
+            m = fixed_dim(partition, spaces[w], N)
+            if m:
+                out[w] = m
+    return out
 
 
 def _block_upper_ops(partition: SetPartition, degree: int, N: int
@@ -136,7 +142,8 @@ def joint_hw_dim(mu: Sequence[int], params: ParameterSet,
         partition = params.spectrum_partition()
     N = params.N
     n0 = hw_degree(mu, params)
-    base = fixed_space(FixedSpaceQuery(partition, tuple(mu), n0, params))
+    base = fixed_space(partition,
+                       weight_spaces(n0, N, params.ell).get(tuple(mu), []), N)
     if not base:
         return 0
     rows: List[List[Fraction]] = []
@@ -172,12 +179,8 @@ def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
     for n in range(n_max + 1):
         table = {}
         lhs = 0
-        for w in sorted(weight_spaces(n, N, ell)):
-            if not is_dominant(w, partition):
-                continue
-            m = fixed_dim(partition, w, n, params)
-            if m == 0:
-                continue
+        for w, m in _dominant_fixed_dims(partition, weight_spaces(n, N, ell),
+                                        N).items():
             d = levi_dim(w, partition)
             table[weight_key(w)] = [m, d]
             lhs += m * d
@@ -216,23 +219,16 @@ def verify_tensor_branching(N: int, ell: int, ellp: int, a: Sequence,
     for n in range(n_max + 1):
         spaces = weight_spaces(n, N, ell + ellp)
         # merged-side data
-        fdim: Dict[Tuple[int, ...], int] = {}
-        dmaps: Dict[Tuple[int, ...], Dict] = {}
-        for w in sorted(spaces):
-            if not is_dominant(w, merged):
-                continue
-            m = fixed_dim(merged, w, n, params)
-            if m:
-                fdim[w] = m
-                dmaps[w] = levi_branch_D(DominantWeight.of(w, merged),
-                                         part_a, part_b)
+        fdim = _dominant_fixed_dims(merged, spaces, N)
+        dmaps = {w: levi_branch_D(DominantWeight.of(w, merged), part_a, part_b)
+                 for w in fdim}
         # product-side comparison per pair weight
         pair_weights = {w for w in spaces if is_dominant(w, prod_part)}
         for dmap in dmaps.values():
             pair_weights.update(mu + nu for (mu, nu) in dmap)
         table = {}
         for w in sorted(pair_weights):
-            lhs = fixed_dim(prod_part, w, n, params)
+            lhs = fixed_dim(prod_part, spaces.get(w, []), N)
             mu, nu = w[:ell], w[ell:]
             rhs = 0
             for xi, m in fdim.items():
@@ -264,25 +260,14 @@ def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
     N = sum(bfN)
     params = ParameterSet.of(q, a, N)
     partition = validate_spectrum(a, q)
-    factor_params = [ParameterSet.of(q, a, Nr) for Nr in bfN]
     report = DecompositionReport(config={
         "suite": "levi-branching", "bfN": list(bfN), "ell": ell,
         "q": str(params.q), "a": [str(x) for x in params.a], "n_max": n_max,
     })
-    # per factor and degree: {weight: fixed dim}
-    fdim_r: List[List[Dict[Tuple[int, ...], int]]] = []
-    for pr in factor_params:
-        per_degree = []
-        for n in range(n_max + 1):
-            table = {}
-            for w in sorted(weight_spaces(n, pr.N, ell)):
-                if not is_dominant(w, partition):
-                    continue
-                m = fixed_dim(partition, w, n, pr)
-                if m:
-                    table[w] = m
-            per_degree.append(table)
-        fdim_r.append(per_degree)
+    # per factor rank and degree: {weight: fixed dim}; equal factors share
+    fdim_r = {Nr: [_dominant_fixed_dims(partition, weight_spaces(n, Nr, ell), Nr)
+                   for n in range(n_max + 1)]
+              for Nr in sorted(set(bfN))}
     d = len(bfN)
     for n in range(n_max + 1):
         # convolve the factors over degree compositions
@@ -290,7 +275,7 @@ def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
         for comp in itertools.product(range(n + 1), repeat=d):
             if sum(comp) != n:
                 continue
-            tables = [fdim_r[r][comp[r]] for r in range(d)]
+            tables = [fdim_r[bfN[r]][comp[r]] for r in range(d)]
             if any(not t for t in tables):
                 continue
             for mus in itertools.product(*(sorted(t) for t in tables)):
@@ -303,13 +288,7 @@ def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
             cmap = tensor_mult_C([DominantWeight.of(m, partition) for m in mus])
             for xi, c in cmap.items():
                 rhs_map[xi] = rhs_map.get(xi, 0) + c * dim
-        lhs_map: Dict[Tuple[int, ...], int] = {}
-        for w in sorted(weight_spaces(n, N, ell)):
-            if not is_dominant(w, partition):
-                continue
-            m = fixed_dim(partition, w, n, params)
-            if m:
-                lhs_map[w] = m
+        lhs_map = _dominant_fixed_dims(partition, weight_spaces(n, N, ell), N)
         table = {}
         for xi in sorted(set(lhs_map) | set(rhs_map)):
             l, r = lhs_map.get(xi, 0), rhs_map.get(xi, 0)

@@ -1,90 +1,100 @@
-"""Exact nullspace extraction by fraction-free (Bareiss) elimination.
+"""Exact nullspace extraction by sparse fraction-free elimination.
 
-Rows are cleared to integers, eliminated with the two-step determinant
-division (every division is exact), and the kernel is recovered by back
-substitution over rationals.  Row and column orders are fixed by the
-caller, so results are reproducible.
+Rows are cleared to integers and stored as ``{column: value}`` dicts with
+their content (the gcd of the entries) removed.  Each row is reduced
+against the pivot rows, keyed by leading column, by integer combinations
+that cancel the leading entry; a row that is not cancelled becomes a new
+pivot.  Each pivot column is then cleared from the other pivot rows, and
+every kernel vector is read straight off the reduced rows.
+
+Column c is a pivot exactly when it is not in the span of the columns
+before it, so the pivot set, and with it the normalised kernel basis, does
+not depend on the row order or on the elimination route.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Sequence, Tuple
+
+SparseRow = Dict[int, int]
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+def _primitive(row: SparseRow) -> SparseRow:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g <= 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _sparse_rows(rows: Sequence[Sequence[Fraction]]) -> List[SparseRow]:
     out = []
     for row in rows:
-        if all(x == 0 for x in row):
-            continue
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        entries = {c: x for c, x in enumerate(row) if x}
+        if entries:
+            denom = lcm(*(x.denominator for x in entries.values()))
+            out.append(_primitive({c: x.numerator * (denom // x.denominator)
+                                   for c, x in entries.items()}))
     return out
+
+
+def _cancel(row: SparseRow, pivot: SparseRow, c: int) -> SparseRow:
+    """The primitive integer combination of row and pivot with no entry in
+    column c."""
+    g = gcd(row[c], pivot[c])
+    a, b = pivot[c] // g, row[c] // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in pivot.items():
+        s = out.get(k, 0) - b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
+    """Pivot rows keyed by leading column: row c has no entry left of c."""
+    pivots: Dict[int, SparseRow] = {}
+    for row in _sparse_rows(rows):
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = row
+                break
+            row = _cancel(row, pivots[c], c)
+    return pivots
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[Tuple[Fraction, ...]]:
     """Basis of the right kernel of the stacked row matrix.
 
     Returns one vector per free column, each normalized to have 1 in its
-    free coordinate; the list is ordered by free column index.
+    free coordinate and 0 in the other free coordinates; the list is
+    ordered by free column index.
     """
-    mat = _integer_rows(rows)
-    nrows = len(mat)
-    pivot_cols: List[int] = []
-    pivot_rows: List[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        # Bareiss step: also rescales rows with a zero in the pivot column,
-        # keeping every division exact
-        for i in range(r + 1, nrows):
-            row_i = mat[i]
-            row_r = mat[r]
-            f = row_i[c]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - f * row_r[j]) // prev
-        pivot_cols.append(c)
-        pivot_rows.append(r)
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
-    basis: List[Tuple[Fraction, ...]] = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        # back substitution over the echelon rows
-        for k in range(len(pivot_cols) - 1, -1, -1):
-            row = mat[pivot_rows[k]]
-            c = pivot_cols[k]
-            if c > f:
-                continue
-            s = Fraction(0)
-            for j in range(c + 1, ncols):
-                if vec[j]:
-                    s += row[j] * vec[j]
-            vec[c] = -s / row[c]
-        basis.append(tuple(vec))
-    return basis
+    pivots = _echelon(rows)
+    # right to left, so the pivot rows used to clear row c are already
+    # reduced and bring in no pivot column
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = _cancel(row, pivots[k], k)
+        pivots[c] = row
+    free = [f for f in range(ncols) if f not in pivots]
+    index = {f: t for t, f in enumerate(free)}
+    zero = Fraction(0)
+    basis = [[zero] * ncols for _ in free]
+    for t, f in enumerate(free):
+        basis[t][f] = Fraction(1)
+    for c, row in pivots.items():
+        lead = row[c]
+        for k, v in row.items():
+            if k != c:
+                basis[index[k]][c] = Fraction(-v, lead)
+    return [tuple(vec) for vec in basis]
 
 
 def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    return ncols - len(nullspace(rows, ncols))
+    return len(_echelon(rows))

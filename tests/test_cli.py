@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from torusrep.cli import main
 from torusrep.reports import DecompositionReport
 
@@ -47,6 +49,16 @@ def test_parameter_length_mismatch_is_usage_error(capsys):
                  "--a", "3", "--n-max", "1"])
     assert code == 2
     assert "parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-duality", "verify-tensor",
+                                     "verify-levi", "verify-lattice"])
+def test_negative_n_max_is_usage_error(command, capsys):
+    # a negative degree bound leaves no degree to check
+    assert main([command, "--n-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-max" in captured.err
 
 
 def test_branch_tensor(capsys):

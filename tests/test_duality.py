@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from torusrep.duality import (
-    FixedSpaceQuery,
     fixed_dim,
     fixed_space,
     joint_hw_dim,
@@ -32,16 +31,16 @@ from torusrep.scalars import ParameterSet, SetPartition, validate_spectrum
 def test_fixed_space_examples():
     params = ParameterSet.of(2, [3], 2)
     part = SetPartition.discrete(1)
-    got = fixed_space(FixedSpaceQuery(part, (1,), 0, params))
+    got = fixed_space(part, weight_spaces(0, 2, 1)[(1,)], params.N)
     assert len(got) == 2
     assert {v.support()[0] for v in got} == {
         (psi(1, 1, 0, 2),), (psi(2, 1, 0, 2),)}
 
-    assert fixed_dim(part, (0,), 0, params) == 1
+    assert fixed_dim(part, weight_spaces(0, 2, 1)[(0,)], params.N) == 1
 
     params2 = ParameterSet.of(2, [3, 3], 2)
     part2 = SetPartition.full(2)
-    got = fixed_space(FixedSpaceQuery(part2, (1, 1), 0, params2))
+    got = fixed_space(part2, weight_spaces(0, 2, 2)[(1, 1)], params2.N)
     assert len(got) == 3
     # the kernel relation: the two mixed-label coefficients must agree
     for v in got:
@@ -50,13 +49,30 @@ def test_fixed_space_examples():
         assert c12 == c21
 
 
+def test_skew_duality_enumerates_each_degree_once(monkeypatch):
+    import torusrep.duality as duality
+    calls = []
+
+    def counting(n, N, ell):
+        calls.append(n)
+        return basis_monomials(n, N, ell)
+
+    monkeypatch.setattr(duality, "basis_monomials", counting)
+    n_max = 3
+    rep = verify_skew_duality(N=2, ell=2, a=(3, 3), q=2, n_max=n_max,
+                              check_hw=False)
+    assert rep.passed, rep.witness
+    assert sorted(calls) == list(range(n_max + 1))
+
+
 def test_fixed_space_killed_and_weighted():
     # re-verify the defining properties by direct application
     params = ParameterSet.of(2, [3, 3], 2)
     part = SetPartition.full(2)
     for deg in (0, 1):
-        for w in sorted(weight_spaces(deg, 2, 2)):
-            vecs = fixed_space(FixedSpaceQuery(part, w, deg, params))
+        spaces = weight_spaces(deg, 2, 2)
+        for w in sorted(spaces):
+            vecs = fixed_space(part, spaces[w], params.N)
             for v in vecs:
                 for (r, s) in [(1, 2)]:
                     assert gl_ell_action(r, s, v, 2).is_zero()
@@ -72,10 +88,11 @@ def test_fixed_space_dimension_identity_small():
     from torusrep.glrep import is_dominant, levi_dim
     for n in (0, 1):
         total = 0
-        for w in sorted(weight_spaces(n, 2, 2)):
+        spaces = weight_spaces(n, 2, 2)
+        for w in sorted(spaces):
             if not is_dominant(w, part):
                 continue
-            total += fixed_dim(part, w, n, params) * levi_dim(w, part)
+            total += fixed_dim(part, spaces[w], params.N) * levi_dim(w, part)
         assert total == graded_dim(n, 2, 2)
 
 
@@ -92,7 +109,7 @@ def test_fixed_dim_matches_weight_count_oracle():
                     continue
                 raised = (w[0] + 1, w[1] - 1)
                 oracle = len(spaces.get(w, [])) - len(spaces.get(raised, []))
-                assert fixed_dim(part, w, n, params) == oracle
+                assert fixed_dim(part, spaces[w], params.N) == oracle
 
 
 def test_joint_hw_dim_examples():

@@ -1,9 +1,59 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from torusrep.linalg import nullspace, rank
+
+
+def bareiss_nullspace(rows, ncols):
+    """Reference oracle: dense fraction-free (Bareiss) elimination with
+    back substitution over rationals; one kernel vector per free column,
+    1 in that column, ordered by free column."""
+    mat = []
+    for row in rows:
+        if all(x == 0 for x in row):
+            continue
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = [int(x * denom) for x in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        mat.append([v // g for v in ints])
+    nrows = len(mat)
+    pivot_cols, prev, r = [], 1, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        piv = mat[r][c]
+        # the Bareiss step also rescales rows with a zero in the pivot
+        # column, which keeps every division exact
+        for i in range(r + 1, nrows):
+            f = mat[i][c]
+            for j in range(c, ncols):
+                mat[i][j] = (piv * mat[i][j] - f * mat[r][j]) // prev
+        pivot_cols.append(c)
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for k in range(len(pivot_cols) - 1, -1, -1):
+            c = pivot_cols[k]
+            if c > f:
+                continue
+            s = sum(mat[k][j] * vec[j] for j in range(c + 1, ncols) if vec[j])
+            vec[c] = -Fraction(s) / mat[k][c]
+        basis.append(tuple(vec))
+    return basis
 
 
 def mat_vec(rows, v):
@@ -73,3 +123,49 @@ def test_random_matrices_kernel_property(seed):
     for c in marker_cols:
         hit.add(next(i for i, v in enumerate(basis) if v[c] == 1))
     assert hit == set(range(len(basis)))
+
+
+BIG = 10**30
+entries = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Wide and tall shapes, possibly no rows, with zero and repeated rows
+    mixed in."""
+    ncols = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=9))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(rows[draw(st.integers(0, len(rows) - 1))]))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_nullspace_matches_bareiss_oracle(case):
+    rows, ncols = case
+    basis = nullspace(rows, ncols)
+    assert basis == bareiss_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+    assert rank(rows, ncols) == ncols - len(basis)
+
+
+def test_nullspace_matches_bareiss_on_sparse_unit_systems():
+    # the shape of the fixed-space systems: many more columns than nonzero
+    # entries per row, all entries +-1
+    rng = random.Random(7)
+    for _ in range(20):
+        nrows, ncols = rng.randrange(1, 40), rng.randrange(1, 60)
+        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        for row in rows:
+            for _ in range(rng.randrange(0, 4)):
+                row[rng.randrange(ncols)] = Fraction(rng.choice((1, -1)))
+        assert nullspace(rows, ncols) == bareiss_nullspace(rows, ncols)
