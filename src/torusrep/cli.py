@@ -39,10 +39,18 @@ def _rational(s: str):
         raise argparse.ArgumentTypeError(f"not a rational: {s}") from exc
 
 
-def _degree_bound(s: str):
+# Bounds below these minimums would leave a check empty: usage errors.
+def _nonnegative(s: str):
     n = int(s)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"degree bound must be >= 0, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _positive(s: str):
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
 
 
@@ -81,50 +89,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-bracket", help="bracket axioms on random triples")
     common(sp, ell=False, a=False)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--max-exp", type=int, default=3)
+    sp.add_argument("--trials", type=_positive, default=200)
+    sp.add_argument("--max-exp", type=_nonnegative, default=3)
 
     sp = sub.add_parser("verify-theta", help="covariant relabeling is a bracket isomorphism")
     common(sp, ell=False, a=False)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--max-exp", type=int, default=3)
+    sp.add_argument("--trials", type=_positive, default=200)
+    sp.add_argument("--max-exp", type=_nonnegative, default=3)
 
     sp = sub.add_parser("verify-module", help="commutator vs bracket on the Fock space")
     common(sp)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--deg-max", type=int, default=2)
-    sp.add_argument("--max-exp", type=int, default=2)
+    sp.add_argument("--trials", type=_positive, default=100)
+    sp.add_argument("--deg-max", type=_nonnegative, default=2)
+    sp.add_argument("--max-exp", type=_nonnegative, default=2)
 
     sp = sub.add_parser("verify-hw", help="highest-weight relations of the product vectors")
     common(sp)
-    sp.add_argument("--mu-bound", type=int, default=2)
+    sp.add_argument("--mu-bound", type=_nonnegative, default=2)
 
     sp = sub.add_parser("verify-nilpotency", help="level-one square-vanishing")
     common(sp)
-    sp.add_argument("--deg-max", type=int, default=2)
+    sp.add_argument("--deg-max", type=_nonnegative, default=2)
 
     sp = sub.add_parser("verify-duality", help="graded skew-duality bookkeeping")
     common(sp)
-    sp.add_argument("--n-max", type=_degree_bound, default=2)
+    sp.add_argument("--n-max", type=_nonnegative, default=2)
     sp.add_argument("--skip-hw", action="store_true")
 
     sp = sub.add_parser("verify-tensor", help="tensor branching through Levi restriction")
     common(sp)
     sp.add_argument("--ellp", type=int, default=1)
     sp.add_argument("--b", type=_rational_list, default=[as_scalar(3)])
-    sp.add_argument("--n-max", type=_degree_bound, default=1)
+    sp.add_argument("--n-max", type=_nonnegative, default=1)
 
     sp = sub.add_parser("verify-levi", help="diagonal Levi branching of the big Fock space")
     common(sp)
     sp.add_argument("--bfN", type=_int_list, default=[2, 2])
-    sp.add_argument("--n-max", type=_degree_bound, default=1)
+    sp.add_argument("--n-max", type=_nonnegative, default=1)
 
     sp = sub.add_parser("verify-lattice", help="index-sublattice refolding intertwiner")
     common(sp)
     sp.add_argument("--M0", type=int, default=2)
     sp.add_argument("--M1", type=int, default=1)
-    sp.add_argument("--n-max", type=_degree_bound, default=1)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--n-max", type=_nonnegative, default=1)
+    sp.add_argument("--trials", type=_positive, default=100)
 
     sp = sub.add_parser("dims", help="graded slice dimension")
     sp.add_argument("--N", type=int, required=True)

@@ -133,17 +133,19 @@ def _block_upper_ops(partition: SetPartition, degree: int, N: int
     return ops
 
 
-def joint_hw_dim(mu: Sequence[int], params: ParameterSet,
+def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
+                 params: ParameterSet,
                  partition: Optional[SetPartition] = None,
                  h_window: int = 3) -> int:
     """Dimension of the joint highest-weight space of weight (eta, mu) at
-    the ambient degree of the canonical product vector."""
+    the ambient degree n0 = hw_degree(mu) of the canonical product vector,
+    given the weight-mu slice of that degree (one value of
+    ``weight_spaces(n0, ...)``)."""
     if partition is None:
         partition = params.spectrum_partition()
     N = params.N
     n0 = hw_degree(mu, params)
-    base = fixed_space(partition,
-                       weight_spaces(n0, N, params.ell).get(tuple(mu), []), N)
+    base = fixed_space(partition, monos, N)
     if not base:
         return 0
     rows: List[List[Fraction]] = []
@@ -176,17 +178,26 @@ def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
         "partition": partition.describe(), "n_max": n_max,
     })
     seen: set = set()
+    # weight spaces by degree, kept for the joint highest-weight checks
+    slices: Dict[int, Dict[Tuple[int, ...], List[Monomial]]] = {}
     for n in range(n_max + 1):
         table = {}
         lhs = 0
-        for w, m in _dominant_fixed_dims(partition, weight_spaces(n, N, ell),
-                                        N).items():
+        spaces = weight_spaces(n, N, ell)
+        if check_hw:
+            slices[n] = spaces
+        fdims = _dominant_fixed_dims(partition, spaces, N)
+        del spaces  # not held while the next degree is enumerated
+        for w, m in fdims.items():
             d = levi_dim(w, partition)
             table[weight_key(w)] = [m, d]
             lhs += m * d
             if check_hw and w not in seen:
                 seen.add(w)
-                jd = joint_hw_dim(w, params, partition)
+                n0 = hw_degree(w, params)
+                if n0 not in slices:
+                    slices[n0] = weight_spaces(n0, N, ell)
+                jd = joint_hw_dim(w, slices[n0].get(w, []), params, partition)
                 if jd != 1:
                     report.fail({"degree": n, "weight": weight_key(w),
                                  "joint_hw_dim": jd, "expected": 1})

@@ -265,43 +265,64 @@ def apply_bilinear(i: int, p: int, m: int, j: int, pb: int, n: int,
 def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
                         params: ParameterSet, mono: Monomial,
                         rule=normal_order_pair) -> Dict[Monomial, Fraction]:
-    """One matrix-unit torus generator on one monomial.
+    """One matrix-unit torus generator E_{i,j} t0^m0 t1^m1 on one monomial.
 
-    The mode sum is expanded over the finite window [m0 - d, d] (d the
-    monomial degree) outside which both orderings kill the monomial; the
-    diagonal scalar correction applies when m0 = 0, i = j, m1 != 0.
+    The action is the sum over modes k and flavors p of
+    a_p^{m1} q^{-m1 k} :psi_i^p(m0 - k) psibar_j^p(k):, plus a diagonal
+    scalar correction when m0 = 0, i = j, m1 != 0.  Only candidate pairs
+    (k, p) are visited.  Under either normal-ordering rule the annihilating
+    factor acts first, so a term survives only if that factor contracts
+    with a generator of the monomial, or if both factors create.  The
+    candidates are therefore:
+
+    - for a psi generator (p, 0, idx): k = (-idx - j)/N where integral,
+      since psibar_j^p(k) contracts it;
+    - for a psibar generator (p, 1, idx): k = m0 - (i - idx - 1)/N where
+      integral, since psi_i^p(m0 - k) contracts it;
+    - the both-create window m0 <= k <= -1, for every flavor.
+
+    They are visited in ascending (k, p) order, and the coefficient is
+    computed only for the terms that survive.  With m1 = 0 the values are
+    plain int signs.
     """
-    N, ell, q, a = params.N, params.ell, params.q, params.a
+    N, q, a = params.N, params.q, params.a
     if i > N or j > N:
         raise InvalidParams(f"matrix index out of range for N={N}")
+    candidates = {(k, p) for k in range(m0, 0) for p in range(1, params.ell + 1)}
+    for p, kind, idx in mono:
+        if kind == PSI:
+            k, r = divmod(-idx - j, N)
+        else:
+            k, r = divmod(idx + 1 - i, N)
+            k += m0
+        if not r:
+            candidates.add((k, p))
     out: Dict[Monomial, Fraction] = {}
-    d = monomial_degree(mono, N)
-    lo = m0 - d
     if m1:
         ap = [qpow(x, m1) for x in a]
-        qstep = qpow(q, -m1)
-        qk = qpow(q, -m1 * lo)
-    for k in range(lo, d + 1):
-        for p in range(1, ell + 1):
-            step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N, rule)
-            if step is None:
-                continue
-            sign, mono2 = step
-            cc = Fraction(sign) if m1 == 0 else sign * ap[p - 1] * qk
-            s = out.get(mono2, Fraction(0)) + cc
+    for k, p in sorted(candidates):
+        step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N, rule)
+        if step is None:
+            continue
+        sign, mono2 = step
+        cc = sign if m1 == 0 else sign * ap[p - 1] * qpow(q, -m1 * k)
+        prev = out.get(mono2)
+        if prev is None:
+            out[mono2] = cc
+        else:
+            s = prev + cc
             if s:
                 out[mono2] = s
-            elif mono2 in out:
+            else:
                 del out[mono2]
-        if m1:
-            qk *= qstep
     if m0 == 0 and i == j and m1 != 0:
-        s0 = sum((qpow(ap, m1) for ap in a), Fraction(0))
-        cc = s0 * qpow(q, m1) / (1 - qpow(q, m1))
-        s = out.get(mono, Fraction(0)) + cc
+        qm = qpow(q, m1)
+        cc = sum(ap) * qm / (1 - qm)
+        prev = out.get(mono)
+        s = cc if prev is None else prev + cc
         if s:
             out[mono] = s
-        elif mono in out:
+        elif prev is not None:
             del out[mono]
     return out
 
@@ -314,10 +335,14 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector,
     acc: Dict[Monomial, Fraction] = {}
 
     def add(mono, c):
-        s = acc.get(mono, Fraction(0)) + c
+        prev = acc.get(mono)
+        if prev is None:
+            acc[mono] = c
+            return
+        s = prev + c
         if s:
             acc[mono] = s
-        elif mono in acc:
+        else:
             del acc[mono]
 
     for key, coeff in x.items():
@@ -337,21 +362,43 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector,
 
 
 def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
-    """The commuting finite general-linear action E_{r,s}."""
+    """The commuting finite general-linear action E_{r,s}: the sum over
+    labels i and modes n of :psi_i^r(-n) psibar_i^s(n):.
+
+    psi_i^r(-n) and psibar_i^s(n) never both create, and the annihilating
+    factor acts first, so a term survives only if it contracts with a
+    generator of the monomial.  Each psi generator of flavor s therefore
+    gives exactly one candidate (i, n), the one where psibar_i^s(n) is its
+    partner, and each psibar generator of flavor r gives the one where
+    psi_i^r(-n) is its partner.  Candidates are visited in ascending (i, n)
+    order.
+    """
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
-        d = monomial_degree(mono, N)
-        for i in range(1, N + 1):
-            for n in range(-d, d + 1):
-                step = bilinear_on_monomial(i, r, -n, i, s, n, mono, N)
-                if step is None:
-                    continue
-                sign, mono2 = step
-                s2 = acc.get(mono2, Fraction(0)) + (c if sign == 1 else -c)
-                if s2:
-                    acc[mono2] = s2
-                elif mono2 in acc:
-                    del acc[mono2]
+        candidates = []
+        for p, kind, idx in mono:
+            if kind == PSI:
+                if p == s:
+                    n = (-idx - 1) // N
+                    candidates.append((-idx - n * N, n))
+            elif p == r:
+                n = idx // N
+                candidates.append((idx - n * N + 1, n))
+        for i, n in sorted(candidates):
+            step = bilinear_on_monomial(i, r, -n, i, s, n, mono, N)
+            if step is None:
+                continue
+            sign, mono2 = step
+            cc = c if sign == 1 else -c
+            prev = acc.get(mono2)
+            if prev is None:
+                acc[mono2] = cc
+                continue
+            s2 = prev + cc
+            if s2:
+                acc[mono2] = s2
+            else:
+                del acc[mono2]
     v = FockVector.__new__(FockVector)
     v._terms = acc
     return v

@@ -75,7 +75,9 @@ class CachedAction:
         for key, coeff in x.items():
             if key == K0:
                 for m, c in vec._terms.items():
-                    acc[m] = acc.get(m, Fraction(0)) + c * coeff * self.params.ell
+                    prev = acc.get(m)
+                    w = c * coeff * self.params.ell
+                    acc[m] = w if prev is None else prev + w
                 continue
             if key == K1:
                 continue
@@ -88,7 +90,8 @@ class CachedAction:
                     self._cache[ck] = r
                 w = c * coeff
                 for m2, c2 in r.items():
-                    acc[m2] = acc.get(m2, Fraction(0)) + w * c2
+                    prev = acc.get(m2)
+                    acc[m2] = w * c2 if prev is None else prev + w * c2
         v = FockVector.__new__(FockVector)
         v._terms = {m: c for m, c in acc.items() if c}
         return v

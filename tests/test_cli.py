@@ -61,6 +61,26 @@ def test_negative_n_max_is_usage_error(command, capsys):
     assert "--n-max" in captured.err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify-module", "--deg-max", "-1"),
+    ("verify-nilpotency", "--deg-max", "-1"),
+    ("verify-hw", "--mu-bound", "-1"),
+    ("verify-module", "--trials", "0"),
+    ("verify-bracket", "--trials", "0"),
+    ("verify-theta", "--trials", "0"),
+    ("verify-lattice", "--trials", "0"),
+    ("verify-module", "--max-exp", "-1"),
+    ("verify-bracket", "--max-exp", "-1"),
+    ("verify-theta", "--max-exp", "-1"),
+])
+def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
+    # each bound leaves a check empty (or, for --max-exp, no element to draw)
+    assert main([command, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_branch_tensor(capsys):
     code = main(["branch", "--mode", "tensor", "--I", "[[1],[2]]",
                  "--mu", "(1)", "--nu", "(1)"])

@@ -22,6 +22,7 @@ from torusrep.fock import (
     basis_monomials,
     gl_ell_action,
     graded_dim,
+    hw_degree,
     psi,
     psibar,
 )
@@ -59,10 +60,12 @@ def test_skew_duality_enumerates_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(duality, "basis_monomials", counting)
     n_max = 3
-    rep = verify_skew_duality(N=2, ell=2, a=(3, 3), q=2, n_max=n_max,
-                              check_hw=False)
-    assert rep.passed, rep.witness
-    assert sorted(calls) == list(range(n_max + 1))
+    for check_hw in (False, True):
+        calls.clear()
+        rep = verify_skew_duality(N=2, ell=2, a=(3, 3), q=2, n_max=n_max,
+                                  check_hw=check_hw)
+        assert rep.passed, rep.witness
+        assert sorted(calls) == list(range(n_max + 1))
 
 
 def test_fixed_space_killed_and_weighted():
@@ -112,18 +115,24 @@ def test_fixed_dim_matches_weight_count_oracle():
                 assert fixed_dim(part, spaces[w], params.N) == oracle
 
 
+def hw_slice(mu, params):
+    """The weight-mu slice at the degree of the product vector."""
+    spaces = weight_spaces(hw_degree(mu, params), params.N, params.ell)
+    return spaces.get(tuple(mu), [])
+
+
 def test_joint_hw_dim_examples():
     params = ParameterSet.of(2, [3], 2)
-    assert joint_hw_dim((1,), params) == 1
-    assert joint_hw_dim((0,), params) == 1
+    assert joint_hw_dim((1,), hw_slice((1,), params), params) == 1
+    assert joint_hw_dim((0,), hw_slice((0,), params), params) == 1
     params2 = ParameterSet.of(2, [3, 3], 2)
-    assert joint_hw_dim((1, 1), params2) == 1
+    assert joint_hw_dim((1, 1), hw_slice((1, 1), params2), params2) == 1
 
 
 @pytest.mark.parametrize("mu", [(-2,), (-1,), (0,), (1,), (2,), (3,)])
 def test_joint_hw_dim_single_flavor_window(mu):
     params = ParameterSet.of(2, [3], 2)
-    assert joint_hw_dim(mu, params) == 1
+    assert joint_hw_dim(mu, hw_slice(mu, params), params) == 1
 
 
 def test_skew_duality_basic():

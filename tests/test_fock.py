@@ -14,6 +14,8 @@ from torusrep.fock import (
     apply_gen,
     apply_word,
     basis_monomials,
+    bilinear_on_monomial,
+    creators_of_degree,
     format_monomial,
     gen_degree,
     gen_label,
@@ -31,6 +33,7 @@ from torusrep.fock import (
     psibar,
     rho_action,
     rho_action_tensor_oracle,
+    rho_mat_on_monomial,
     vector_to_json,
 )
 
@@ -95,12 +98,10 @@ def test_clifford_relations_on_states():
 
 
 def test_normal_order_rules_agree():
+    # the orders may differ only where the anticommutator vanishes, so at
+    # m + n == 0 the two rules must agree
     for m in range(-3, 4):
-        for n in range(-3, 4):
-            if m + n == 0:
-                # orders may differ only where the anticommutator vanishes
-                continue
-            assert normal_order_pair(m, n) == normal_order_pair(m, n)
+        assert normal_order_pair(m, -m) == normal_order_pair_mode_criterion(m, -m)
     # as operators the two characterizations agree everywhere, including m+n=0
     N, ell = 2, 1
     vs = [FockVector.monomial(m) for m in basis_monomials(0, N, ell) + basis_monomials(1, N, ell)]
@@ -119,6 +120,142 @@ def test_normal_order_pair_examples():
     assert normal_order_pair(0, 0) == (True, 1)
     assert normal_order_pair(1, 0) == (False, -1)
     assert normal_order_pair(-2, -1) == (True, 1)
+
+
+# -- full-window oracles of the two Fock actions -------------------------------
+
+def rho_mat_window_oracle(i, j, m0, m1, params, mono, rule=normal_order_pair):
+    """rho_mat_on_monomial by a scan of the whole mode window [m0 - d, d]
+    (d the monomial degree), outside which both orderings kill the monomial."""
+    N, ell, q, a = params.N, params.ell, params.q, params.a
+    out = {}
+    d = monomial_degree(mono, N)
+    lo = m0 - d
+    if m1:
+        ap = [qpow(x, m1) for x in a]
+        qstep = qpow(q, -m1)
+        qk = qpow(q, -m1 * lo)
+    for k in range(lo, d + 1):
+        for p in range(1, ell + 1):
+            step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N, rule)
+            if step is None:
+                continue
+            sign, mono2 = step
+            cc = Fraction(sign) if m1 == 0 else sign * ap[p - 1] * qk
+            s = out.get(mono2, Fraction(0)) + cc
+            if s:
+                out[mono2] = s
+            elif mono2 in out:
+                del out[mono2]
+        if m1:
+            qk *= qstep
+    if m0 == 0 and i == j and m1 != 0:
+        s0 = sum((qpow(ap, m1) for ap in a), Fraction(0))
+        cc = s0 * qpow(q, m1) / (1 - qpow(q, m1))
+        s = out.get(mono, Fraction(0)) + cc
+        if s:
+            out[mono] = s
+        elif mono in out:
+            del out[mono]
+    return out
+
+
+def gl_ell_window_oracle(r, s, vec, N):
+    """gl_ell_action by a scan of every label and the mode window [-d, d]."""
+    acc = {}
+    for mono, c in vec._terms.items():
+        d = monomial_degree(mono, N)
+        for i in range(1, N + 1):
+            for n in range(-d, d + 1):
+                step = bilinear_on_monomial(i, r, -n, i, s, n, mono, N)
+                if step is None:
+                    continue
+                sign, mono2 = step
+                s2 = acc.get(mono2, Fraction(0)) + (c if sign == 1 else -c)
+                if s2:
+                    acc[mono2] = s2
+                elif mono2 in acc:
+                    del acc[mono2]
+    return acc
+
+
+# Pairwise generic for q = 2 and q = 5/2 (no ratio is a power of q); 3 and
+# -3 make the diagonal correction's sum of a_p^{m1} vanish for odd m1.
+A_VALUES = (3, 5, -3, Fraction(7, 3), Fraction(-1, 2))
+DEGREE_SHAPES = [(), (1,), (2,), (3,), (1, 1), (1, 2), (1, 1, 1)]
+
+
+def monomials(N, ell):
+    """Canonical monomials of degree at most 3: any set of degree-0
+    creators plus distinct creators whose degrees form one of the shapes."""
+    zero = creators_of_degree(0, N, ell)
+
+    def positive(shape):
+        return st.tuples(*(st.sampled_from(creators_of_degree(d, N, ell))
+                           for d in shape))
+
+    return (st.tuples(st.sets(st.sampled_from(zero)),
+                      st.sampled_from(DEGREE_SHAPES).flatmap(positive))
+            .filter(lambda t: len(set(t[1])) == len(t[1]))
+            .map(lambda t: tuple(sorted(t[0] | set(t[1])))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rho_mat_on_monomial_matches_window_oracle(data):
+    N = data.draw(st.sampled_from([2, 3]))
+    ell = data.draw(st.integers(1, 3))
+    q = data.draw(st.sampled_from([Fraction(2), Fraction(5, 2)]))
+    a = data.draw(st.lists(st.sampled_from(A_VALUES), min_size=ell, max_size=ell))
+    params = ParameterSet.of(q, a, N)
+    mono = data.draw(monomials(N, ell))
+    m0, m1 = data.draw(st.integers(-5, 5)), data.draw(st.integers(-3, 3))
+    for rule in (normal_order_pair, normal_order_pair_mode_criterion):
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                got = rho_mat_on_monomial(i, j, m0, m1, params, mono, rule)
+                want = rho_mat_window_oracle(i, j, m0, m1, params, mono, rule)
+                assert list(got.items()) == list(want.items())
+
+
+def test_rho_mat_diagonal_correction_can_vanish():
+    # a_1^{m1} + a_2^{m1} = 0 at odd m1, and no bilinear term reaches the
+    # vacuum at m0 = 0: the diagonal correction alone is zero
+    params = ParameterSet.of(2, [3, -3], 2)
+    for m1 in (-3, -1, 1, 3):
+        assert rho_mat_on_monomial(1, 1, 0, m1, params, ()) == {}
+        assert rho_mat_window_oracle(1, 1, 0, m1, params, ()) == {}
+
+
+def test_actions_keep_fraction_coefficients():
+    # at m1 = 0 rho_mat_on_monomial may return int signs; the vectors built
+    # from them still carry Fractions
+    from torusrep.verify import CachedAction
+
+    params = ParameterSet.of(2, [3, 5], 2)
+    act = CachedAction(params)
+    for mono in basis_monomials(1, 2, 2):
+        v = FockVector.monomial(mono)
+        for x in (E(1, 2, 0, 0), E(2, 1, -1, 0), E(1, 1, 1, 0)):
+            for w in (rho_action(x, params, v), act(x, v)):
+                assert all(type(c) is Fraction for _, c in w.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gl_ell_action_matches_window_oracle(data):
+    N = data.draw(st.sampled_from([2, 3]))
+    ell = data.draw(st.integers(1, 3))
+    monos = data.draw(st.lists(monomials(N, ell), min_size=1, max_size=3,
+                               unique=True))
+    coeffs = data.draw(st.lists(st.sampled_from([1, -1, Fraction(2, 3)]),
+                                min_size=len(monos), max_size=len(monos)))
+    vec = FockVector(dict(zip(monos, coeffs)))
+    for r in range(1, ell + 1):
+        for s in range(1, ell + 1):
+            got = gl_ell_action(r, s, vec, N)
+            want = gl_ell_window_oracle(r, s, vec, N)
+            assert list(got._terms.items()) == list(want.items())
 
 
 def test_rho_examples():
