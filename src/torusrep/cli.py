@@ -32,11 +32,22 @@ from .verify import (
 USAGE_ERROR, VERIFY_ERROR, GENERICITY_ERROR = 2, 1, 3
 
 
+def _converter(what: str):
+    """Make an argparse type converter report bad input as a usage error
+    (exit 2) instead of a traceback."""
+    def wrap(convert):
+        def checked(s: str):
+            try:
+                return convert(s)
+            except (InvalidParams, ValueError, TypeError, ZeroDivisionError) as exc:
+                raise argparse.ArgumentTypeError(f"not {what}: {s}") from exc
+        return checked
+    return wrap
+
+
+@_converter("a rational")
 def _rational(s: str):
-    try:
-        return as_scalar(s)
-    except Exception as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {s}") from exc
+    return as_scalar(s)
 
 
 # Bounds below these minimums would leave a check empty: usage errors.
@@ -54,6 +65,7 @@ def _positive(s: str):
     return n
 
 
+@_converter("a list of rationals")
 def _rational_list(s: str):
     return [as_scalar(x) for x in s.split(",") if x.strip()]
 
@@ -62,11 +74,13 @@ def _int_list(s: str):
     return [int(x) for x in s.split(",") if x.strip()]
 
 
+@_converter("an integer weight")
 def _weight(s: str):
     s = s.strip().lstrip("(").rstrip(")")
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
+@_converter("a set partition")
 def _partition(s: str):
     return SetPartition.of(json.loads(s))
 
@@ -135,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=_positive, default=100)
 
     sp = sub.add_parser("dims", help="graded slice dimension")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--N", type=_positive, required=True)
+    sp.add_argument("--ell", type=_positive, required=True)
+    sp.add_argument("--n", type=_nonnegative, required=True)
 
     sp = sub.add_parser("branch", help="branching multiplicity tables")
     sp.add_argument("--mode", choices=("tensor", "levi", "diag"), required=True)

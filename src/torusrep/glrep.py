@@ -1,10 +1,16 @@
 """Rational general-linear representation combinatorics.
 
 Dominant weights over a Levi (set-partition) torus, Littlewood-Richardson
-tableau counting, Weyl dimensions, the three branching-constant families
-(Levi restriction D, diagonal tensor C, and the sublattice constants E,
-which coincide with C over the power partition), plus the highest-weight
+counting, Weyl dimensions, the three branching-constant families (Levi
+restriction D, diagonal tensor C, and the sublattice constants E, which
+coincide with C over the power partition), plus the highest-weight
 functional data and its equivalence test.
+
+There is one LR tableau search, `_lr_contents`: it fills a skew shape nu/lam
+once and counts the fillings by content.  A single coefficient reads one
+content off it; a Levi restriction block runs it once per inner shape lam
+and reads every mu at once.  The Schur-character oracles for these
+constants live with the tests (`tests/glrep_oracles.py`).
 """
 from __future__ import annotations
 
@@ -33,14 +39,59 @@ def trim(lam: Sequence[int]) -> IntTuple:
 
 # -- Littlewood-Richardson by lattice-word tableau filling -------------------
 
-def lr_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
-    """Number of Littlewood-Richardson fillings of nu/lam with content mu.
+def _lr_contents(lam: IntTuple, nu: IntTuple,
+                 cap: Sequence[int]) -> Dict[IntTuple, int]:
+    """Littlewood-Richardson fillings of nu/lam, counted by content.
 
-    Cells are visited in reverse reading order (rows top to bottom, right
-    to left); a filling must be weakly increasing along rows, strictly
-    increasing down columns, and every prefix of the reading word must
-    contain at least as many t's as (t+1)'s.
+    lam and nu are trimmed partitions with lam inside nu.  Cells are
+    visited in reverse reading order (rows top to bottom, right to left); a
+    filling must be weakly increasing along rows, strictly increasing down
+    columns, and every prefix of its reading word must contain at least as
+    many t's as (t+1)'s.  Entry v may occur at most cap[v-1] times, and an
+    entry of row i (counted from 1) is at most i, which the lattice
+    condition forces on skew shapes too.  Returns {content: count} with
+    each content a trimmed partition.
     """
+    lamp = lam + (0,) * (len(nu) - len(lam))
+    # per cell: its row bound and the positions of its right and upper
+    # neighbours inside the skew shape (-1 when outside), both filled first
+    bounds: List[Tuple[int, int, int]] = []
+    above = 0    # position of the first cell of the previous row
+    for r in range(len(nu)):
+        first = len(bounds)
+        for c in range(nu[r] - 1, lamp[r] - 1, -1):
+            up = above + nu[r - 1] - 1 - c if r and c >= lamp[r - 1] else -1
+            right = len(bounds) - 1 if c + 1 < nu[r] else -1
+            bounds.append((min(len(cap), r + 1), right, up))
+        above = first
+    vals = [0] * len(bounds)
+    counts = [0] * (len(cap) + 1)
+    limit = [0] + list(cap)
+    out: Dict[IntTuple, int] = {}
+
+    def fill(pos: int) -> None:
+        if pos == len(bounds):
+            content = trim(counts[1:])
+            out[content] = out.get(content, 0) + 1
+            return
+        hi, right, up = bounds[pos]
+        if right >= 0 and vals[right] < hi:
+            hi = vals[right]
+        lo = vals[up] + 1 if up >= 0 else 1
+        for v in range(lo, hi + 1):
+            if counts[v] >= limit[v] or (v > 1 and counts[v] >= counts[v - 1]):
+                continue
+            vals[pos] = v
+            counts[v] += 1
+            fill(pos + 1)
+            counts[v] -= 1
+
+    fill(0)
+    return out
+
+
+def lr_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
+    """Number of Littlewood-Richardson fillings of nu/lam with content mu."""
     lam, mu, nu = trim(lam), trim(mu), trim(nu)
     for w in (lam, mu, nu):
         if not is_partition(w):
@@ -49,43 +100,7 @@ def lr_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
         return 0
     if len(nu) < len(lam) or any(nu[r] < lam[r] for r in range(len(lam))):
         return 0
-    rows = len(nu)
-    lamp = list(lam) + [0] * (rows - len(lam))
-    if not mu:
-        return 1 if nu == lam else 0
-    k = len(mu)
-    cells = [(r, c) for r in range(rows)
-             for c in range(nu[r] - 1, lamp[r] - 1, -1)]
-    grid = [[0] * nu[r] for r in range(rows)]
-    counts = [0] * (k + 1)
-    total = 0
-
-    def fill(pos: int) -> None:
-        nonlocal total
-        if pos == len(cells):
-            total += 1
-            return
-        r, c = cells[pos]
-        lo, hi = 1, k
-        if c + 1 < nu[r] and grid[r][c + 1]:
-            hi = min(hi, grid[r][c + 1])
-        if r > 0 and c < nu[r - 1] and c >= lamp[r - 1]:
-            lo = max(lo, grid[r - 1][c] + 1)
-        elif r > 0 and c < lamp[r - 1]:
-            lo = max(lo, 1)
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            grid[r][c] = v
-            counts[v] += 1
-            fill(pos + 1)
-            counts[v] -= 1
-            grid[r][c] = 0
-
-    fill(0)
-    return total
+    return _lr_contents(lam, nu, mu).get(mu, 0)
 
 
 def weyl_dim(mu: Sequence[int], n: int) -> int:
@@ -102,93 +117,6 @@ def weyl_dim(mu: Sequence[int], n: int) -> int:
             den *= j - i
     assert num % den == 0
     return num // den
-
-
-# -- Schur polynomial oracle --------------------------------------------------
-
-Poly = Dict[IntTuple, int]
-
-
-def ssyt_fillings(shape: IntTuple, nvars: int) -> Iterable[IntTuple]:
-    """Content vectors of semistandard fillings with entries <= nvars."""
-    rows = len(shape)
-    if rows == 0:
-        yield (0,) * nvars
-        return
-    grid = [[0] * shape[r] for r in range(rows)]
-    cells = [(r, c) for r in range(rows) for c in range(shape[r])]
-
-    def fill(pos: int):
-        if pos == len(cells):
-            content = [0] * nvars
-            for row in grid:
-                for v in row:
-                    content[v - 1] += 1
-            yield tuple(content)
-            return
-        r, c = cells[pos]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, nvars + 1):
-            grid[r][c] = v
-            yield from fill(pos + 1)
-            grid[r][c] = 0
-
-    yield from fill(0)
-
-
-def schur_poly(lam: Sequence[int], nvars: int) -> Poly:
-    """The Schur polynomial as an exponent->coefficient map."""
-    lam = trim(lam)
-    if len(lam) > nvars:
-        return {}
-    out: Poly = {}
-    for content in ssyt_fillings(tuple(lam), nvars):
-        out[content] = out.get(content, 0) + 1
-    return out
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def schur_expand(p: Poly, nvars: int) -> Dict[IntTuple, int]:
-    """Decompose a symmetric polynomial into Schur coefficients.
-
-    Repeatedly strips the lexicographically largest dominant exponent,
-    against which the Schur basis is unitriangular.
-    """
-    work = dict(p)
-    out: Dict[IntTuple, int] = {}
-    while work:
-        dominant = [e for e in work if all(e[i] >= e[i + 1] for i in range(len(e) - 1))]
-        assert dominant, f"no dominant leading term in {work}"
-        lead = max(dominant)
-        c = work[lead]
-        out[trim(lead)] = c
-        for e, ce in schur_poly(lead, nvars).items():
-            s = work.get(e, 0) - c * ce
-            if s:
-                work[e] = s
-            elif e in work:
-                del work[e]
-    return out
-
-
-def lr_coeff_oracle(lam, mu, nu) -> int:
-    """Schur-multiplication oracle for a single LR coefficient."""
-    lam, mu, nu = trim(lam), trim(mu), trim(nu)
-    nvars = max(len(lam) + len(mu), len(nu), 1)
-    prod = poly_mul(schur_poly(lam, nvars), schur_poly(mu, nvars))
-    return schur_expand(prod, nvars).get(nu, 0)
 
 
 # -- dominant weights over a Levi torus ---------------------------------------
@@ -356,61 +284,21 @@ def _restrict_block(w: IntTuple, block: IntTuple, left: IntTuple,
         idxs = left if n1 else right
         assign = tuple(zip(idxs, w))
         return {assign: 1}
-    total = sum(xi)
-    for s1 in range(total + 1):
+    # c^xi_{lam,mu} != 0 forces lam, mu inside xi, so one search per lam
+    # inside xi yields every mu, with entries capped by xi's first n2 rows
+    for s1 in range(sum(xi) + 1):
         for lam in partitions_with_bound(s1, n1, xi[0] if xi else 0):
-            for mu in partitions_with_bound(total - s1, n2, xi[0] if xi else 0):
-                c = lr_coeff(lam, mu, xi)
-                if not c:
-                    continue
-                lam_full = list(lam) + [0] * (n1 - len(lam))
+            if len(lam) > len(xi) or any(a > b for a, b in zip(lam, xi)):
+                continue
+            contents = _lr_contents(lam, xi, xi[:n2])
+            lam_full = list(lam) + [0] * (n1 - len(lam))
+            # mu in descending order, so the table order does not depend
+            # on the order in which the search meets the contents
+            for mu in sorted(contents, reverse=True):
                 mu_full = list(mu) + [0] * (n2 - len(mu))
                 assign = tuple(list(zip(left, (x - shift for x in lam_full)))
                                + list(zip(right, (x - shift for x in mu_full))))
-                out[assign] = out.get(assign, 0) + c
-    return out
-
-
-# -- character-product oracles for the branching constants --------------------
-
-def tensor_mult_oracle(w1: IntTuple, w2: IntTuple, n: int) -> Dict[IntTuple, int]:
-    """GL_n tensor multiplicities by multiplying Schur characters."""
-    (p1, p2), (c1, c2) = _det_shift_pair([w1, w2])
-    prod = poly_mul(schur_poly(trim(p1), n), schur_poly(trim(p2), n))
-    out = {}
-    for nu, c in schur_expand(prod, n).items():
-        full = tuple(list(nu) + [0] * (n - len(nu)))
-        out[tuple(x - c1 - c2 for x in full)] = c
-    return out
-
-
-def levi_branch_oracle(xi: IntTuple, n1: int, n2: int) -> Dict[Tuple[IntTuple, IntTuple], int]:
-    """Restriction of one GL_{n1+n2} irreducible to GL_{n1} x GL_{n2} by
-    evaluating the Schur character on split variables and peeling leading
-    dominant pairs."""
-    n = n1 + n2
-    shift = -min(list(xi) + [0])
-    lam = trim(tuple(x + shift for x in xi))
-    char = schur_poly(lam, n)
-    out: Dict[Tuple[IntTuple, IntTuple], int] = {}
-    work: Dict[IntTuple, int] = dict(char)
-    while work:
-        dominant = [e for e in work
-                    if all(e[i] >= e[i + 1] for i in range(n1 - 1))
-                    and all(e[n1 + i] >= e[n1 + i + 1] for i in range(n2 - 1))]
-        lead = max(dominant)
-        c = work[lead]
-        a, b = lead[:n1], lead[n1:]
-        out[(tuple(x - shift for x in a), tuple(x - shift for x in b))] = c
-        piece = poly_mul(
-            {tuple(list(e) + [0] * n2): v for e, v in schur_poly(trim(a), n1).items()},
-            {tuple([0] * n1 + list(e)): v for e, v in schur_poly(trim(b), n2).items()})
-        for e, ce in piece.items():
-            s = work.get(e, 0) - c * ce
-            if s:
-                work[e] = s
-            elif e in work:
-                del work[e]
+                out[assign] = contents[mu]
     return out
 
 

@@ -41,7 +41,7 @@ from .liealg import (
 )
 from .errors import InvalidParams
 from .reports import DecompositionReport, weight_key
-from .scalars import ParameterSet, as_scalar, validate_spectrum
+from .scalars import ParameterSet, check_q, validate_spectrum
 
 
 def sample_basis_element(rng: random.Random, N: int, max_exp: int) -> GlqElement:
@@ -101,7 +101,9 @@ def verify_bracket_axioms(N: int, q, trials: int, seed: int,
                           max_exp: int = 3) -> DecompositionReport:
     """Antisymmetry, the Jacobi identity, closure, and grading additivity
     on random basis triples."""
-    q = as_scalar(q)
+    q = check_q(q)
+    if N < 2:
+        raise InvalidParams("N must be >= 2")
     rng = random.Random(seed)
     report = DecompositionReport(config={
         "suite": "bracket-axioms", "N": N, "q": str(q),
@@ -146,7 +148,9 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
                      max_exp: int = 3) -> DecompositionReport:
     """Bracket transport under the covariant relabeling, the central pairing
     instances, and bijectivity on the basis window."""
-    q = as_scalar(q)
+    q = check_q(q)
+    if N < 2:
+        raise InvalidParams("N must be >= 2")
     rng = random.Random(seed)
     report = DecompositionReport(config={
         "suite": "theta-isomorphism", "N": N, "q": str(q),

@@ -4,6 +4,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from glrep_oracles import levi_branch_oracle, lr_coeff_oracle, tensor_mult_oracle
+
 from torusrep.duality import (
     verify_lattice_intertwiner,
     verify_levi_branching,
@@ -14,12 +16,9 @@ from torusrep.fock import FockVector, rho_action
 from torusrep.glrep import (
     DominantWeight,
     levi_branch_D,
-    levi_branch_oracle,
     lr_coeff,
-    lr_coeff_oracle,
     partitions_with_bound,
     tensor_mult_C,
-    tensor_mult_oracle,
 )
 from torusrep.liealg import GlqElement
 from torusrep.scalars import ParameterSet, SetPartition, qpow

@@ -81,6 +81,32 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-bracket", "--q", "1"],
+    ["verify-bracket", "--q", "0"],
+    ["verify-bracket", "--N", "1"],
+    ["verify-theta", "--q", "-1"],
+    ["verify-theta", "--N", "1"],
+    ["verify-duality", "--a", "1/0"],
+    ["verify-bracket", "--q", "1/0"],
+    ["branch", "--mode", "levi", "--I", "[[1],[3]]", "--xi", "(1,0)",
+     "--mu", "(0)"],
+    ["branch", "--mode", "levi", "--I", "[[1],[2]]", "--xi", "(1,x)",
+     "--mu", "(0)"],
+    ["branch", "--mode", "diag", "--I", "[[1,2]", "--mus", "(1,0)"],
+    ["dims", "--N", "2", "--ell", "1", "--n", "-1"],
+    ["dims", "--N", "0", "--ell", "1", "--n", "1"],
+    ["dims", "--N", "2", "--ell", "0", "--n", "1"],
+])
+def test_bad_input_is_usage_error(argv, capsys):
+    # excluded parameters and malformed values: exit 2, never a traceback
+    # or a silent pass
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_branch_tensor(capsys):
     code = main(["branch", "--mode", "tensor", "--I", "[[1],[2]]",
                  "--mu", "(1)", "--nu", "(1)"])

@@ -4,6 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glrep_oracles import (
+    levi_branch_oracle,
+    poly_mul,
+    schur_expand,
+    schur_poly,
+    tensor_mult_oracle,
+)
+from torusrep import glrep
 from torusrep.errors import IncompatiblePartitions
 from torusrep.scalars import SetPartition
 from torusrep.glrep import (
@@ -13,16 +21,11 @@ from torusrep.glrep import (
     eta_eval,
     is_dominant,
     levi_branch_D,
-    levi_branch_oracle,
     levi_dim,
     lr_coeff,
     mu_split,
     partitions_with_bound,
-    schur_expand,
-    schur_poly,
-    poly_mul,
     tensor_mult_C,
-    tensor_mult_oracle,
     weyl_dim,
 )
 
@@ -109,6 +112,67 @@ def test_levi_branch_D_against_oracle():
         got = levi_branch_D(xi, gl1, gl1)
         want = {k: v for k, v in levi_branch_oracle((a, b), 1, 1).items()}
         assert got == want
+
+
+def dominant_weights(n, lo, hi):
+    """Weakly decreasing n-tuples with entries in [lo, hi]."""
+    return [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n)
+            if all(w[i] >= w[i + 1] for i in range(n - 1))]
+
+
+def test_levi_branch_D_multirow_against_oracle():
+    # row bounds above 1 on both sides and proper inner shapes lam inside xi
+    checked = 0
+    for n in range(2, 6):
+        merged = SetPartition.full(n)
+        for xi in dominant_weights(n, -2, 3):
+            shifted = [x - min(xi + (0,)) for x in xi]
+            if sum(shifted) > 6:
+                continue
+            for n1 in range(1, n):
+                got = levi_branch_D(DominantWeight.of(xi, merged),
+                                    SetPartition.full(n1),
+                                    SetPartition.full(n - n1))
+                assert got == levi_branch_oracle(xi, n1, n - n1)
+                checked += 1
+    assert checked > 200
+
+
+def test_levi_branch_D_two_merged_blocks_against_oracle():
+    # merged {1,2,4} | {3,5} restricted to {1,2} | {3} and {4} | {5}
+    merged = SetPartition.of([[1, 2, 4], [3, 5]])
+    part_a = SetPartition.of([[1, 2], [3]])
+    part_b = SetPartition.of([[1], [2]])
+    for w1 in dominant_weights(3, -1, 2):
+        for w2 in dominant_weights(2, -1, 2):
+            xi = (w1[0], w1[1], w2[0], w1[2], w2[1])
+            want = {}
+            for (a1, b1), c1 in levi_branch_oracle(w1, 2, 1).items():
+                for (a2, b2), c2 in levi_branch_oracle(w2, 1, 1).items():
+                    key = (a1 + a2, b1 + b2)
+                    want[key] = want.get(key, 0) + c1 * c2
+            got = levi_branch_D(DominantWeight.of(xi, merged), part_a, part_b)
+            assert got == want
+
+
+def test_levi_block_runs_one_lr_search_per_inner_shape(monkeypatch):
+    calls = []
+    search = glrep._lr_contents
+
+    def counting(lam, nu, cap):
+        calls.append(lam)
+        return search(lam, nu, cap)
+
+    monkeypatch.setattr(glrep, "_lr_contents", counting)
+    for xi, n1 in (((3, 2, 2, 0), 2), ((4, 1, 0, 0, 0), 3), ((2, 2, 1), 1)):
+        n = len(xi)
+        calls.clear()
+        got = levi_branch_D(DominantWeight.of(xi, SetPartition.full(n)),
+                            SetPartition.full(n1), SetPartition.full(n - n1))
+        assert got == levi_branch_oracle(xi, n1, n - n1)
+        inner = [lam for lam in all_partitions_up_to(sum(xi))
+                 if len(lam) <= n1 and all(a <= b for a, b in zip(lam, xi))]
+        assert sorted(calls) == sorted(inner)
 
 
 def test_levi_branch_D_dimension_identity():
