@@ -16,7 +16,13 @@ from .duality import (
     verify_skew_duality,
     verify_tensor_branching,
 )
-from .errors import InvalidParams, InvalidQ, NotGeneric, PartitionMismatch
+from .errors import (
+    IncompatiblePartitions,
+    InvalidParams,
+    InvalidQ,
+    NotGeneric,
+    PartitionMismatch,
+)
 from .fock import graded_dim
 from .glrep import DominantWeight, levi_branch_D, tensor_mult_C
 from .reports import DecompositionReport, weight_key
@@ -70,8 +76,8 @@ def _rational_list(s: str):
     return [as_scalar(x) for x in s.split(",") if x.strip()]
 
 
-def _int_list(s: str):
-    return [int(x) for x in s.split(",") if x.strip()]
+def _positive_list(s: str):
+    return [_positive(x) for x in s.split(",") if x.strip()]
 
 
 @_converter("an integer weight")
@@ -94,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, default=2)
         sp.add_argument("--q", type=_rational, default=as_scalar(2))
         if ell:
-            sp.add_argument("--ell", type=int, default=1)
+            sp.add_argument("--ell", type=_positive, default=1)
         if a:
             sp.add_argument("--a", type=_rational_list, default=[as_scalar(3)])
         sp.add_argument("--seed", type=int, default=0)
@@ -132,19 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-tensor", help="tensor branching through Levi restriction")
     common(sp)
-    sp.add_argument("--ellp", type=int, default=1)
+    sp.add_argument("--ellp", type=_positive, default=1)
     sp.add_argument("--b", type=_rational_list, default=[as_scalar(3)])
     sp.add_argument("--n-max", type=_nonnegative, default=1)
 
     sp = sub.add_parser("verify-levi", help="diagonal Levi branching of the big Fock space")
     common(sp)
-    sp.add_argument("--bfN", type=_int_list, default=[2, 2])
+    sp.add_argument("--bfN", type=_positive_list, default=[2, 2])
     sp.add_argument("--n-max", type=_nonnegative, default=1)
 
     sp = sub.add_parser("verify-lattice", help="index-sublattice refolding intertwiner")
     common(sp)
-    sp.add_argument("--M0", type=int, default=2)
-    sp.add_argument("--M1", type=int, default=1)
+    sp.add_argument("--M0", type=_positive, default=2)
+    sp.add_argument("--M1", type=_positive, default=1)
     sp.add_argument("--n-max", type=_nonnegative, default=1)
     sp.add_argument("--trials", type=_positive, default=100)
 
@@ -292,7 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotGeneric, PartitionMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return GENERICITY_ERROR
-    except (InvalidParams, InvalidQ) as exc:
+    except (InvalidParams, InvalidQ, IncompatiblePartitions) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     return _emit(rep, args)

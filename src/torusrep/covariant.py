@@ -20,11 +20,11 @@ terms trade the exponents q^{m1*n0} and q^{n1*m0}.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .errors import NotInSl, NotInSlInfinity
-from .liealg import GlqElement, K0, K1, require_sl
-from .scalars import Rational, as_scalar, qpow
+from .liealg import GlqElement, K0, K1, mat_key, require_sl
+from .scalars import Rational, SparseVector, accumulate, as_scalar, qpow
 
 K = "k"
 KPRIME = "kprime"
@@ -43,70 +43,25 @@ def hkey(r: int) -> HKey:
     return ("h", r)
 
 
-def _sort_key(k: CovKey):
-    if k == K:
-        return (0,)
-    if k == KPRIME:
-        return (1,)
-    if k[0] == "h":
-        return (2, k[1])
-    return (3,) + k[1:]
-
-
-class CovElement:
+class CovElement(SparseVector):
     """Finite rational combination over the canonical basis."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Dict[CovKey, Fraction] = None):
-        clean = {}
-        for k, c in (terms or {}).items():
-            c = as_scalar(c)
-            if c != 0:
-                clean[k] = c
-        self._terms = clean
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "CovElement":
-        return CovElement()
+    def _order(item):
+        k = item[0]
+        if k == K:
+            return (0,)
+        if k == KPRIME:
+            return (1,)
+        if k[0] == "h":
+            return (2, k[1])
+        return (3,) + k[1:]
 
     @staticmethod
     def basis(key: CovKey, coeff: Rational = 1) -> "CovElement":
-        return CovElement({key: as_scalar(coeff)})
-
-    def items(self) -> Iterator[Tuple[CovKey, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0])))
-
-    def coeff(self, key: CovKey) -> Fraction:
-        return self._terms.get(key, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "CovElement") -> "CovElement":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return CovElement(out)
-
-    def __sub__(self, other: "CovElement") -> "CovElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CovElement":
-        return CovElement({k: -c for k, c in self._terms.items()})
-
-    def scale(self, c: Rational) -> "CovElement":
-        c = as_scalar(c)
-        return CovElement({k: c * v for k, v in self._terms.items()})
-
-    def __rmul__(self, c: Rational) -> "CovElement":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CovElement) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return CovElement({key: coeff})
 
     def __repr__(self):
         return f"CovElement({format_cov(self)!r})"
@@ -154,7 +109,7 @@ def _hbar_diff(i: int, j: int) -> CovElement:
     else:
         for r in range(j, i):
             out[hkey(r)] = Fraction(-1)
-    return CovElement(out)
+    return CovElement._of(out)
 
 
 # -- raw (pre-canonical) arithmetic -----------------------------------------
@@ -182,23 +137,19 @@ def _raw_of_key(key: CovKey, N: int, q: Fraction) -> Dict[RawKey, Fraction]:
 
 
 def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovElement:
-    out = CovElement.zero()
+    out: Dict[CovKey, Fraction] = {}
     diag: Dict[int, Dict[int, Fraction]] = {}
     for key, c in raw.items():
-        if c == 0:
-            continue
         if key == (K,):
-            out = out + CovElement.basis(K, c)
+            accumulate(out, K, c)
         elif key[0] == "u":
             _, r, s, t = key
             coeff, ck = canonicalize(r, s, t, N, q)
-            out = out + CovElement.basis(ck, c * coeff)
+            accumulate(out, ck, c * coeff)
         else:
             _, r, t = key
-            slot = diag.setdefault(t, {})
-            slot[r] = slot.get(r, Fraction(0)) + c
-    for t, cs in sorted(diag.items()):
-        live = {r: c for r, c in cs.items() if c != 0}
+            accumulate(diag.setdefault(t, {}), r, c)
+    for t, live in sorted(diag.items()):
         if not live:
             continue
         if sum(live.values()) != 0:
@@ -207,8 +158,9 @@ def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovEl
         for r, c in sorted(live.items()):
             if r == r0:
                 continue
-            out = out + canonicalize_diag_diff(r, r0, t, N, q).scale(c)
-    return out
+            for k, v in canonicalize_diag_diff(r, r0, t, N, q)._terms.items():
+                accumulate(out, k, c * v)
+    return CovElement._of(out)
 
 
 def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
@@ -218,22 +170,18 @@ def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
 
     Only shifts g aligning b with c, or d with a, contribute.
     """
-    def add(key: RawKey, v: Fraction):
-        if v != 0:
-            acc[key] = acc.get(key, Fraction(0)) + v
-
     if (c - b) % N == 0:
         g = (c - b) // N
         w = coeff * qpow(q, g * m)
         r, s = a + N * g, d
-        add(("d", r, m + n) if r == s else ("u", r, s, m + n), w)
+        accumulate(acc, ("d", r, m + n) if r == s else ("u", r, s, m + n), w)
         if r == s and m + n == 0:
-            add((K,), w * m)
+            accumulate(acc, (K,), w * m)
     if (d - a) % N == 0:
         g = (d - a) // N
         w = coeff * qpow(q, g * m)
         r, s = c, b + N * g
-        add(("d", r, m + n) if r == s else ("u", r, s, m + n), -w)
+        accumulate(acc, ("d", r, m + n) if r == s else ("u", r, s, m + n), -w)
 
 
 def cov_bracket(u: CovElement, v: CovElement, N: int, q: Rational) -> CovElement:
@@ -261,13 +209,13 @@ def theta(x: GlqElement, N: int, q: Rational) -> CovElement:
     """Relabel a trace-zero element into covariant coordinates."""
     q = as_scalar(q)
     require_sl(x, N)
-    out = CovElement.zero()
+    out: Dict[CovKey, Fraction] = {}
     diag0: Dict[int, Fraction] = {}
     for key, c in x.items():
         if key == K0:
-            out = out + CovElement.basis(K, c)
+            out[K] = c
         elif key == K1:
-            out = out + CovElement.basis(KPRIME, c)
+            out[KPRIME] = c
         else:
             i, j, m0, m1 = key
             if i > N or j > N:
@@ -275,32 +223,32 @@ def theta(x: GlqElement, N: int, q: Rational) -> CovElement:
             if i == j and m0 == 0 and m1 == 0:
                 diag0[i] = c
             else:
-                out = out + CovElement.basis(ekey(i, j, m0, m1), c)
+                out[ekey(i, j, m0, m1)] = c
     if diag0:
         # traceless by require_sl; telescope into the hbar_r basis
         acc = Fraction(0)
         for r in range(1, N):
             acc += diag0.get(r, Fraction(0))
             if acc != 0:
-                out = out + CovElement.basis(hkey(r), acc)
-    return out
+                out[hkey(r)] = acc
+    return CovElement._of(out)
 
 
 def theta_inv(u: CovElement, N: int, q: Rational) -> GlqElement:
-    out = GlqElement.zero()
+    out: Dict = {}
     for key, c in u.items():
         if key == K:
-            out = out + GlqElement.k0(c)
+            accumulate(out, K0, c)
         elif key == KPRIME:
-            out = out + GlqElement.k1(c)
+            accumulate(out, K1, c)
         elif key[0] == "h":
             r = key[1]
-            out = out + (GlqElement.matrix_unit(r, r)
-                         - GlqElement.matrix_unit(r + 1, r + 1)).scale(c)
+            accumulate(out, mat_key(r, r), c)
+            accumulate(out, mat_key(r + 1, r + 1), -c)
         else:
             _, i, j, m0, m1 = key
-            out = out + GlqElement.matrix_unit(i, j, m0, m1, c)
-    return out
+            accumulate(out, mat_key(i, j, m0, m1), c)
+    return GlqElement._of(out)
 
 
 def cov_basis_keys(N: int, max_exp: int) -> Iterable[CovKey]:

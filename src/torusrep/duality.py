@@ -41,10 +41,10 @@ from .glrep import (
     levi_dim,
     tensor_mult_C,
 )
-from .liealg import GlqElement, h_gen_q
+from .liealg import GlqElement, h_gen
 from .linalg import nullspace
 from .reports import DecompositionReport, weight_key
-from .scalars import ParameterSet, SetPartition, qpow, validate_spectrum
+from .scalars import ParameterSet, SetPartition, accumulate, qpow, validate_spectrum
 
 
 def weight_spaces(n: int, N: int, ell: int) -> Dict[Tuple[int, ...], List[Monomial]]:
@@ -156,7 +156,7 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
         for n in range(-h_window, h_window + 1):
-            h = h_gen_q(i, n, N, params.q)
+            h = h_gen(i, n, N, params.q)
             val = eta_eval(eta, i, n)
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
             rows.extend(_vector_rows(images))
@@ -340,7 +340,7 @@ def phi_gen(g, ell: int, M0: int, N: int):
 
 def phi_vector(vec: FockVector, ell: int, M0: int, N: int) -> FockVector:
     """The induced linear map on Fock vectors (relabel, re-sort, sign)."""
-    out = FockVector.zero()
+    out: Dict[Monomial, Fraction] = {}
     for mono, c in vec.items():
         gens = [phi_gen(g, ell, M0, N) for g in mono]
         sign = 1
@@ -352,8 +352,8 @@ def phi_vector(vec: FockVector, ell: int, M0: int, N: int) -> FockVector:
                 sign = -sign
                 u -= 1
         assert all(arr[t] < arr[t + 1] for t in range(len(arr) - 1))
-        out = out + FockVector.monomial(tuple(arr), c * sign)
-    return out
+        accumulate(out, tuple(arr), c * sign)
+    return FockVector._of(out)
 
 
 def _pairing(g1, g2) -> int:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams
 from .liealg import GlqElement, K0, K1
-from .scalars import ParameterSet, Rational, as_scalar, qpow
+from .scalars import ParameterSet, Rational, SparseVector, accumulate, qpow
 
 PSI = 0
 PSIBAR = 1
@@ -75,77 +75,21 @@ def monomial_weight(m: Monomial, ell: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-class FockVector:
+class FockVector(SparseVector):
     """Finite rational combination of canonical creation monomials."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Dict[Monomial, Fraction] = None):
-        clean = {}
-        for m, c in (terms or {}).items():
-            c = as_scalar(c)
-            if c != 0:
-                clean[m] = c
-        self._terms = clean
-
-    @staticmethod
-    def zero() -> "FockVector":
-        return FockVector()
+    __slots__ = ()
 
     @staticmethod
     def vacuum(coeff: Rational = 1) -> "FockVector":
-        return FockVector({VACUUM: as_scalar(coeff)})
+        return FockVector({VACUUM: coeff})
 
     @staticmethod
     def monomial(m: Monomial, coeff: Rational = 1) -> "FockVector":
-        return FockVector({m: as_scalar(coeff)})
-
-    def items(self) -> Iterator[Tuple[Monomial, Fraction]]:
-        return iter(sorted(self._terms.items()))
-
-    def coeff(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return FockVector({m: coeff})
 
     def support(self) -> List[Monomial]:
         return sorted(self._terms)
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        v = FockVector.__new__(FockVector)
-        v._terms = out
-        return v
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
-
-    def __neg__(self) -> "FockVector":
-        return FockVector({m: -c for m, c in self._terms.items()})
-
-    def scale(self, c: Rational) -> "FockVector":
-        c = as_scalar(c)
-        if c == 0:
-            return FockVector.zero()
-        v = FockVector.__new__(FockVector)
-        v._terms = {m: c * x for m, x in self._terms.items()}
-        return v
-
-    def __rmul__(self, c: Rational) -> "FockVector":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockVector) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"FockVector<{len(self._terms)} terms>"
@@ -164,14 +108,7 @@ def apply_gen(g: Gen, vec: FockVector) -> FockVector:
             pos = bisect_left(m, g)
             if pos < len(m) and m[pos] == g:
                 continue
-            if pos & 1:
-                c = -c
-            key = m[:pos] + (g,) + m[pos:]
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            accumulate(out, m[:pos] + (g,) + m[pos:], -c if pos & 1 else c)
     else:
         p, kind, idx = g
         partner = (p, 1 - kind, -idx - 1)
@@ -179,17 +116,8 @@ def apply_gen(g: Gen, vec: FockVector) -> FockVector:
             pos = bisect_left(m, partner)
             if pos >= len(m) or m[pos] != partner:
                 continue
-            if pos & 1:
-                c = -c
-            key = m[:pos] + m[pos + 1:]
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    v = FockVector.__new__(FockVector)
-    v._terms = out
-    return v
+            accumulate(out, m[:pos] + m[pos + 1:], -c if pos & 1 else c)
+    return FockVector._of(out)
 
 
 def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:
@@ -204,11 +132,6 @@ def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:
 def normal_order_pair(m: int, n: int) -> Tuple[bool, int]:
     """Ordering rule for :psi(m) psibar(n):, returned as (psi_first, sign)."""
     return (True, 1) if m <= n else (False, -1)
-
-
-def normal_order_pair_mode_criterion(m: int, n: int) -> Tuple[bool, int]:
-    """Equivalent rule keyed on the psibar mode alone."""
-    return (True, 1) if n >= 0 else (False, -1)
 
 
 def _gen_on_monomial(g: Gen, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
@@ -252,14 +175,8 @@ def apply_bilinear(i: int, p: int, m: int, j: int, pb: int, n: int,
         if step is None:
             continue
         sign, mono2 = step
-        s = out.get(mono2, Fraction(0)) + (c if sign == 1 else -c)
-        if s:
-            out[mono2] = s
-        elif mono2 in out:
-            del out[mono2]
-    v = FockVector.__new__(FockVector)
-    v._terms = out
-    return v
+        accumulate(out, mono2, c if sign == 1 else -c)
+    return FockVector._of(out)
 
 
 def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
@@ -305,25 +222,11 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
         if step is None:
             continue
         sign, mono2 = step
-        cc = sign if m1 == 0 else sign * ap[p - 1] * qpow(q, -m1 * k)
-        prev = out.get(mono2)
-        if prev is None:
-            out[mono2] = cc
-        else:
-            s = prev + cc
-            if s:
-                out[mono2] = s
-            else:
-                del out[mono2]
+        accumulate(out, mono2,
+                   sign if m1 == 0 else sign * ap[p - 1] * qpow(q, -m1 * k))
     if m0 == 0 and i == j and m1 != 0:
         qm = qpow(q, m1)
-        cc = sum(ap) * qm / (1 - qm)
-        prev = out.get(mono)
-        s = cc if prev is None else prev + cc
-        if s:
-            out[mono] = s
-        elif prev is not None:
-            del out[mono]
+        accumulate(out, mono, sum(ap) * qm / (1 - qm))
     return out
 
 
@@ -333,32 +236,18 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector,
     E_{i,j} t0^m0 t1^m1 acting by the fermionic bilinear sums."""
     ell = params.ell
     acc: Dict[Monomial, Fraction] = {}
-
-    def add(mono, c):
-        prev = acc.get(mono)
-        if prev is None:
-            acc[mono] = c
-            return
-        s = prev + c
-        if s:
-            acc[mono] = s
-        else:
-            del acc[mono]
-
     for key, coeff in x.items():
         if key == K0:
             for mono, c in vec._terms.items():
-                add(mono, c * coeff * ell)
+                accumulate(acc, mono, c * coeff * ell)
             continue
         if key == K1:
             continue
         i, j, m0, m1 = key
         for mono, c in vec._terms.items():
             for mono2, c2 in rho_mat_on_monomial(i, j, m0, m1, params, mono, rule).items():
-                add(mono2, c * coeff * c2)
-    v = FockVector.__new__(FockVector)
-    v._terms = acc
-    return v
+                accumulate(acc, mono2, c * coeff * c2)
+    return FockVector._of(acc)
 
 
 def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
@@ -389,19 +278,8 @@ def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
             if step is None:
                 continue
             sign, mono2 = step
-            cc = c if sign == 1 else -c
-            prev = acc.get(mono2)
-            if prev is None:
-                acc[mono2] = cc
-                continue
-            s2 = prev + cc
-            if s2:
-                acc[mono2] = s2
-            else:
-                del acc[mono2]
-    v = FockVector.__new__(FockVector)
-    v._terms = acc
-    return v
+            accumulate(acc, mono2, c if sign == 1 else -c)
+    return FockVector._of(acc)
 
 
 def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int, ell: int,
@@ -481,39 +359,6 @@ def basis_monomials(n: int, N: int, ell: int) -> List[Monomial]:
 
     pick(0, [], n)
     return sorted(out)
-
-
-def rho_action_tensor_oracle(x: GlqElement, params: ParameterSet,
-                             vec: FockVector) -> FockVector:
-    """Evaluation-module oracle: act factor by factor with the one-flavor
-    level-one action at a = 1, weighting flavor p by a_p^{m1}.
-
-    The bilinear operators are even, so splitting a monomial by flavor and
-    reassembling introduces no sign.
-    """
-    N, ell, q, a = params.N, params.ell, params.q, params.a
-    one = ParameterSet.of(q, [1], N)
-    out = FockVector.zero()
-    for key, coeff in x.items():
-        if key == K0:
-            out = out + vec.scale(coeff * ell)
-            continue
-        if key == K1:
-            continue
-        i, j, m0, m1 = key
-        for mono, c in vec._terms.items():
-            parts = {p: tuple((1, kind, idx) for (pp, kind, idx) in mono if pp == p)
-                     for p in range(1, ell + 1)}
-            for p in range(1, ell + 1):
-                acted = rho_action(GlqElement.matrix_unit(i, j, m0, m1),
-                                   one, FockVector.monomial(parts[p]))
-                for sub, cs in acted._terms.items():
-                    rebuilt = sorted(
-                        [(p, kind, idx) for (_, kind, idx) in sub]
-                        + [g for g in mono if g[0] != p])
-                    out = out + FockVector.monomial(
-                        tuple(rebuilt), c * cs * coeff * qpow(a[p - 1], m1))
-    return out
 
 
 # -- text form ---------------------------------------------------------------

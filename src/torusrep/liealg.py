@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .errors import NotInSl
-from .scalars import Rational, as_scalar, qpow
+from .scalars import Rational, SparseVector, accumulate, as_scalar, qpow
 
 K0 = "k0"
 K1 = "k1"
@@ -24,81 +24,38 @@ MatKey = Tuple[int, int, int, int]
 Key = Union[MatKey, str]
 
 
-def _sort_key(k: Key):
-    if k == K0:
-        return (0,)
-    if k == K1:
-        return (1,)
-    return (2,) + k
+def mat_key(i: int, j: int, m0: int = 0, m1: int = 0) -> MatKey:
+    if i < 1 or j < 1:
+        raise ValueError("matrix indices are 1-based")
+    return (i, j, m0, m1)
 
 
-class GlqElement:
+class GlqElement(SparseVector):
     """Immutable finite linear combination over the monomial basis."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Dict[Key, Fraction] = None):
-        clean = {}
-        for k, c in (terms or {}).items():
-            c = as_scalar(c)
-            if c != 0:
-                clean[k] = c
-        self._terms = clean
-
-    # -- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "GlqElement":
-        return GlqElement()
+    def _order(item):
+        k = item[0]
+        if k == K0:
+            return (0,)
+        if k == K1:
+            return (1,)
+        return (2,) + k
 
     @staticmethod
     def matrix_unit(i: int, j: int, m0: int = 0, m1: int = 0,
                     coeff: Rational = 1) -> "GlqElement":
-        if i < 1 or j < 1:
-            raise ValueError("matrix indices are 1-based")
-        return GlqElement({(i, j, m0, m1): as_scalar(coeff)})
+        return GlqElement({mat_key(i, j, m0, m1): coeff})
 
     @staticmethod
     def k0(coeff: Rational = 1) -> "GlqElement":
-        return GlqElement({K0: as_scalar(coeff)})
+        return GlqElement({K0: coeff})
 
     @staticmethod
     def k1(coeff: Rational = 1) -> "GlqElement":
-        return GlqElement({K1: as_scalar(coeff)})
-
-    # -- vector-space structure ----------------------------------------
-    def items(self) -> Iterator[Tuple[Key, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0])))
-
-    def coeff(self, key: Key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "GlqElement") -> "GlqElement":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return GlqElement(out)
-
-    def __sub__(self, other: "GlqElement") -> "GlqElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GlqElement":
-        return GlqElement({k: -c for k, c in self._terms.items()})
-
-    def scale(self, c: Rational) -> "GlqElement":
-        c = as_scalar(c)
-        return GlqElement({k: c * v for k, v in self._terms.items()})
-
-    def __rmul__(self, c: Rational) -> "GlqElement":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GlqElement) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return GlqElement({K1: coeff})
 
     def __repr__(self):
         return f"GlqElement({format_element(self)!r})"
@@ -140,11 +97,6 @@ def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
     """Bilinear extension of the defining commutator; k0, k1 are central."""
     q = as_scalar(q)
     out: Dict[Key, Fraction] = {}
-
-    def add(key: Key, c: Fraction):
-        if c != 0:
-            out[key] = out.get(key, Fraction(0)) + c
-
     for kx, cx in x.items():
         if not isinstance(kx, tuple):
             continue
@@ -155,14 +107,14 @@ def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
             k, l, n0, n1 = ky
             c = cx * cy
             if j == k:
-                add((i, l, m0 + n0, m1 + n1), c * qpow(q, m1 * n0))
+                accumulate(out, (i, l, m0 + n0, m1 + n1), c * qpow(q, m1 * n0))
             if i == l:
-                add((k, j, m0 + n0, m1 + n1), -c * qpow(q, n1 * m0))
+                accumulate(out, (k, j, m0 + n0, m1 + n1), -c * qpow(q, n1 * m0))
             if j == k and i == l and m0 + n0 == 0 and m1 + n1 == 0:
                 w = c * qpow(q, m1 * n0)
-                add(K0, w * m0)
-                add(K1, w * m1)
-    return GlqElement(out)
+                accumulate(out, K0, w * m0)
+                accumulate(out, K1, w * m1)
+    return GlqElement._of(out)
 
 
 def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
@@ -186,17 +138,13 @@ def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
             + GlqElement.matrix_unit(N, N, 0, n))
 
 
-def h_gen_q(i: int, n: int, N: int, q: Rational) -> GlqElement:
-    return h_gen(i, n, N, q)
-
-
 def grade(x: GlqElement) -> Dict[int, GlqElement]:
     """Split into homogeneous parts: E t0^m0 t1^m1 sits in degree -m0."""
     parts: Dict[int, Dict[Key, Fraction]] = {}
     for k, c in x.items():
         d = -k[2] if isinstance(k, tuple) else 0
         parts.setdefault(d, {})[k] = c
-    return {d: GlqElement(t) for d, t in sorted(parts.items())}
+    return {d: GlqElement._of(t) for d, t in sorted(parts.items())}
 
 
 def triangular_split(x: GlqElement, N: int) -> Tuple[GlqElement, GlqElement, GlqElement]:
@@ -225,7 +173,7 @@ def triangular_split(x: GlqElement, N: int) -> Tuple[GlqElement, GlqElement, Glq
             minus[k] = c
         else:
             zero[k] = c
-    return GlqElement(plus), GlqElement(zero), GlqElement(minus)
+    return GlqElement._of(plus), GlqElement._of(zero), GlqElement._of(minus)
 
 
 def cartan_coordinates(x: GlqElement, N: int, q: Rational) -> Tuple[Dict[Tuple[int, int], Fraction], Fraction]:
@@ -284,10 +232,11 @@ def cartan_coordinates(x: GlqElement, N: int, q: Rational) -> Tuple[Dict[Tuple[i
 
 def from_cartan_coordinates(coords: Dict[Tuple[int, int], Fraction], k1c: Fraction,
                             N: int, q: Rational) -> GlqElement:
-    out = GlqElement.k1(k1c)
+    out = dict(GlqElement.k1(k1c)._terms)
     for (i, n), c in coords.items():
-        out = out + h_gen_q(i, n, N, q).scale(c)
-    return out
+        for k, v in h_gen(i, n, N, q)._terms.items():
+            accumulate(out, k, as_scalar(c) * v)
+    return GlqElement._of(out)
 
 
 # -- text form -------------------------------------------------------------
@@ -326,7 +275,7 @@ def parse_element(s: str) -> GlqElement:
     if s == "0":
         return GlqElement.zero()
     s = s.replace("- ", "+ -")
-    out = GlqElement.zero()
+    out: Dict[Key, Fraction] = {}
     for chunk in s.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -343,10 +292,8 @@ def parse_element(s: str) -> GlqElement:
             # bare scalar times nothing is not a valid monomial
             raise ValueError(f"cannot parse term {chunk!r}")
         coeff *= sign
-        if chunk == "k0":
-            out = out + GlqElement.k0(coeff)
-        elif chunk == "k1":
-            out = out + GlqElement.k1(coeff)
+        if chunk in (K0, K1):
+            accumulate(out, chunk, coeff)
         else:
             m = _MAT_RE.match(chunk)
             if not m:
@@ -354,8 +301,8 @@ def parse_element(s: str) -> GlqElement:
             i, j = int(m.group(1)), int(m.group(2))
             m0 = int(m.group(3) or 0)
             m1 = int(m.group(4) or 0)
-            out = out + GlqElement.matrix_unit(i, j, m0, m1, coeff)
-    return out
+            accumulate(out, mat_key(i, j, m0, m1), coeff)
+    return GlqElement._of(out)
 
 
 def basis_elements(N: int, max_exp: int) -> Iterable[GlqElement]:

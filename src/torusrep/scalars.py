@@ -1,4 +1,5 @@
-"""Exact rational scalars, the (q, a) parameter data, and genericity checks.
+"""Exact rational scalars, sparse rational vectors, the (q, a) parameter
+data, and genericity checks.
 
 Every coefficient in the package is a `fractions.Fraction`; no floating
 point arithmetic occurs anywhere.
@@ -8,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidParams, InvalidQ, NotGeneric
 
@@ -30,13 +31,87 @@ def as_scalar(x: Rational) -> Fraction:
     raise InvalidParams(f"not an exact rational: {x!r}")
 
 
-def format_scalar(x: Fraction) -> str:
-    """Render as "p/r" (or plain "p"), sign on the numerator."""
-    return str(x)
+def accumulate(terms: Dict, key: Hashable, c) -> None:
+    """terms[key] += c, keeping terms free of zeros: the key is dropped when
+    the sum vanishes, and a zero c on an absent key stores nothing."""
+    prev = terms.get(key)
+    if prev is None:
+        if c:
+            terms[key] = c
+        return
+    s = prev + c
+    if s:
+        terms[key] = s
+    else:
+        del terms[key]
 
 
-def parse_scalar(s: str) -> Fraction:
-    return as_scalar(s)
+class SparseVector:
+    """Immutable finite rational combination of hashable basis keys.
+
+    ``_terms`` maps each key to its nonzero `Fraction` coefficient.
+    Subclasses name the basis: they add constructors, a ``__repr__`` and
+    ``_order``, the sort key on items (None for the keys' natural order).
+    Vectors of different subclasses are never equal.
+    """
+
+    __slots__ = ("_terms",)
+    _order: Optional[Callable] = None
+
+    def __init__(self, terms: Optional[Dict[Hashable, Rational]] = None):
+        clean = {}
+        for k, c in (terms or {}).items():
+            c = as_scalar(c)
+            if c != 0:
+                clean[k] = c
+        self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: Dict[Hashable, Fraction]):
+        """Wrap, without copying or checking, a dict of nonzero Fractions."""
+        v = cls.__new__(cls)
+        v._terms = terms
+        return v
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    def items(self) -> Iterator[Tuple[Hashable, Fraction]]:
+        return iter(sorted(self._terms.items(), key=self._order))
+
+    def coeff(self, key: Hashable) -> Fraction:
+        return self._terms.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other: "SparseVector"):
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            accumulate(out, k, c)
+        return self._of(out)
+
+    def __sub__(self, other: "SparseVector"):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self._terms.items()})
+
+    def scale(self, c: Rational):
+        c = as_scalar(c)
+        if c == 0:
+            return self._of({})
+        return self._of({k: c * v for k, v in self._terms.items()})
+
+    def __rmul__(self, c: Rational):
+        return self.scale(c)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
 
 
 def qpow(q: Fraction, n: int) -> Fraction:
@@ -120,6 +195,8 @@ class ParameterSet:
         check_q(self.q)
         if self.N < 2:
             raise InvalidParams("N must be >= 2")
+        if not self.a:
+            raise InvalidParams("need at least one parameter a_p")
         if any(x == 0 for x in self.a):
             raise InvalidParams("all a_p must be nonzero")
 

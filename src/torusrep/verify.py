@@ -36,12 +36,12 @@ from .liealg import (
     bracket,
     format_element,
     grade,
-    h_gen_q,
+    h_gen,
     is_in_sl,
 )
 from .errors import InvalidParams
 from .reports import DecompositionReport, weight_key
-from .scalars import ParameterSet, check_q, validate_spectrum
+from .scalars import ParameterSet, accumulate, check_q, validate_spectrum
 
 
 def sample_basis_element(rng: random.Random, N: int, max_exp: int) -> GlqElement:
@@ -75,9 +75,7 @@ class CachedAction:
         for key, coeff in x.items():
             if key == K0:
                 for m, c in vec._terms.items():
-                    prev = acc.get(m)
-                    w = c * coeff * self.params.ell
-                    acc[m] = w if prev is None else prev + w
+                    accumulate(acc, m, c * coeff * self.params.ell)
                 continue
             if key == K1:
                 continue
@@ -90,11 +88,8 @@ class CachedAction:
                     self._cache[ck] = r
                 w = c * coeff
                 for m2, c2 in r.items():
-                    prev = acc.get(m2)
-                    acc[m2] = w * c2 if prev is None else prev + w * c2
-        v = FockVector.__new__(FockVector)
-        v._terms = {m: c for m, c in acc.items() if c}
-        return v
+                    accumulate(acc, m2, w * c2)
+        return FockVector._of(acc)
 
 
 def verify_bracket_axioms(N: int, q, trials: int, seed: int,
@@ -285,7 +280,7 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
                             good = False
         for i in range(1, N + 1):
             for n in range(-h_window, h_window + 1):
-                h = h_gen_q(i, n, N, params.q)
+                h = h_gen(i, n, N, params.q)
                 if act(h, v) != v.scale(eta_eval(eta, i, n)):
                     report.fail({"mu": weight_key(mu), "law": "toral-eigenvalue",
                                  "h": f"h[{i},{n}]"})
@@ -338,15 +333,17 @@ def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2, deg_max: int = 2,
                     inner = {k2: act(GlqElement.matrix_unit(i, j, k2, m1), v)
                              for k2 in range(-K_window - 2 * d, 2 * d + 1)}
                     for Ktot in range(-K_window, K_window + 1):
-                        acc = FockVector.zero()
+                        acc: Dict[Monomial, Fraction] = {}
                         for k2, w in inner.items():
                             if w.is_zero():
                                 continue
                             k1 = Ktot - k2
                             if k1 > 2 * d + 2:
                                 continue
-                            acc = acc + act(GlqElement.matrix_unit(i, j, k1, m1), w)
-                        if not acc.is_zero():
+                            y = GlqElement.matrix_unit(i, j, k1, m1)
+                            for m, c in act(y, w)._terms.items():
+                                accumulate(acc, m, c)
+                        if acc:
                             report.fail({"i": i, "j": j, "m1": m1, "K": Ktot,
                                          "vector": str(v.support()[0])})
                             good = False

@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusrep.cli import main
 from torusrep.reports import DecompositionReport
@@ -97,6 +101,15 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
     ["dims", "--N", "2", "--ell", "1", "--n", "-1"],
     ["dims", "--N", "0", "--ell", "1", "--n", "1"],
     ["dims", "--N", "2", "--ell", "0", "--n", "1"],
+    ["verify-duality", "--ell", "0", "--a="],
+    ["verify-module", "--ell", "0", "--a=", "--trials", "1", "--deg-max", "0"],
+    ["verify-hw", "--ell", "0", "--a="],
+    ["verify-nilpotency", "--ell", "0", "--a="],
+    ["verify-tensor", "--ellp", "0", "--b="],
+    ["verify-levi", "--bfN", "0,2", "--n-max", "1"],
+    ["verify-lattice", "--M0", "-1"],
+    ["branch", "--mode", "levi", "--I", "[[1,2]]", "--J", "[[1],[2]]",
+     "--xi", "(1,0)", "--mu", "()"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     # excluded parameters and malformed values: exit 2, never a traceback
@@ -185,3 +198,93 @@ def test_verify_lattice_cli(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["refolded_a"] == ["3", "3/2"]
     assert data["config"]["refolded_q"] == "4"
+
+
+# -- the exit-code contract on generated argv ---------------------------------
+
+# Per flag: (values a run may take, values that are out of range or
+# malformed).  The degree, trial and window bounds stay small, so every run is
+# cheap.
+N = (["2"], ["-1", "0", "1", "x"])
+Q = (["2", "5/2", "-3"], ["1", "0", "-1", "1/0", "x"])
+ELL = (["1", "2"], ["-1", "0", "x"])
+A = (["3", "3,5", "3,3", "3,6", "7/2,-3"], ["", "0", "1/0", "x"])
+SEED = (["0", "5"], ["x"])
+TRIALS = (["1", "3"], ["-1", "0", "x"])
+MAX_EXP = (["0", "2"], ["-1", "x"])
+DEG_MAX = (["0"], ["-1", "x"])
+N_MAX = (["0", "1"], ["-1", "x"])
+COMMON = dict(N=N, q=Q, ell=ELL, a=A, seed=SEED)
+# Per subcommand: the flags always given, and those that may be left at
+# their default.
+SUBCOMMANDS = {
+    "verify-bracket": (dict(trials=TRIALS, max_exp=MAX_EXP),
+                       dict(N=(["2", "3"], N[1]), q=Q, seed=SEED)),
+    "verify-theta": (dict(trials=TRIALS, max_exp=MAX_EXP),
+                     dict(N=(["2", "3"], N[1]), q=Q, seed=SEED)),
+    "verify-module": (dict(trials=TRIALS, deg_max=DEG_MAX, max_exp=MAX_EXP), COMMON),
+    "verify-hw": (dict(mu_bound=(["0", "1"], ["-1", "x"])), COMMON),
+    "verify-nilpotency": (dict(deg_max=DEG_MAX, ell=(["1"], ELL[1])),
+                          dict(N=N, q=Q, a=A)),
+    "verify-duality": (dict(n_max=N_MAX), dict(COMMON, skip_hw=([None], ["x"]))),
+    "verify-tensor": (dict(n_max=N_MAX),
+                      dict(COMMON, ellp=(["1"], ["-1", "0", "x"]), b=A)),
+    "verify-levi": (dict(n_max=N_MAX),
+                    dict(COMMON, bfN=(["1,1", "2,1"], ["", "0,2", "1", "-1,3", "x"]))),
+    "verify-lattice": (dict(n_max=N_MAX, trials=TRIALS, M0=(["1", "2"], ["-1", "0"]),
+                            M1=(["1", "2"], ["-1", "0"])), COMMON),
+    "dims": (dict(N=N, ell=ELL, n=(["0", "2"], ["-1", "x"])), {}),
+    "branch": (dict(mode=(["tensor", "levi", "diag"], ["x"])),
+               dict(I=(["[[1],[2]]", "[[1,2]]"], ["[[1],[3]]", "[[1,2]", "[]"]),
+                    J=(["[[1,2]]", "[[1],[2]]"], ["[[2]]"]),
+                    mu=(["(1)", "(0)"], ["(1,x)", "()"]),
+                    nu=(["(1)", "(-1)"], ["(x)"]),
+                    xi=(["(1,0)", "(2,-1)", "(0,1)"], ["(1,x)"]),
+                    mus=(["(1,0);(0,-1)", "(1,0)"], ["(1)", ""]))),
+}
+
+
+@st.composite
+def argvs(draw, command, broken):
+    """The required flags, some optional ones and the flag `broken` (if not
+    None); `broken` takes a bad value, every other flag a good one (None
+    stands for a bare switch)."""
+    required, optional = SUBCOMMANDS[command]
+    pools = dict(required, **optional)
+    names = list(required) + [k for k in optional
+                              if k == broken or draw(st.booleans())]
+    argv = [command]
+    for name in names:
+        good, bad = pools[name]
+        value = draw(st.sampled_from(bad if name == broken else good))
+        flag = "--" + name.replace("_", "-")
+        argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+def _run_main(argv):
+    """main(argv) as a process would run it: an uncaught exception prints a
+    traceback to stderr and exits 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command,broken", [
+    (command, broken) for command, (required, optional) in sorted(SUBCOMMANDS.items())
+    for broken in [None, *required, *optional]])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_generated_argv_keeps_exit_code_contract(command, broken, data):
+    code, out, err = _run_main(data.draw(argvs(command, broken)))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if command == "dims" or code not in (0, 1):
+        return
+    verdict = json.loads(out)["verdict"]
+    assert (code == 1) == (verdict == "fail")

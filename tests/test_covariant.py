@@ -107,6 +107,10 @@ def test_theta_inv_examples():
     assert theta_inv(CovElement.basis(ekey(1, 2, 2, 3)), N, q) == E(1, 2, 2, 3)
     assert theta_inv(CovElement.basis(K), N, q) == GlqElement.k0()
     assert theta_inv(CovElement.basis(hkey(1)), N, q) == E(1, 1) - E(2, 2)
+    # matrix indices below 1 are rejected, as by GlqElement.matrix_unit
+    for key in (ekey(0, 1, 1, 0), hkey(0)):
+        with pytest.raises(ValueError):
+            theta_inv(CovElement.basis(key), N, q)
 
 
 @pytest.mark.parametrize("N", [2, 3])

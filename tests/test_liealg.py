@@ -13,7 +13,6 @@ from torusrep.liealg import (
     from_cartan_coordinates,
     grade,
     h_gen,
-    h_gen_q,
     is_in_sl,
     parse_element,
     triangular_split,
@@ -102,7 +101,7 @@ def test_raising_part_stable_under_toral_bracket():
     # [plus, toral] stays in the raising part
     N = 2
     plus_gens = [E(1, 2, 0, 2), E(1, 2, 1, -1), E(2, 1, 2, 0), E(1, 1, 1, 3)]
-    torals = [h_gen_q(i, n, N, Q) for i in (1, 2) for n in (-2, 0, 3)]
+    torals = [h_gen(i, n, N, Q) for i in (1, 2) for n in (-2, 0, 3)]
     for x in plus_gens:
         for h in torals:
             b = bracket(x, h, Q)
@@ -115,7 +114,7 @@ def test_h_gen_cases():
     assert h_gen(N, 0, N) == GlqElement.k0() - E(1, 1) + E(N, N)
     assert h_gen(1, 0, 2) == E(1, 1) - E(2, 2)
     q = Fraction(2)
-    assert h_gen_q(2, 3, 2, q) == E(1, 1, 0, 3, -q ** 3) + E(2, 2, 0, 3)
+    assert h_gen(2, 3, 2, q) == E(1, 1, 0, 3, -q ** 3) + E(2, 2, 0, 3)
     with pytest.raises(ValueError):
         h_gen(2, 3, 2)
 
@@ -133,7 +132,7 @@ def test_triangular_split():
     assert (p, z, m) == (E(1, 2, 0, 5), GlqElement.zero(), GlqElement.zero())
     p, z, m = triangular_split(E(2, 1, -1, 0), N)
     assert (p.is_zero(), z.is_zero()) == (True, True) and m == E(2, 1, -1, 0)
-    x = h_gen_q(1, 3, 2, Q)
+    x = h_gen(1, 3, 2, Q)
     p, z, m = triangular_split(x, N)
     assert p.is_zero() and m.is_zero() and z == x
     with pytest.raises(NotInSl):
@@ -173,3 +172,7 @@ def test_text_form_roundtrip():
     assert parse_element(s) == x
     assert parse_element("0").is_zero()
     assert format_element(GlqElement.zero()) == "0"
+    # repeated and cancelling terms are summed; indices below 1 are rejected
+    assert parse_element("k1 + 2*E[1,2] - k1 - E[1,2]") == E(1, 2)
+    with pytest.raises(ValueError):
+        parse_element("E[0,1]*t0^1")

@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from torusrep.errors import InvalidQ, NotGeneric
+from torusrep.errors import InvalidParams, InvalidQ, NotGeneric
+from torusrep.covariant import CovElement, K, ekey
+from torusrep.fock import FockVector, psi
+from torusrep.liealg import K0, GlqElement
 from torusrep.scalars import (
     ParameterSet,
     SetPartition,
+    accumulate,
     as_scalar,
     block_representatives,
-    format_scalar,
     gamma_q_exponent,
-    parse_scalar,
     qpow,
     validate_spectrum,
 )
@@ -88,9 +90,9 @@ def test_block_representative_separation():
 
 
 def test_scalar_text_form():
-    assert format_scalar(Fraction(-3, 2)) == "-3/2"
-    assert parse_scalar("-3/2") == Fraction(-3, 2)
-    assert parse_scalar("7") == 7
+    assert str(Fraction(-3, 2)) == "-3/2"
+    assert as_scalar("-3/2") == Fraction(-3, 2)
+    assert as_scalar("7") == 7
     assert as_scalar("5/2") == Fraction(5, 2)
 
 
@@ -102,6 +104,8 @@ def test_parameter_set_validation():
         ParameterSet.of(1, [3], 2)
     with pytest.raises(Exception):
         ParameterSet.of(2, [0], 2)
+    with pytest.raises(InvalidParams):
+        ParameterSet.of(2, [], 2)
 
 
 def test_set_partition_helpers():
@@ -112,3 +116,50 @@ def test_set_partition_helpers():
     assert p.power(2).blocks == ((1, 2), (3,), (4, 5), (6,))
     q = SetPartition.of([[1]])
     assert p.union(q).blocks == ((1, 2), (3,), (4,))
+
+
+VECTOR_TYPES = (GlqElement, CovElement, FockVector)
+VECTOR_KEYS = {
+    GlqElement: ((1, 2, 0, 1), K0, (2, 1, -1, 0)),
+    CovElement: (ekey(1, 2, 0, 1), K, ekey(2, 1, -1, 0)),
+    FockVector: ((), (psi(1, 1, 0, 2),), (psi(2, 1, -1, 2),)),
+}
+
+
+@pytest.mark.parametrize("cls", VECTOR_TYPES)
+def test_sparse_vector_core(cls):
+    a, b, c = VECTOR_KEYS[cls]
+    x = cls({a: 2, b: "-1/3", c: 0})
+    # zeros pruned at construction; int and str coefficients become Fractions
+    assert x._terms == {a: 2, b: Fraction(-1, 3)}
+    assert all(type(v) is Fraction for _, v in x.items())
+    assert x.coeff(c) == 0 and not x.is_zero()
+    assert (x - x).is_zero() and (x - x)._terms == {}
+    assert (x + cls({a: -2}))._terms == {b: Fraction(-1, 3)}
+    assert x.scale(0)._terms == {}
+    assert (-x)._terms == {a: -2, b: Fraction(1, 3)}
+    assert (3 * x)._terms == {a: 6, b: -1}
+    # equality ignores insertion order, and hashing agrees with it
+    y = cls({b: Fraction(-1, 3), a: Fraction(2)})
+    assert x == y and hash(x) == hash(y)
+    assert x != cls({a: 2}) and x != x.scale(2)
+    # the three vector types are never equal, even with equal terms
+    for other in VECTOR_TYPES:
+        if other is not cls:
+            assert cls.zero() != other.zero()
+            assert cls({a: 1}) != other._of({a: Fraction(1)})
+
+
+def test_accumulate():
+    terms = {}
+    accumulate(terms, "a", 0)
+    assert terms == {}  # a zero first term is not stored
+    for key, c in (("a", 1), ("b", 2), ("c", 3), ("b", Fraction(1, 2))):
+        accumulate(terms, key, c)
+    accumulate(terms, "a", -1)
+    assert terms == {"b": Fraction(5, 2), "c": 3}  # a cancelled key is gone
+    accumulate(terms, "a", 4)
+    accumulate(terms, "b", 1)
+    # an updated key keeps its place; a re-added one goes last
+    assert list(terms) == ["b", "c", "a"]
+
