@@ -5,7 +5,10 @@ Everything is compared inside one ambient graded space: multiplicity =
 dimension of the subspace fixed by the Levi raising operators at a fixed
 weight, computed by exact sparse elimination (``linalg.nullspace``).  Each
 check enumerates a degree's weight slices once and hands every slice's
-monomials to ``fixed_space`` / ``fixed_dim``.  The torus-side highest-weight
+monomials to ``fixed_space`` / ``fixed_dim``.  The operator images of a
+slice's basis go to the elimination as sparse rows, one per target
+monomial (``_image_rows``), and each sparse kernel vector comes back as a
+``FockVector`` over the slice's monomials.  The torus-side highest-weight
 conditions are imposed through the block-triangular doubly-infinite
 operators, which span the same constraints as the raising half of the
 torus algebra on any bounded-degree slice once the parameters are generic
@@ -64,16 +67,15 @@ def raising_pairs(partition: SetPartition) -> List[Tuple[int, int]]:
     return out
 
 
-def _vector_rows(images: Sequence[FockVector]) -> List[List[Fraction]]:
-    """Rows of the stacked coefficient matrix (one row per target monomial
-    appearing in any image; columns follow the image list)."""
-    monos = sorted({m for v in images for m in v.support()})
-    index = {m: r for r, m in enumerate(monos)}
-    rows = [[Fraction(0)] * len(images) for _ in monos]
+def _image_rows(images: Sequence[FockVector]) -> List[Dict[int, Fraction]]:
+    """Sparse rows of the coefficient matrix of the images: one row per
+    target monomial, in order of first appearance; column c holds the
+    coefficients of images[c]."""
+    rows: Dict[Monomial, Dict[int, Fraction]] = {}
     for c, v in enumerate(images):
-        for m, coeff in v.items():
-            rows[index[m]][c] = coeff
-    return rows
+        for m, coeff in v._terms.items():
+            rows.setdefault(m, {})[c] = coeff
+    return list(rows.values())
 
 
 def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
@@ -85,16 +87,12 @@ def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
     ops = raising_pairs(partition)
     if not ops:
         return [FockVector.monomial(m) for m in monos]
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     for (r, s) in ops:
         images = [gl_ell_action(r, s, FockVector.monomial(m), N) for m in monos]
-        rows.extend(_vector_rows(images))
-    kernel = nullspace(rows, len(monos))
-    out = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(monos, vec) if c}
-        out.append(FockVector(terms))
-    return out
+        rows.extend(_image_rows(images))
+    return [FockVector._of({monos[c]: x for c, x in vec.items()})
+            for vec in nullspace(rows, len(monos))]
 
 
 def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], N: int) -> int:
@@ -148,18 +146,18 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
     base = fixed_space(partition, monos, N)
     if not base:
         return 0
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     for (flavors, A, B) in _block_upper_ops(partition, n0, N):
         images = [glbar_action(A, B, v, N, params.ell, flavors=flavors)
                   for v in base]
-        rows.extend(_vector_rows(images))
+        rows.extend(_image_rows(images))
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
         for n in range(-h_window, h_window + 1):
             h = h_gen(i, n, N, params.q)
             val = eta_eval(eta, i, n)
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
-            rows.extend(_vector_rows(images))
+            rows.extend(_image_rows(images))
     return len(nullspace(rows, len(base)))
 
 

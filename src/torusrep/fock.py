@@ -120,15 +120,6 @@ def apply_gen(g: Gen, vec: FockVector) -> FockVector:
     return FockVector._of(out)
 
 
-def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:
-    """Apply a product of generators, rightmost factor first."""
-    for g in reversed(gens):
-        vec = apply_gen(g, vec)
-        if vec.is_zero():
-            break
-    return vec
-
-
 def normal_order_pair(m: int, n: int) -> Tuple[bool, int]:
     """Ordering rule for :psi(m) psibar(n):, returned as (psi_first, sign)."""
     return (True, 1) if m <= n else (False, -1)
@@ -359,20 +350,3 @@ def basis_monomials(n: int, N: int, ell: int) -> List[Monomial]:
 
     pick(0, [], n)
     return sorted(out)
-
-
-# -- text form ---------------------------------------------------------------
-
-def format_gen(g: Gen, N: int) -> str:
-    name = "psi" if g[1] == PSI else "psibar"
-    return f"{name}[{gen_label(g, N)},{g[0]}]({gen_mode(g, N)})"
-
-
-def format_monomial(m: Monomial, N: int) -> str:
-    if not m:
-        return "|0>"
-    return "*".join(format_gen(g, N) for g in m) + "|0>"
-
-
-def vector_to_json(vec: FockVector, N: int) -> Dict[str, str]:
-    return {format_monomial(m, N): str(c) for m, c in vec.items()}

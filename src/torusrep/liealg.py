@@ -60,13 +60,6 @@ class GlqElement(SparseVector):
     def __repr__(self):
         return f"GlqElement({format_element(self)!r})"
 
-    def max_index(self) -> int:
-        m = 0
-        for k in self._terms:
-            if isinstance(k, tuple):
-                m = max(m, k[0], k[1])
-        return m
-
 
 def _sl_defect(x: GlqElement, N: int) -> Fraction:
     """Trace of the (t0, t1)-degree-(0,0) diagonal part."""

@@ -52,7 +52,8 @@ class SparseVector:
     ``_terms`` maps each key to its nonzero `Fraction` coefficient.
     Subclasses name the basis: they add constructors, a ``__repr__`` and
     ``_order``, the sort key on items (None for the keys' natural order).
-    Vectors of different subclasses are never equal.
+    Vectors of different subclasses are never equal, and adding or
+    subtracting them raises `TypeError`.
     """
 
     __slots__ = ("_terms",)
@@ -87,12 +88,16 @@ class SparseVector:
         return not self._terms
 
     def __add__(self, other: "SparseVector"):
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
             accumulate(out, k, c)
         return self._of(out)
 
     def __sub__(self, other: "SparseVector"):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -271,8 +276,3 @@ def validate_spectrum(a: Sequence[Rational], q: Rational) -> SetPartition:
         else:
             blocks.append([i])
     return SetPartition.of(blocks)
-
-
-def block_representatives(a: Sequence[Rational], part: SetPartition) -> Tuple[Fraction, ...]:
-    vals = [as_scalar(x) for x in a]
-    return tuple(vals[b[0] - 1] for b in part.blocks)

@@ -1,8 +1,18 @@
-"""Test-side oracles of the Fock actions: an independent normal-ordering
-rule and the evaluation-module form of the torus action."""
-from typing import Tuple
+"""Test-side oracles and helpers of the Fock module: an independent
+normal-ordering rule, the evaluation-module form of the torus action,
+generator words, and the text form of Fock vectors."""
+from typing import Dict, Sequence, Tuple
 
-from torusrep.fock import FockVector, rho_action
+from torusrep.fock import (
+    PSI,
+    FockVector,
+    Gen,
+    Monomial,
+    apply_gen,
+    gen_label,
+    gen_mode,
+    rho_action,
+)
 from torusrep.liealg import GlqElement, K0, K1
 from torusrep.scalars import ParameterSet, qpow
 
@@ -43,3 +53,27 @@ def rho_action_tensor_oracle(x: GlqElement, params: ParameterSet,
                     out = out + FockVector.monomial(
                         tuple(rebuilt), c * cs * coeff * qpow(a[p - 1], m1))
     return out
+
+
+def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:
+    """Apply a product of generators, rightmost factor first."""
+    for g in reversed(gens):
+        vec = apply_gen(g, vec)
+        if vec.is_zero():
+            break
+    return vec
+
+
+def format_gen(g: Gen, N: int) -> str:
+    name = "psi" if g[1] == PSI else "psibar"
+    return f"{name}[{gen_label(g, N)},{g[0]}]({gen_mode(g, N)})"
+
+
+def format_monomial(m: Monomial, N: int) -> str:
+    if not m:
+        return "|0>"
+    return "*".join(format_gen(g, N) for g in m) + "|0>"
+
+
+def vector_to_json(vec: FockVector, N: int) -> Dict[str, str]:
+    return {format_monomial(m, N): str(c) for m, c in vec.items()}

@@ -12,11 +12,9 @@ from torusrep.fock import (
     FockVector,
     apply_bilinear,
     apply_gen,
-    apply_word,
     basis_monomials,
     bilinear_on_monomial,
     creators_of_degree,
-    format_monomial,
     gen_degree,
     gen_label,
     gen_mode,
@@ -32,10 +30,15 @@ from torusrep.fock import (
     psibar,
     rho_action,
     rho_mat_on_monomial,
-    vector_to_json,
 )
 
-from fock_oracles import normal_order_pair_mode_criterion, rho_action_tensor_oracle
+from fock_oracles import (
+    apply_word,
+    format_monomial,
+    normal_order_pair_mode_criterion,
+    rho_action_tensor_oracle,
+    vector_to_json,
+)
 from test_liealg import rand_basis
 
 E = GlqElement.matrix_unit

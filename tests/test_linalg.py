@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from torusrep.linalg import nullspace, rank
+from torusrep.linalg import nullspace
 
 
 def bareiss_nullspace(rows, ncols):
@@ -60,26 +60,64 @@ def mat_vec(rows, v):
     return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
 
 
+def sparse(rows):
+    """The nonzero entries of dense rows as {column: value} dicts."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense(basis, ncols):
+    """Sparse kernel vectors as dense tuples."""
+    return [tuple(v.get(c, Fraction(0)) for c in range(ncols)) for v in basis]
+
+
+def dense_nullspace(rows, ncols):
+    """nullspace of dense rows, densified; also checks the sparse output
+    format: Fraction values, no stored zeros, columns in range."""
+    basis = nullspace(sparse(rows), ncols)
+    assert isinstance(basis, list)
+    for v in basis:
+        assert all(type(x) is Fraction and x != 0 for x in v.values())
+        assert all(0 <= c < ncols for c in v)
+    return dense(basis, ncols)
+
+
 def test_simple_kernels():
     rows = [[Fraction(1), Fraction(1), Fraction(0)]]
-    basis = nullspace(rows, 3)
+    basis = dense_nullspace(rows, 3)
     assert len(basis) == 2
     for v in basis:
         assert all(x == 0 for x in mat_vec(rows, v))
+    assert nullspace([{0: 1, 1: 1}], 3) == [{1: 1, 0: -1}, {2: 1}]
 
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert nullspace(rows, 2) == []
-    assert rank(rows, 2) == 2
+    assert nullspace(sparse(rows), 2) == []
 
-    assert len(nullspace([], 4)) == 4
+    assert nullspace([], 4) == [{c: 1} for c in range(4)]
+    assert nullspace([{}, {}], 2) == [{0: 1}, {1: 1}]
+
+
+def test_sparse_row_forms():
+    # explicit zeros, unsorted keys, empty rows and int entries all read as
+    # the same matrix
+    want = [{1: 1, 0: Fraction(-3, 2)}, {2: 1}, {3: 1}]
+    assert nullspace([{2: Fraction(1, 2), 1: Fraction(1)}, {3: 0, 2: 0}], 4) == [
+        {0: 1}, {2: 1, 1: Fraction(-1, 2)}, {3: 1}]
+    assert nullspace([{3: 0}, {1: 3, 0: 0, 2: 0}], 4) == [{0: 1}, {2: 1}, {3: 1}]
+    forms = [
+        [{0: 2, 1: 3, 2: 0}, {}],
+        [{}, {2: Fraction(0), 1: Fraction(3), 0: Fraction(2)}],
+        [{1: Fraction(1, 2), 0: Fraction(1, 3)}, {2: 0, 3: 0}],
+    ]
+    for rows in forms:
+        assert nullspace(rows, 4) == want
 
 
 def test_rational_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(-1)],
             [Fraction(3), Fraction(2), Fraction(-5)]]
-    basis = nullspace(rows, 3)
+    basis = nullspace(sparse(rows), 3)
     assert len(basis) == 1
-    v = basis[0]
+    v = dense(basis, 3)[0]
     assert all(x == 0 for x in mat_vec(rows, v))
     assert v == (Fraction(2), Fraction(-3), Fraction(0)) or v[2] == 0
 
@@ -91,7 +129,7 @@ def test_random_matrices_kernel_property(seed):
     m, n = rng.randrange(1, 7), rng.randrange(1, 7)
     rows = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)]
             for _ in range(m)]
-    basis = nullspace(rows, n)
+    basis = dense_nullspace(rows, n)
     for v in basis:
         assert all(x == 0 for x in mat_vec(rows, v))
     # rank-nullity against a plain fraction Gaussian elimination oracle
@@ -148,14 +186,25 @@ def matrices(draw):
     return rows, ncols
 
 
+@st.composite
+def sparse_forms(draw, rows, ncols):
+    """Sparse rows for the dense rows: each row's entries in a drawn column
+    order, with some of its zeros kept as explicit entries."""
+    out = []
+    for row in rows:
+        cols = draw(st.permutations(range(ncols)))
+        keep = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+        out.append({c: row[c] for c in cols if row[c] or keep[c]})
+    return out
+
+
 @settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_nullspace_matches_bareiss_oracle(case):
+@given(st.data(), matrices())
+def test_nullspace_matches_bareiss_oracle(data, case):
     rows, ncols = case
-    basis = nullspace(rows, ncols)
-    assert basis == bareiss_nullspace(rows, ncols)
-    assert all(type(x) is Fraction for v in basis for x in v)
-    assert rank(rows, ncols) == ncols - len(basis)
+    assert dense_nullspace(rows, ncols) == bareiss_nullspace(rows, ncols)
+    form = data.draw(sparse_forms(rows, ncols))
+    assert dense(nullspace(form, ncols), ncols) == bareiss_nullspace(rows, ncols)
 
 
 def test_nullspace_matches_bareiss_on_sparse_unit_systems():
@@ -168,4 +217,4 @@ def test_nullspace_matches_bareiss_on_sparse_unit_systems():
         for row in rows:
             for _ in range(rng.randrange(0, 4)):
                 row[rng.randrange(ncols)] = Fraction(rng.choice((1, -1)))
-        assert nullspace(rows, ncols) == bareiss_nullspace(rows, ncols)
+        assert dense_nullspace(rows, ncols) == bareiss_nullspace(rows, ncols)

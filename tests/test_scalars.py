@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from torusrep.scalars import (
     SetPartition,
     accumulate,
     as_scalar,
-    block_representatives,
     gamma_q_exponent,
     qpow,
     validate_spectrum,
@@ -72,6 +72,12 @@ def test_validate_spectrum_permutation_equivariant(perm):
     classes = {tuple(sorted(i for i in range(1, 4) if vals[i - 1] == v))
                for v in set(base)}
     assert set(part.blocks) == classes
+
+
+def block_representatives(a, part):
+    """The parameter value of each block of the spectrum partition."""
+    vals = [as_scalar(x) for x in a]
+    return tuple(vals[b[0] - 1] for b in part.blocks)
 
 
 def test_block_representative_separation():
@@ -143,11 +149,18 @@ def test_sparse_vector_core(cls):
     y = cls({b: Fraction(-1, 3), a: Fraction(2)})
     assert x == y and hash(x) == hash(y)
     assert x != cls({a: 2}) and x != x.scale(2)
-    # the three vector types are never equal, even with equal terms
+    # the three vector types are never equal, even with equal terms, and
+    # never add or subtract
     for other in VECTOR_TYPES:
         if other is not cls:
             assert cls.zero() != other.zero()
             assert cls({a: 1}) != other._of({a: Fraction(1)})
+            z = other({VECTOR_KEYS[other][0]: 1})
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(x, z)
+                with pytest.raises(TypeError):
+                    op(cls.zero(), other.zero())
 
 
 def test_accumulate():
