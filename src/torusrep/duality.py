@@ -3,23 +3,26 @@ decomposition checks.
 
 Everything is compared inside one ambient graded space: multiplicity =
 dimension of the subspace fixed by the Levi raising operators at a fixed
-weight, computed by exact sparse elimination (``linalg.nullspace``).  Each
-check enumerates a degree's weight slices once and hands every slice's
-monomials to ``fixed_space`` / ``fixed_dim``.  The operator images of a
-slice's basis go to the elimination as sparse rows, one per target
-monomial (``_image_rows``), and each sparse kernel vector comes back as a
-``FockVector`` over the slice's monomials.  The torus-side highest-weight
-conditions are imposed through the block-triangular doubly-infinite
-operators, which span the same constraints as the raising half of the
-torus algebra on any bounded-degree slice once the parameters are generic
-(the block values b_r q^{-k} are then distinct, so the exponential sums
-separate).
+weight, computed by exact sparse elimination (``linalg.nullspace``).  The
+Fock space is a tensor product over the flavors, so each suite enumerates
+the one-flavor monomials of every degree once (``FlavorTables``) and
+``weight_spaces`` assembles from them only the weight slices a check reads:
+the dominant ones (for tensor branching those of the product side, which
+hold the pair weights).  Each slice's monomials go to ``fixed_space`` /
+``fixed_dim``.  The operator images of a slice's basis go to the
+elimination as sparse rows, one per target monomial (``_image_rows``), and
+each sparse kernel vector comes back as a ``FockVector`` over the slice's
+monomials.  The torus-side highest-weight conditions are imposed through
+the block-triangular doubly-infinite operators, which span the same
+constraints as the raising half of the torus algebra on any bounded-degree
+slice once the parameters are generic (the block values b_r q^{-k} are then
+distinct, so the exponential sums separate).
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, PartitionMismatch
 from .fock import (
@@ -47,15 +50,73 @@ from .glrep import (
 from .liealg import GlqElement, h_gen
 from .linalg import nullspace
 from .reports import DecompositionReport, weight_key
-from .scalars import ParameterSet, SetPartition, accumulate, qpow, validate_spectrum
+from .scalars import ONE, ParameterSet, SetPartition, accumulate, qpow, validate_spectrum
 
 
-def weight_spaces(n: int, N: int, ell: int) -> Dict[Tuple[int, ...], List[Monomial]]:
-    """Degree-n monomials grouped by flavor weight."""
+class FlavorTables:
+    """The one-flavor monomials of rank N, by degree and charge, relabelled
+    to each of ell flavors.  A degree is enumerated
+    (``basis_monomials(d, N, 1)``) on first use, so a suite that keeps one
+    instance per rank enumerates each degree once."""
+
+    def __init__(self, N: int, ell: int):
+        self.N, self.ell = N, ell
+        self._parts: List[List[Dict[int, List[Monomial]]]] = []
+
+    def at(self, comp: Sequence[int]) -> List[Dict[int, List[Monomial]]]:
+        """For each flavor p, the sorted flavor-p monomials of degree
+        comp[p - 1], by charge."""
+        while len(self._parts) <= max(comp):
+            by_charge: Dict[int, List[Monomial]] = {}
+            for m in basis_monomials(len(self._parts), self.N, 1):
+                by_charge.setdefault(monomial_weight(m, 1)[0], []).append(m)
+            self._parts.append([
+                {c: [tuple((p, kind, idx) for _, kind, idx in m) for m in ms]
+                 for c, ms in by_charge.items()}
+                for p in range(1, self.ell + 1)])
+        return [self._parts[d][p] for p, d in enumerate(comp)]
+
+
+def _compositions(n: int, k: int):
+    """The k-tuples of nonnegative integers summing to n, in lexicographic
+    order."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def weight_spaces(n: int, N: int, ell: int,
+                  keep: Optional[Callable[[Tuple[int, ...]], bool]] = None,
+                  tables: Optional[FlavorTables] = None
+                  ) -> Dict[Tuple[int, ...], List[Monomial]]:
+    """Degree-n monomials grouped by flavor weight, each slice sorted; only
+    the nonempty slices of the weights w with keep(w) when ``keep`` is set.
+
+    Generators sort by flavor first, so a monomial is the concatenation of
+    its per-flavor parts, and the weight-w slice is the union over degree
+    compositions (n_1, ..., n_ell) of n of the products of the flavor-p
+    parts of degree n_p and charge w_p.  ``tables`` (rank N, ell flavors)
+    carries the enumerated parts from one call to the next."""
+    if tables is None:
+        tables = FlavorTables(N, ell)
+    elif (tables.N, tables.ell) != (N, ell):
+        raise ValueError(f"tables of rank {tables.N} with {tables.ell} flavors "
+                         f"used for rank {N} with {ell} flavors")
     out: Dict[Tuple[int, ...], List[Monomial]] = {}
-    for m in basis_monomials(n, N, ell):
-        out.setdefault(monomial_weight(m, ell), []).append(m)
-    return out
+    for comp in _compositions(n, ell):
+        per_flavor = tables.at(comp)
+        for w in itertools.product(*per_flavor):
+            if keep is None or keep(w):
+                monos = per_flavor[0][w[0]]
+                for part, c in zip(per_flavor[1:], w[1:]):
+                    monos = [m + x for m in monos for x in part[c]]
+                out.setdefault(w, []).extend(monos)
+    for monos in out.values():
+        monos.sort()
+    return dict(sorted(out.items()))
 
 
 def raising_pairs(partition: SetPartition) -> List[Tuple[int, int]]:
@@ -84,13 +145,13 @@ def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
     by its monomials (one value of ``weight_spaces``)."""
     if not monos:
         return []
+    basis = [FockVector._of({m: ONE}) for m in monos]
     ops = raising_pairs(partition)
     if not ops:
-        return [FockVector.monomial(m) for m in monos]
+        return basis
     rows: List[Dict[int, Fraction]] = []
     for (r, s) in ops:
-        images = [gl_ell_action(r, s, FockVector.monomial(m), N) for m in monos]
-        rows.extend(_image_rows(images))
+        rows.extend(_image_rows([gl_ell_action(r, s, v, N) for v in basis]))
     return [FockVector._of({monos[c]: x for c, x in vec.items()})
             for vec in nullspace(rows, len(monos))]
 
@@ -176,16 +237,13 @@ def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
         "partition": partition.describe(), "n_max": n_max,
     })
     seen: set = set()
-    # weight spaces by degree, kept for the joint highest-weight checks
-    slices: Dict[int, Dict[Tuple[int, ...], List[Monomial]]] = {}
+    tables = FlavorTables(N, ell)
     for n in range(n_max + 1):
         table = {}
         lhs = 0
-        spaces = weight_spaces(n, N, ell)
-        if check_hw:
-            slices[n] = spaces
+        spaces = weight_spaces(n, N, ell,
+                               lambda w: is_dominant(w, partition), tables)
         fdims = _dominant_fixed_dims(partition, spaces, N)
-        del spaces  # not held while the next degree is enumerated
         for w, m in fdims.items():
             d = levi_dim(w, partition)
             table[weight_key(w)] = [m, d]
@@ -193,9 +251,8 @@ def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
             if check_hw and w not in seen:
                 seen.add(w)
                 n0 = hw_degree(w, params)
-                if n0 not in slices:
-                    slices[n0] = weight_spaces(n0, N, ell)
-                jd = joint_hw_dim(w, slices[n0].get(w, []), params, partition)
+                hw_slice = weight_spaces(n0, N, ell, w.__eq__, tables).get(w, [])
+                jd = joint_hw_dim(w, hw_slice, params, partition)
                 if jd != 1:
                     report.fail({"degree": n, "weight": weight_key(w),
                                  "joint_hw_dim": jd, "expected": 1})
@@ -225,14 +282,19 @@ def verify_tensor_branching(N: int, ell: int, ellp: int, a: Sequence,
         "merged_partition": merged.describe(), "n_max": n_max,
     })
     mult_free_required = (ellp == 1)
+    tables = FlavorTables(N, ell + ellp)
     for n in range(n_max + 1):
-        spaces = weight_spaces(n, N, ell + ellp)
+        # each product block lies inside a merged block, so the product-
+        # dominant slices hold the merged-dominant ones, and levi_branch_D
+        # pairs Levi-dominant weights: no other slice is read
+        spaces = weight_spaces(n, N, ell + ellp,
+                               lambda w: is_dominant(w, prod_part), tables)
         # merged-side data
         fdim = _dominant_fixed_dims(merged, spaces, N)
         dmaps = {w: levi_branch_D(DominantWeight.of(w, merged), part_a, part_b)
                  for w in fdim}
         # product-side comparison per pair weight
-        pair_weights = {w for w in spaces if is_dominant(w, prod_part)}
+        pair_weights = set(spaces)
         for dmap in dmaps.values():
             pair_weights.update(mu + nu for (mu, nu) in dmap)
         table = {}
@@ -273,17 +335,21 @@ def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
         "suite": "levi-branching", "bfN": list(bfN), "ell": ell,
         "q": str(params.q), "a": [str(x) for x in params.a], "n_max": n_max,
     })
+    by_rank = {r: FlavorTables(r, ell) for r in set(bfN) | {N}}
+
+    def dominant_dims(n: int, Nr: int) -> Dict[Tuple[int, ...], int]:
+        spaces = weight_spaces(n, Nr, ell,
+                               lambda w: is_dominant(w, partition), by_rank[Nr])
+        return _dominant_fixed_dims(partition, spaces, Nr)
+
     # per factor rank and degree: {weight: fixed dim}; equal factors share
-    fdim_r = {Nr: [_dominant_fixed_dims(partition, weight_spaces(n, Nr, ell), Nr)
-                   for n in range(n_max + 1)]
+    fdim_r = {Nr: [dominant_dims(n, Nr) for n in range(n_max + 1)]
               for Nr in sorted(set(bfN))}
     d = len(bfN)
     for n in range(n_max + 1):
         # convolve the factors over degree compositions
         combo_dim: Dict[Tuple[Tuple[int, ...], ...], int] = {}
-        for comp in itertools.product(range(n + 1), repeat=d):
-            if sum(comp) != n:
-                continue
+        for comp in _compositions(n, d):
             tables = [fdim_r[bfN[r]][comp[r]] for r in range(d)]
             if any(not t for t in tables):
                 continue
@@ -297,7 +363,7 @@ def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
             cmap = tensor_mult_C([DominantWeight.of(m, partition) for m in mus])
             for xi, c in cmap.items():
                 rhs_map[xi] = rhs_map.get(xi, 0) + c * dim
-        lhs_map = _dominant_fixed_dims(partition, weight_spaces(n, N, ell), N)
+        lhs_map = dominant_dims(n, N)
         table = {}
         for xi in sorted(set(lhs_map) | set(rhs_map)):
             l, r = lhs_map.get(xi, 0), rhs_map.get(xi, 0)

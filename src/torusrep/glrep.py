@@ -328,14 +328,6 @@ class EtaFunctional:
         if len(self.mu) != len(self.a):
             raise InvalidParams("mu and a must have equal length")
 
-    def invariant_pairs(self) -> Tuple[Tuple[int, Fraction], ...]:
-        """The multiset (as a sorted tuple) of (mudd_k, a_k q^{-mudot_k})."""
-        pairs = []
-        for m, ak in zip(self.mu, self.a):
-            mudot, mudd = mu_split(m, self.N)
-            pairs.append((mudd, ak * qpow(self.q, -mudot)))
-        return tuple(sorted(pairs))
-
 
 def eta_eval(eta: EtaFunctional, i: int, n: int) -> Fraction:
     """Value on the toral generator h_{i,n}; the k1 value is zero."""
@@ -348,8 +340,3 @@ def eta_eval(eta: EtaFunctional, i: int, n: int) -> Fraction:
             total += qpow(ak * qpow(eta.q, -mudot), n)
     return total
 
-
-def eta_equiv(e1: EtaFunctional, e2: EtaFunctional) -> bool:
-    if e1.N != e2.N or e1.q != e2.q:
-        raise InvalidParams("functionals live over different (N, q)")
-    return e1.invariant_pairs() == e2.invariant_pairs()

@@ -1,7 +1,8 @@
 """Test-side oracles and helpers of the Fock module: an independent
 normal-ordering rule, the evaluation-module form of the torus action,
-generator words, and the text form of Fock vectors."""
-from typing import Dict, Sequence, Tuple
+generator words, the text form of Fock vectors, and the weight slices of a
+degree grouped from the full monomial list."""
+from typing import Dict, List, Sequence, Tuple
 
 from torusrep.fock import (
     PSI,
@@ -9,8 +10,10 @@ from torusrep.fock import (
     Gen,
     Monomial,
     apply_gen,
+    basis_monomials,
     gen_label,
     gen_mode,
+    monomial_weight,
     rho_action,
 )
 from torusrep.liealg import GlqElement, K0, K1
@@ -77,3 +80,13 @@ def format_monomial(m: Monomial, N: int) -> str:
 
 def vector_to_json(vec: FockVector, N: int) -> Dict[str, str]:
     return {format_monomial(m, N): str(c) for m, c in vec.items()}
+
+
+def weight_spaces_oracle(n: int, N: int, ell: int
+                         ) -> Dict[Tuple[int, ...], List[Monomial]]:
+    """Every degree-n monomial of all ell flavors, grouped by flavor weight
+    in sorted order."""
+    out: Dict[Tuple[int, ...], List[Monomial]] = {}
+    for m in basis_monomials(n, N, ell):
+        out.setdefault(monomial_weight(m, ell), []).append(m)
+    return out

@@ -1,5 +1,6 @@
 """Schur-character oracles for the Littlewood-Richardson and branching
-constants of `torusrep.glrep`.
+constants of `torusrep.glrep`, and the equivalence of highest-weight
+functionals.
 
 Each oracle multiplies or restricts Schur polynomials, built from
 semistandard tableaux, and peels off dominant leading terms. None of them
@@ -7,7 +8,9 @@ uses the lattice-word search, so the tests compare two independent routes.
 """
 from typing import Dict, Iterable, Sequence, Tuple
 
-from torusrep.glrep import trim
+from torusrep.errors import InvalidParams
+from torusrep.glrep import EtaFunctional, mu_split, trim
+from torusrep.scalars import qpow
 
 IntTuple = Tuple[int, ...]
 Poly = Dict[IntTuple, int]
@@ -135,3 +138,19 @@ def levi_branch_oracle(xi: IntTuple, n1: int, n2: int) -> Dict[Tuple[IntTuple, I
             elif e in work:
                 del work[e]
     return out
+
+
+def eta_equiv(e1: EtaFunctional, e2: EtaFunctional) -> bool:
+    """Whether two functionals have the same multiset of invariant pairs
+    (mudd_k, a_k q^{-mudot_k}), and so the same values on every h_{i,n}."""
+    if e1.N != e2.N or e1.q != e2.q:
+        raise InvalidParams("functionals live over different (N, q)")
+
+    def pairs(e: EtaFunctional):
+        out = []
+        for m, ak in zip(e.mu, e.a):
+            mudot, mudd = mu_split(m, e.N)
+            out.append((mudd, ak * qpow(e.q, -mudot)))
+        return sorted(out)
+
+    return pairs(e1) == pairs(e2)

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from fock_oracles import weight_spaces_oracle
 from torusrep.duality import (
+    FlavorTables,
     fixed_dim,
     fixed_space,
     joint_hw_dim,
@@ -50,22 +52,65 @@ def test_fixed_space_examples():
         assert c12 == c21
 
 
-def test_skew_duality_enumerates_each_degree_once(monkeypatch):
+def _count_enumerations(monkeypatch):
     import torusrep.duality as duality
     calls = []
 
     def counting(n, N, ell):
-        calls.append(n)
+        calls.append((n, N, ell))
         return basis_monomials(n, N, ell)
 
     monkeypatch.setattr(duality, "basis_monomials", counting)
+    return calls
+
+
+def test_skew_duality_enumerates_each_degree_once(monkeypatch):
+    # only one-flavor monomials are enumerated, never the full ell, and
+    # each degree once per suite call; the highest-weight checks reuse them
+    calls = _count_enumerations(monkeypatch)
     n_max = 3
     for check_hw in (False, True):
         calls.clear()
         rep = verify_skew_duality(N=2, ell=2, a=(3, 3), q=2, n_max=n_max,
                                   check_hw=check_hw)
         assert rep.passed, rep.witness
-        assert sorted(calls) == list(range(n_max + 1))
+        assert calls == [(n, 2, 1) for n in range(n_max + 1)]
+
+
+def test_branching_suites_enumerate_each_degree_once(monkeypatch):
+    # one set of one-flavor tables per rank: the Levi suite enumerates
+    # each (degree, rank) of the factors and of the big slice once
+    calls = _count_enumerations(monkeypatch)
+    rep = verify_tensor_branching(2, 1, 1, [3], [3], 2, 2)
+    assert rep.passed, rep.witness
+    assert calls == [(n, 2, 1) for n in range(3)]
+    calls.clear()
+    rep = verify_levi_branching([2, 1], 2, [3, 3], 2, 2)
+    assert rep.passed, rep.witness
+    assert sorted(calls) == [(n, N, 1) for n in range(3) for N in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("N,ell", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+def test_weight_spaces_match_grouping_oracle(N, ell):
+    # slices assembled from the per-flavor tables against the full
+    # monomial list grouped by weight: same weights, same order per slice
+    tables = FlavorTables(N, ell)
+    for n in range(5):
+        oracle = weight_spaces_oracle(n, N, ell)
+        got = weight_spaces(n, N, ell, tables=tables)
+        assert got == oracle
+        assert weight_spaces(n, N, ell) == got
+        # a filtered call returns exactly the requested nonempty slices
+        weights = sorted(oracle)
+        absent = tuple([n + 1] + [0] * (ell - 1))
+        for wanted in (weights[::2], weights[-1:], [absent], []):
+            filtered = weight_spaces(n, N, ell, set(wanted).__contains__, tables)
+            assert filtered == {w: oracle[w] for w in wanted if w in oracle}
+        # tables of another rank or flavor count are refused
+        with pytest.raises(ValueError):
+            weight_spaces(n, N + 1, ell, tables=tables)
+        with pytest.raises(ValueError):
+            weight_spaces(n, N, ell + 1, tables=tables)
 
 
 def test_fixed_space_killed_and_weighted():

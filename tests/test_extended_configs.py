@@ -3,6 +3,7 @@ higher degrees, a third flavor, mixed partitions, deeper refolds, and a
 cross-configuration consistency check through the functional equivalence."""
 import pytest
 
+from glrep_oracles import eta_equiv
 from torusrep.duality import (
     fixed_dim,
     verify_lattice_intertwiner,
@@ -12,7 +13,7 @@ from torusrep.duality import (
     weight_spaces,
 )
 from torusrep.fock import hw_degree
-from torusrep.glrep import EtaFunctional, eta_equiv
+from torusrep.glrep import EtaFunctional
 from torusrep.scalars import ParameterSet, validate_spectrum
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glrep_oracles import (
+    eta_equiv,
     levi_branch_oracle,
     poly_mul,
     schur_expand,
@@ -17,7 +18,6 @@ from torusrep.scalars import SetPartition
 from torusrep.glrep import (
     DominantWeight,
     EtaFunctional,
-    eta_equiv,
     eta_eval,
     is_dominant,
     levi_branch_D,

@@ -1,8 +1,9 @@
 """Pinned sha256 digests of JSON reports.
 
 Every job of ``scripts/run_verification.py`` except the two slow Fock
-suites (``module_l2``, ``nilpotency``), plus one degree-5 skew-duality run,
-must keep producing exactly the same report bytes.  A change that moves a
+suites (``module_l2``, ``nilpotency``), plus a degree-5 skew-duality run and
+a three-flavor, two-block one with its highest-weight checks, must keep
+producing exactly the same report bytes.  A change that moves a
 multiplicity, a case table, a verdict or the report layout fails here.
 """
 import hashlib
@@ -31,6 +32,7 @@ DIGESTS = {
     "levi_23": "7b9cf1b2887a91e45c2c0a5ec6f49b89ea4d47197eae038ba6b506e47da47117",
     "lattice": "e14b766b3382e96b1cdd2245aea7f285a3e0b5ea821694e693b49cadc91c66e5",
     "duality_N2l2_deg5": "80283d9f93ddc7bd75e457f54955468516b3c4d81808a69699b52a5aff5bd251",
+    "duality_N2l3_hw": "ac0ec7212c2f1def9748e16bde3aa46b8da4b9abb3fb803cb86b006601eacb22",
 }
 
 
@@ -42,6 +44,7 @@ def _jobs():
             if name not in ("module_l2", "nilpotency")}
     jobs["duality_N2l2_deg5"] = lambda: verify_skew_duality(
         2, 2, [3, 3], 2, 5, check_hw=False)
+    jobs["duality_N2l3_hw"] = lambda: verify_skew_duality(2, 3, [3, 3, 5], 2, 3)
     return jobs
 
 
