@@ -17,6 +17,10 @@ which side goes first:
   ``verify_skew_duality(2, 2, [3,3], 2, n_max, check_hw=False)`` at n_max 6
   and 8, PROBE_RUNS (3) runs per side: the call's wall time, the peak RSS
   of the process and the report's sha256;
+- the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
+  (3) runs per side: the process's wall time, each job's time as the
+  script prints it, and the sha256 of each report, which must agree
+  between the sides;
 - one ``perfbench/run.py --trace 1`` run of the change per workload, for
   the coverage check and the elimination counts.
 
@@ -29,10 +33,13 @@ import json
 import os
 import pathlib
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ("deep_degree", "fixed_space", "fock_action", "algebra")
@@ -40,6 +47,7 @@ PROBE_DEGREES = (6, 8)
 PAIRS = 10
 SECONDS = 20
 PROBE_RUNS = 3
+BATTERY_RUNS = 3
 PROBE = ("import hashlib, json, resource, time; "
          "from torusrep.duality import verify_skew_duality as v; "
          "t = time.perf_counter(); r = v(2, 2, [3, 3], 2, {n}, check_hw=False); "
@@ -86,6 +94,23 @@ def probe(root: pathlib.Path, n: int):
     proc = subprocess.run([sys.executable, "-c", PROBE.format(n=n)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def battery(root: pathlib.Path):
+    """One run of the battery in a fresh interpreter: its wall time, exit
+    code, per-job times and report digests."""
+    clear_bytecode(root)
+    with tempfile.TemporaryDirectory() as out:
+        t = time.perf_counter()
+        proc = subprocess.run([sys.executable, "scripts/run_verification.py", out],
+                              cwd=root, capture_output=True, text=True)
+        wall = time.perf_counter() - t
+        reports = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(pathlib.Path(out).glob("*.json"))}
+    jobs = {name: float(s) for name, s in
+            re.findall(r"^(\S+)\s+(?:pass|FAIL)\s+\(\s*([\d.]+)s\)", proc.stdout, re.M)}
+    return {"wall_s": round(wall, 3), "exit_code": proc.returncode,
+            "job_s": jobs, "reports": reports}
 
 
 def summarize(parent, change, better):
@@ -141,6 +166,22 @@ def main() -> int:
                    "report_sha256": sorted({r["report_sha256"] for r in rs})}
             for side, rs in runs.items()}
 
+    runs = {"parent": [], "change": []}
+    for k in range(BATTERY_RUNS):
+        for side in order(k):
+            runs[side].append(battery(sides[side]))
+            print(f"battery {side}: wall_s {runs[side][-1]['wall_s']}", file=sys.stderr)
+    batteries = {
+        side: {"wall_s": [r["wall_s"] for r in rs],
+               "wall_s_median": statistics.median(r["wall_s"] for r in rs),
+               "exit_codes": [r["exit_code"] for r in rs],
+               "job_s_median": {job: statistics.median(r["job_s"].get(job, 0.0) for r in rs)
+                                for job in rs[0]["job_s"]}}
+        for side, rs in runs.items()}
+    digests = [r["reports"] for rs in runs.values() for r in rs]
+    batteries["reports"] = len(digests[0])
+    batteries["reports_identical"] = all(d == digests[0] for d in digests)
+
     trace0 = {}
     for workload in WORKLOADS:
         values = {"parent": [], "change": []}
@@ -185,6 +226,13 @@ def main() -> int:
                     "alternated; wall_s is the call alone, peak_rss_mb is ru_maxrss "
                     "of the whole process",
             "results": probes,
+        },
+        "battery": {
+            "command": "python3 scripts/run_verification.py OUTDIR",
+            "note": "one fresh interpreter per run, parent and change alternated; "
+                    "wall_s is the whole process, job_s_median the per-job times "
+                    "the script prints (0.1 s resolution)",
+            "results": batteries,
         },
         "perfbench_trace0": {
             "command": f"python3 perfbench/run.py --workload W --seed 0 "

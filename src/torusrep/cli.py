@@ -86,6 +86,10 @@ def _weight(s: str):
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
+def _weight_list(s: str):
+    return [_weight(w) for w in s.split(";")]
+
+
 @_converter("a set partition")
 def _partition(s: str):
     return SetPartition.of(json.loads(s))
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=_weight, default=None)
     sp.add_argument("--nu", type=_weight, default=None)
     sp.add_argument("--xi", type=_weight, default=None)
-    sp.add_argument("--mus", type=str, default=None,
+    sp.add_argument("--mus", type=_weight_list, default=None,
                     help='semicolon-separated weights, e.g. "(1,0);(0,-1)"')
     sp.add_argument("--output", type=str, default=None)
     sp.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -241,7 +245,7 @@ def _branch_table(args) -> DecompositionReport:
         return report
     if not args.mus:
         raise InvalidParams("--mode diag needs --mus")
-    weights = [DominantWeight.of(_weight(w), part) for w in args.mus.split(";")]
+    weights = [DominantWeight.of(w, part) for w in args.mus]
     cmap = tensor_mult_C(weights)
     report = DecompositionReport(config={
         "suite": "branch-diag", "I": part.describe(),

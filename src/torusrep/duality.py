@@ -47,7 +47,7 @@ from .glrep import (
     levi_dim,
     tensor_mult_C,
 )
-from .liealg import GlqElement, h_gen
+from .liealg import TORAL_WINDOW, GlqElement, h_gen
 from .linalg import nullspace
 from .reports import DecompositionReport, weight_key
 from .scalars import ONE, ParameterSet, SetPartition, accumulate, qpow, validate_spectrum
@@ -193,15 +193,12 @@ def _block_upper_ops(partition: SetPartition, degree: int, N: int
 
 
 def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
-                 params: ParameterSet,
-                 partition: Optional[SetPartition] = None,
-                 h_window: int = 3) -> int:
+                 params: ParameterSet) -> int:
     """Dimension of the joint highest-weight space of weight (eta, mu) at
     the ambient degree n0 = hw_degree(mu) of the canonical product vector,
     given the weight-mu slice of that degree (one value of
     ``weight_spaces(n0, ...)``)."""
-    if partition is None:
-        partition = params.spectrum_partition()
+    partition = params.spectrum_partition()
     N = params.N
     n0 = hw_degree(mu, params)
     base = fixed_space(partition, monos, N)
@@ -214,7 +211,7 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
         rows.extend(_image_rows(images))
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
-        for n in range(-h_window, h_window + 1):
+        for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
             h = h_gen(i, n, N, params.q)
             val = eta_eval(eta, i, n)
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
@@ -252,7 +249,7 @@ def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
                 seen.add(w)
                 n0 = hw_degree(w, params)
                 hw_slice = weight_spaces(n0, N, ell, w.__eq__, tables).get(w, [])
-                jd = joint_hw_dim(w, hw_slice, params, partition)
+                jd = joint_hw_dim(w, hw_slice, params)
                 if jd != 1:
                     report.fail({"degree": n, "weight": weight_key(w),
                                  "joint_hw_dim": jd, "expected": 1})
@@ -378,6 +375,11 @@ def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
 
 # -- sublattice refolding -----------------------------------------------------
 
+# The most basis monomials the intertwiner checks act on, drawn at random
+# when the degree bound gives more.
+SAMPLE_CAP = 40
+
+
 def lattice_parameters(a: Sequence, q, M0: int, M1: int) -> Tuple[Tuple[Fraction, ...], Fraction]:
     """The refolded parameter tuple of length M0*ell and its deformation
     parameter q^{M0*M1}."""
@@ -430,8 +432,8 @@ def _pairing(g1, g2) -> int:
 
 def verify_lattice_intertwiner(N: int, ell: int, M0: int, M1: int,
                                a: Sequence, q, n_max: int = 1,
-                               trials: int = 100, seed: int = 0,
-                               sample_cap: int = 40) -> DecompositionReport:
+                               trials: int = 100,
+                               seed: int = 0) -> DecompositionReport:
     """Checks the refolding isomorphism: anticommutation transport, the
     torus-action intertwining over the index sublattice, flavor-action
     equivariance, and the dimension identity for the diagonal restriction
@@ -476,8 +478,8 @@ def verify_lattice_intertwiner(N: int, ell: int, M0: int, M1: int,
     monos = []
     for n in range(n_max + 1):
         monos.extend(basis_monomials(n, N, L))
-    if len(monos) > sample_cap:
-        monos = rng.sample(monos, sample_cap)
+    if len(monos) > SAMPLE_CAP:
+        monos = rng.sample(monos, SAMPLE_CAP)
     vecs = [FockVector.monomial(m) for m in sorted(monos)]
 
     # (ii) intertwining over the sublattice
@@ -503,7 +505,7 @@ def verify_lattice_intertwiner(N: int, ell: int, M0: int, M1: int,
     for block in part.blocks:
         for p in block:
             for pp in block:
-                for w in vecs[:sample_cap // 2]:
+                for w in vecs[:SAMPLE_CAP // 2]:
                     runs += 1
                     big = FockVector.zero()
                     for k in range(M0):

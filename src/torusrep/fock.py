@@ -11,6 +11,10 @@ In flat coordinates both families create exactly when idx < 0, a psi/psibar
 pair contracts exactly when the flavors agree and the indices sum to -1,
 and the product A(mu) of the highest-weight construction is already sorted.
 All signs are transposition counts against the global (p, kind, idx) order.
+
+`_gen_on_monomial` is the one Clifford kernel: it inserts or contracts a
+generator with its sign.  A bilinear is two of its steps, and each of the
+three actions accumulates bilinear images monomial by monomial.
 """
 from __future__ import annotations
 
@@ -59,10 +63,6 @@ def gen_degree(g: Gen, N: int) -> int:
     return -gen_mode(g, N)
 
 
-def is_creator(g: Gen) -> bool:
-    return g[2] < 0
-
-
 def monomial_degree(m: Monomial, N: int) -> int:
     return sum(gen_degree(g, N) for g in m)
 
@@ -93,31 +93,6 @@ class FockVector(SparseVector):
 
     def __repr__(self):
         return f"FockVector<{len(self._terms)} terms>"
-
-
-def apply_gen(g: Gen, vec: FockVector) -> FockVector:
-    """Left multiplication by a single Clifford generator.
-
-    Creators insert at their sorted slot (zero on repetition); annihilators
-    contract against the unique partner, if present.  Signs count the
-    generators jumped over.
-    """
-    out: Dict[Monomial, Fraction] = {}
-    if is_creator(g):
-        for m, c in vec._terms.items():
-            pos = bisect_left(m, g)
-            if pos < len(m) and m[pos] == g:
-                continue
-            accumulate(out, m[:pos] + (g,) + m[pos:], -c if pos & 1 else c)
-    else:
-        p, kind, idx = g
-        partner = (p, 1 - kind, -idx - 1)
-        for m, c in vec._terms.items():
-            pos = bisect_left(m, partner)
-            if pos >= len(m) or m[pos] != partner:
-                continue
-            accumulate(out, m[:pos] + m[pos + 1:], -c if pos & 1 else c)
-    return FockVector._of(out)
 
 
 def normal_order_pair(m: int, n: int) -> Tuple[bool, int]:
@@ -155,19 +130,6 @@ def bilinear_on_monomial(i: int, p: int, m: int, j: int, pb: int, n: int,
         return None
     s2, mono2 = step
     return (sign * s1 * s2, mono2)
-
-
-def apply_bilinear(i: int, p: int, m: int, j: int, pb: int, n: int,
-                   vec: FockVector, N: int, rule=normal_order_pair) -> FockVector:
-    """Apply :psi_i^p(m) psibar_j^pb(n): to vec."""
-    out: Dict[Monomial, Fraction] = {}
-    for mono, c in vec._terms.items():
-        step = bilinear_on_monomial(i, p, m, j, pb, n, mono, N, rule)
-        if step is None:
-            continue
-        sign, mono2 = step
-        accumulate(out, mono2, c if sign == 1 else -c)
-    return FockVector._of(out)
 
 
 def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
@@ -221,8 +183,7 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
     return out
 
 
-def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector,
-               rule=normal_order_pair) -> FockVector:
+def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVector:
     """Action of the extended torus algebra: k0 -> ell, k1 -> 0, and
     E_{i,j} t0^m0 t1^m1 acting by the fermionic bilinear sums."""
     ell = params.ell
@@ -236,7 +197,7 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector,
             continue
         i, j, m0, m1 = key
         for mono, c in vec._terms.items():
-            for mono2, c2 in rho_mat_on_monomial(i, j, m0, m1, params, mono, rule).items():
+            for mono2, c2 in rho_mat_on_monomial(i, j, m0, m1, params, mono).items():
                 accumulate(acc, mono2, c * coeff * c2)
     return FockVector._of(acc)
 
@@ -279,10 +240,16 @@ def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int, ell: int,
     E_{mrow,ncol}; the optional flavor block restricts the sum."""
     m, i = (mrow - 1) // N, (mrow - 1) % N + 1
     n, j = (ncol - 1) // N, (ncol - 1) % N + 1
-    out = FockVector.zero()
-    for p in (flavors if flavors is not None else range(1, ell + 1)):
-        out = out + apply_bilinear(i, p, -m, j, p, n, vec, N)
-    return out
+    flavors = flavors if flavors is not None else range(1, ell + 1)
+    acc: Dict[Monomial, Fraction] = {}
+    for mono, c in vec._terms.items():
+        for p in flavors:
+            step = bilinear_on_monomial(i, p, -m, j, p, n, mono, N)
+            if step is None:
+                continue
+            sign, mono2 = step
+            accumulate(acc, mono2, c if sign == 1 else -c)
+    return FockVector._of(acc)
 
 
 def hw_vector(mu: Sequence[int], params: ParameterSet) -> FockVector:

@@ -4,25 +4,31 @@ Dominant weights over a Levi (set-partition) torus, Littlewood-Richardson
 counting, Weyl dimensions, the three branching-constant families (Levi
 restriction D, diagonal tensor C, and the sublattice constants E, which
 coincide with C over the power partition), plus the highest-weight
-functional data and its equivalence test.
+functional data.
 
 There is one LR tableau search, `_lr_contents`: it fills a skew shape nu/lam
 once and counts the fillings by content.  A single coefficient reads one
 content off it; a Levi restriction block runs it once per inner shape lam
-and reads every mu at once.  The Schur-character oracles for these
-constants live with the tests (`tests/glrep_oracles.py`).
+and reads every mu at once.  There is one partition walk,
+`_shapes_between`, over the shapes between an inner and an outer one: a
+Levi block walks the lam inside xi, a tensor block only the nu that contain
+both factors.  Both block tables are keyed by (index, value) assignments,
+and `_block_products` assembles them over the blocks.  The Schur-character
+oracles for these constants, and an independent partition enumerator, live
+with the tests (`tests/glrep_oracles.py`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
 from .scalars import Rational, SetPartition, as_scalar, qpow
 
 IntTuple = Tuple[int, ...]
+Assignment = Tuple[Tuple[int, int], ...]    # ((index, value), ...)
 
 
 def is_partition(lam: Sequence[int]) -> bool:
@@ -143,9 +149,6 @@ class DominantWeight:
     def restrict(self, block: Sequence[int]) -> IntTuple:
         return tuple(self.mu[i - 1] for i in block)
 
-    def dim(self) -> int:
-        return levi_dim(self.mu, self.partition)
-
 
 def is_dominant(mu: Sequence[int], partition: SetPartition) -> bool:
     for b in partition.blocks:
@@ -165,43 +168,63 @@ def levi_dim(mu: Sequence[int], partition: SetPartition) -> int:
     return dim
 
 
-def _det_shift_pair(weights: Sequence[IntTuple]) -> Tuple[List[IntTuple], List[int]]:
-    """Shift each weight to a partition; remember the shifts."""
-    shifted, shifts = [], []
-    for w in weights:
-        c = -min(list(w) + [0])
-        shifted.append(tuple(x + c for x in w))
-        shifts.append(c)
-    return shifted, shifts
+def _shapes_between(inner: Sequence[int], outer: Sequence[int],
+                    size: Optional[int] = None) -> Iterator[IntTuple]:
+    """The trimmed partitions nu with inner[r] <= nu[r] <= outer[r] for every
+    row r (so at most len(outer) rows), of total size `size` when it is
+    given, in decreasing lexicographic order."""
+    # low[len(outer)] != 0 exactly when inner has more rows than outer
+    low = trim(inner) + (0,) * (len(outer) + 1)
+
+    def walk(r: int, hi: int, rem: int, shape: IntTuple) -> Iterator[IntTuple]:
+        # rem: the cells still to place; without a size it never binds
+        if r < len(outer):
+            lo = max(low[r], 1)
+            if size is not None:    # rows r, r+1, ... hold at most v each
+                lo = max(lo, -(-rem // (len(outer) - r)))
+            for v in range(min(hi, outer[r], rem), lo - 1, -1):
+                yield from walk(r + 1, v, rem - v, shape + (v,))
+        if low[r] == 0 and (size is None or rem == 0):
+            yield shape
+
+    rem = sum(outer) if size is None else size
+    yield from walk(0, rem, rem, ())
 
 
-def _tensor_block(w1: IntTuple, w2: IntTuple, n: int) -> Dict[IntTuple, int]:
-    """Tensor multiplicities for one GL_n block, arbitrary integer weights."""
-    (p1, p2), (c1, c2) = _det_shift_pair([w1, w2])
-    out: Dict[IntTuple, int] = {}
-    total = sum(p1) + sum(p2)
-    maxpart = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
-    for nu in partitions_with_bound(total, n, maxpart):
-        c = lr_coeff(trim(p1), trim(p2), nu)
+def _tensor_block(w1: IntTuple, w2: IntTuple,
+                  block: IntTuple) -> Dict[Assignment, int]:
+    """Tensor multiplicities for one GL_n block (n = len(block)) of arbitrary
+    integer weights, after a det shift of each factor to a partition.
+    Returns {((index, value), ...): multiplicity}."""
+    n = len(block)
+    c1, c2 = -min(list(w1) + [0]), -min(list(w2) + [0])
+    p1 = trim(tuple(x + c1 for x in w1))
+    p2 = trim(tuple(x + c2 for x in w2))
+    # c^nu_{p1,p2} != 0 forces p1 and p2 inside nu and nu_1 <= p1_1 + p2_1
+    inner = tuple(max(a, b) for a, b in itertools.zip_longest(p1, p2, fillvalue=0))
+    first = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
+    out: Dict[Assignment, int] = {}
+    for nu in _shapes_between(inner, (first,) * n, sum(p1) + sum(p2)):
+        c = lr_coeff(p1, p2, nu)
         if c:
-            full = tuple(list(nu) + [0] * (n - len(nu)))
-            key = tuple(x - c1 - c2 for x in full)
-            out[key] = c
+            full = nu + (0,) * (n - len(nu))
+            out[tuple(zip(block, (x - c1 - c2 for x in full)))] = c
     return out
 
 
-def partitions_with_bound(total: int, max_len: int, max_part: int) -> Iterable[IntTuple]:
-    """All partitions of `total` with at most max_len parts, parts <= max_part."""
-    def gen(rem: int, slots: int, bound: int):
-        if rem == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(rem, bound), 0, -1):
-            for rest in gen(rem - first, slots - 1, first):
-                yield (first,) + rest
-    yield from gen(total, max_len, max_part)
+def _block_products(per_block: Sequence[Dict[Assignment, int]],
+                    ell: int) -> Iterator[Tuple[IntTuple, int]]:
+    """Every choice of one entry per block table: the full weight of length
+    ell that the chosen assignments spell, and the product of their
+    multiplicities."""
+    for combo in itertools.product(*(table.items() for table in per_block)):
+        full = [0] * ell
+        c = 1
+        for assign, bc in combo:
+            c *= bc
+            for i, val in assign:
+                full[i - 1] = val
+        yield tuple(full), c
 
 
 def tensor_mult_C(mus: Sequence[DominantWeight]) -> Dict[IntTuple, int]:
@@ -216,20 +239,11 @@ def tensor_mult_C(mus: Sequence[DominantWeight]) -> Dict[IntTuple, int]:
     for nxt in mus[1:]:
         acc: Dict[IntTuple, int] = {}
         for cur, mult in out.items():
-            per_block = []
-            for b in part.blocks:
-                w1 = tuple(cur[i - 1] for i in b)
-                w2 = nxt.restrict(b)
-                per_block.append(_tensor_block(w1, w2, len(b)))
-            for combo in itertools.product(*(pb.items() for pb in per_block)):
-                full = [0] * part.ell
-                c = mult
-                for (bw, bc), b in zip(combo, part.blocks):
-                    c *= bc
-                    for x, i in zip(bw, b):
-                        full[i - 1] = x
-                key = tuple(full)
-                acc[key] = acc.get(key, 0) + c
+            per_block = [_tensor_block(tuple(cur[i - 1] for i in b),
+                                       nxt.restrict(b), b)
+                         for b in part.blocks]
+            for key, c in _block_products(per_block, part.ell):
+                acc[key] = acc.get(key, 0) + mult * c
         out = acc
     return out
 
@@ -251,54 +265,40 @@ def levi_branch_D(xi: DominantWeight, part_a: SetPartition,
         if len(tops) != 1:
             raise IncompatiblePartitions(
                 f"product block {pb} straddles merged blocks")
+    per_block = [_restrict_block(xi.restrict(mb), mb, ell_a)
+                 for mb in merged.blocks]
     out: Dict[Tuple[IntTuple, IntTuple], int] = {}
-    per_block: List[Dict[Tuple[IntTuple, IntTuple], int]] = []
-    for mb in merged.blocks:
-        left = tuple(i for i in mb if i <= ell_a)
-        right = tuple(i for i in mb if i > ell_a)
-        w = xi.restrict(mb)
-        per_block.append(_restrict_block(w, mb, left, right))
-    for combo in itertools.product(*(pb.items() for pb in per_block)):
-        full = [0] * merged.ell
-        c = 1
-        for (assign, bc) in combo:
-            c *= bc
-            for i, val in assign:
-                full[i - 1] = val
-        mu = tuple(full[:ell_a])
-        nu = tuple(full[ell_a:])
-        key = (mu, nu)
+    for w, c in _block_products(per_block, merged.ell):
+        key = (w[:ell_a], w[ell_a:])
         out[key] = out.get(key, 0) + c
     return out
 
 
-def _restrict_block(w: IntTuple, block: IntTuple, left: IntTuple,
-                    right: IntTuple) -> Dict[Tuple[Tuple[int, int], ...], int]:
-    """One merged block into its left/right halves: LR coefficients after a
-    det shift.  Returns {((index, value), ...): multiplicity}."""
-    n, n1, n2 = len(block), len(left), len(right)
+def _restrict_block(w: IntTuple, block: IntTuple,
+                    ell_a: int) -> Dict[Assignment, int]:
+    """One merged block with weights w into its halves left and right of
+    index ell_a: LR coefficients after a det shift.  Returns
+    {((index, value), ...): multiplicity}."""
+    left = tuple(i for i in block if i <= ell_a)
+    right = tuple(i for i in block if i > ell_a)
+    n1, n2 = len(left), len(right)
+    if n1 == 0 or n2 == 0:
+        return {tuple(zip(block, w)): 1}
     shift = -min(list(w) + [0])
     xi = trim(tuple(x + shift for x in w))
-    out: Dict[Tuple[Tuple[int, int], ...], int] = {}
-    if n1 == 0 or n2 == 0:
-        idxs = left if n1 else right
-        assign = tuple(zip(idxs, w))
-        return {assign: 1}
+    out: Dict[Assignment, int] = {}
     # c^xi_{lam,mu} != 0 forces lam, mu inside xi, so one search per lam
     # inside xi yields every mu, with entries capped by xi's first n2 rows
-    for s1 in range(sum(xi) + 1):
-        for lam in partitions_with_bound(s1, n1, xi[0] if xi else 0):
-            if len(lam) > len(xi) or any(a > b for a, b in zip(lam, xi)):
-                continue
-            contents = _lr_contents(lam, xi, xi[:n2])
-            lam_full = list(lam) + [0] * (n1 - len(lam))
-            # mu in descending order, so the table order does not depend
-            # on the order in which the search meets the contents
-            for mu in sorted(contents, reverse=True):
-                mu_full = list(mu) + [0] * (n2 - len(mu))
-                assign = tuple(list(zip(left, (x - shift for x in lam_full)))
-                               + list(zip(right, (x - shift for x in mu_full))))
-                out[assign] = contents[mu]
+    for lam in _shapes_between((), xi[:n1]):
+        contents = _lr_contents(lam, xi, xi[:n2])
+        lam_full = list(lam) + [0] * (n1 - len(lam))
+        # mu in descending order, so the table order does not depend on
+        # the order in which the search meets the contents
+        for mu in sorted(contents, reverse=True):
+            mu_full = list(mu) + [0] * (n2 - len(mu))
+            assign = tuple(list(zip(left, (x - shift for x in lam_full)))
+                           + list(zip(right, (x - shift for x in mu_full))))
+            out[assign] = contents[mu]
     return out
 
 

@@ -110,6 +110,11 @@ def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
     return GlqElement._of(out)
 
 
+# The highest-weight checks test the toral generators h_{i,n} with
+# |n| <= TORAL_WINDOW.
+TORAL_WINDOW = 3
+
+
 def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
     """The toral generator h_{i,n} (three defining cases).
 

@@ -30,6 +30,7 @@ from .fock import (
 )
 from .glrep import EtaFunctional, eta_eval, is_dominant
 from .liealg import (
+    TORAL_WINDOW,
     GlqElement,
     K0,
     K1,
@@ -42,6 +43,14 @@ from .liealg import (
 from .errors import InvalidParams
 from .reports import DecompositionReport, weight_key
 from .scalars import ParameterSet, accumulate, check_q, validate_spectrum
+
+# Fixed windows, printed in the report configs: the t0 exponents of the
+# raising generators the highest-weight suite applies, the t1 exponents
+# |m1| <= M1_WINDOW of both Fock suites, and the total modes |K| <= K_WINDOW
+# of the nilpotency suite.
+HW_M0 = (1, 2)
+M1_WINDOW = 2
+K_WINDOW = 8
 
 
 def sample_basis_element(rng: random.Random, N: int, max_exp: int) -> GlqElement:
@@ -239,8 +248,7 @@ def verify_module_property(N: int, ell: int, a: Sequence, q, trials: int,
 
 
 def verify_highest_weight(N: int, ell: int, a: Sequence, q,
-                          mu_bound: int = 2, m0_list: Sequence[int] = (1, 2),
-                          m1_window: int = 2, h_window: int = 3) -> DecompositionReport:
+                          mu_bound: int = 2) -> DecompositionReport:
     """The product vectors are killed by the raising half, carry the stated
     toral eigenvalues, and are fixed vectors of the stated flavor weight."""
     if len(a) != ell:
@@ -251,7 +259,7 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
     report = DecompositionReport(config={
         "suite": "highest-weight", "N": N, "ell": ell, "q": str(params.q),
         "a": [str(x) for x in params.a], "mu_bound": mu_bound,
-        "m0_list": list(m0_list), "m1_window": m1_window, "h_window": h_window,
+        "m0_list": list(HW_M0), "m1_window": M1_WINDOW, "h_window": TORAL_WINDOW,
     })
     import itertools as _it
     mus = [mu for mu in _it.product(range(-mu_bound, mu_bound + 1), repeat=ell)
@@ -263,15 +271,15 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
         good = True
         for i in range(1, N + 1):
             for j in range(1, N + 1):
-                for m1 in range(-m1_window, m1_window + 1):
-                    for m0 in m0_list:
+                for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
+                    for m0 in HW_M0:
                         x = GlqElement.matrix_unit(i, j, m0, m1)
                         if not act(x, v).is_zero():
                             report.fail({"mu": weight_key(mu), "law": "raising",
                                          "x": format_element(x)})
                             good = False
                 if i < j:
-                    for m1 in range(-m1_window, m1_window + 1):
+                    for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
                         x = GlqElement.matrix_unit(i, j, 0, m1)
                         if not act(x, v).is_zero():
                             report.fail({"mu": weight_key(mu),
@@ -279,7 +287,7 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
                                          "x": format_element(x)})
                             good = False
         for i in range(1, N + 1):
-            for n in range(-h_window, h_window + 1):
+            for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
                 h = h_gen(i, n, N, params.q)
                 if act(h, v) != v.scale(eta_eval(eta, i, n)):
                     report.fail({"mu": weight_key(mu), "law": "toral-eigenvalue",
@@ -299,8 +307,8 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
     return report
 
 
-def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2, deg_max: int = 2,
-                      m1_window: int = 2, K_window: int = 8) -> DecompositionReport:
+def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2,
+                      deg_max: int = 2) -> DecompositionReport:
     """Level-one square-vanishing: the quadratic mode sums of the bilinear
     family annihilate every bounded-degree state for off-diagonal labels.
 
@@ -316,7 +324,7 @@ def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2, deg_max: int = 2,
     report = DecompositionReport(config={
         "suite": "nilpotency", "N": N, "ell": ell, "q": str(params.q),
         "a": [str(x) for x in params.a], "deg_max": deg_max,
-        "m1_window": m1_window, "K_window": K_window,
+        "m1_window": M1_WINDOW, "K_window": K_WINDOW,
     })
     basis = [FockVector.monomial(m)
              for n in range(deg_max + 1) for m in basis_monomials(n, N, ell)]
@@ -325,14 +333,14 @@ def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2, deg_max: int = 2,
         for j in range(1, N + 1):
             if i == j:
                 continue
-            for m1 in range(-m1_window, m1_window + 1):
+            for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
                 runs += 1
                 good = True
                 for v in basis:
                     d = deg_max
                     inner = {k2: act(GlqElement.matrix_unit(i, j, k2, m1), v)
-                             for k2 in range(-K_window - 2 * d, 2 * d + 1)}
-                    for Ktot in range(-K_window, K_window + 1):
+                             for k2 in range(-K_WINDOW - 2 * d, 2 * d + 1)}
+                    for Ktot in range(-K_WINDOW, K_WINDOW + 1):
                         acc: Dict[Monomial, Fraction] = {}
                         for k2, w in inner.items():
                             if w.is_zero():

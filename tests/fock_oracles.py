@@ -2,6 +2,7 @@
 normal-ordering rule, the evaluation-module form of the torus action,
 generator words, the text form of Fock vectors, and the weight slices of a
 degree grouped from the full monomial list."""
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from torusrep.fock import (
@@ -9,7 +10,7 @@ from torusrep.fock import (
     FockVector,
     Gen,
     Monomial,
-    apply_gen,
+    _gen_on_monomial,
     basis_monomials,
     gen_label,
     gen_mode,
@@ -17,7 +18,7 @@ from torusrep.fock import (
     rho_action,
 )
 from torusrep.liealg import GlqElement, K0, K1
-from torusrep.scalars import ParameterSet, qpow
+from torusrep.scalars import ParameterSet, accumulate, qpow
 
 
 def normal_order_pair_mode_criterion(m: int, n: int) -> Tuple[bool, int]:
@@ -59,9 +60,16 @@ def rho_action_tensor_oracle(x: GlqElement, params: ParameterSet,
 
 
 def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:
-    """Apply a product of generators, rightmost factor first."""
+    """Apply a product of generators, rightmost factor first, through the
+    single-generator kernel that every bilinear of `torusrep.fock` runs."""
     for g in reversed(gens):
-        vec = apply_gen(g, vec)
+        out: Dict[Monomial, Fraction] = {}
+        for mono, c in vec._terms.items():
+            step = _gen_on_monomial(g, mono)
+            if step is not None:
+                sign, mono2 = step
+                accumulate(out, mono2, c if sign == 1 else -c)
+        vec = FockVector._of(out)
         if vec.is_zero():
             break
     return vec

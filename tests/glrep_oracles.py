@@ -5,6 +5,8 @@ functionals.
 Each oracle multiplies or restricts Schur polynomials, built from
 semistandard tableaux, and peels off dominant leading terms. None of them
 uses the lattice-word search, so the tests compare two independent routes.
+`partitions_with_bound` enumerates partitions by size, independently of the
+shape walk that `torusrep.glrep` uses.
 """
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -14,6 +16,20 @@ from torusrep.scalars import qpow
 
 IntTuple = Tuple[int, ...]
 Poly = Dict[IntTuple, int]
+
+
+def partitions_with_bound(total: int, max_len: int, max_part: int) -> Iterable[IntTuple]:
+    """All partitions of `total` with at most max_len parts, parts <= max_part."""
+    def gen(rem: int, slots: int, bound: int):
+        if rem == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        for first in range(min(rem, bound), 0, -1):
+            for rest in gen(rem - first, slots - 1, first):
+                yield (first,) + rest
+    yield from gen(total, max_len, max_part)
 
 
 def ssyt_fillings(shape: IntTuple, nvars: int) -> Iterable[IntTuple]:

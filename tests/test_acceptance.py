@@ -4,7 +4,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from glrep_oracles import levi_branch_oracle, lr_coeff_oracle, tensor_mult_oracle
+from glrep_oracles import (
+    levi_branch_oracle,
+    lr_coeff_oracle,
+    partitions_with_bound,
+    tensor_mult_oracle,
+)
 
 from torusrep.duality import (
     verify_lattice_intertwiner,
@@ -17,7 +22,6 @@ from torusrep.glrep import (
     DominantWeight,
     levi_branch_D,
     lr_coeff,
-    partitions_with_bound,
     tensor_mult_C,
 )
 from torusrep.liealg import GlqElement
@@ -87,15 +91,13 @@ def test_A4_highest_weight():
     with criterion("A4 highest-weight relations", 60):
         for N in (2, 3):
             for ell, a in ((1, [3]), (2, [3, 3]), (2, [3, 5])):
-                rep = verify_highest_weight(N, ell, a, 2, mu_bound=2,
-                                            m0_list=(1, 2), m1_window=2,
-                                            h_window=3)
+                rep = verify_highest_weight(N, ell, a, 2, mu_bound=2)
                 assert rep.passed, rep.witness
 
 
 def test_A5_nilpotency():
     with criterion("A5 level-one nilpotency", 30):
-        rep = verify_nilpotency(1, [3], 2, N=2, deg_max=2, m1_window=2)
+        rep = verify_nilpotency(1, [3], 2, N=2, deg_max=2)
         assert rep.passed, rep.witness
 
 

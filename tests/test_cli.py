@@ -98,6 +98,7 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
     ["branch", "--mode", "levi", "--I", "[[1],[2]]", "--xi", "(1,x)",
      "--mu", "(0)"],
     ["branch", "--mode", "diag", "--I", "[[1,2]", "--mus", "(1,0)"],
+    ["branch", "--mode", "diag", "--I", "[[1,2]]", "--mus", "(1,0);(x)"],
     ["dims", "--N", "2", "--ell", "1", "--n", "-1"],
     ["dims", "--N", "0", "--ell", "1", "--n", "1"],
     ["dims", "--N", "2", "--ell", "0", "--n", "1"],
@@ -240,7 +241,7 @@ SUBCOMMANDS = {
                     mu=(["(1)", "(0)"], ["(1,x)", "()"]),
                     nu=(["(1)", "(-1)"], ["(x)"]),
                     xi=(["(1,0)", "(2,-1)", "(0,1)"], ["(1,x)"]),
-                    mus=(["(1,0);(0,-1)", "(1,0)"], ["(1)", ""]))),
+                    mus=(["(1,0);(0,-1)", "(1,0)"], ["(1)", "", "(x)", "(1,0);(x)"]))),
 }
 
 

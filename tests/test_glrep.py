@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from glrep_oracles import (
     eta_equiv,
     levi_branch_oracle,
+    partitions_with_bound,
     poly_mul,
     schur_expand,
     schur_poly,
@@ -24,7 +25,6 @@ from torusrep.glrep import (
     levi_dim,
     lr_coeff,
     mu_split,
-    partitions_with_bound,
     tensor_mult_C,
     weyl_dim,
 )
@@ -173,6 +173,52 @@ def test_levi_block_runs_one_lr_search_per_inner_shape(monkeypatch):
         inner = [lam for lam in all_partitions_up_to(sum(xi))
                  if len(lam) <= n1 and all(a <= b for a, b in zip(lam, xi))]
         assert sorted(calls) == sorted(inner)
+
+
+def test_shape_walk_matches_oracle_enumeration():
+    # the walk against partitions_with_bound filtered by containment
+    outers = [p + (0,) * pad for p in all_partitions_up_to(4) for pad in (0, 1)]
+    outers += [(k,) * r for k in (1, 2, 3) for r in (2, 3)]
+    inners = all_partitions_up_to(3)
+    for outer in outers:
+        rows, top = len(outer), max(outer, default=0)
+        everything = [nu for total in range(sum(outer) + 1)
+                      for nu in partitions_with_bound(total, rows, top)]
+        for inner in inners:
+            between = [nu for nu in everything
+                       if len(inner) <= len(nu)
+                       and all(a <= b for a, b in zip(inner, nu))
+                       and all(b <= c for b, c in zip(nu, outer))]
+            assert list(glrep._shapes_between(inner, outer)) == \
+                sorted(between, reverse=True), (inner, outer)
+            for size in range(sum(outer) + 2):
+                want = [nu for nu in between if sum(nu) == size]
+                got = list(glrep._shapes_between(inner, outer, size))
+                assert got == sorted(want, reverse=True), (inner, outer, size)
+
+
+def test_tensor_block_reads_lr_only_on_shapes_containing_both_factors(monkeypatch):
+    seen = []
+    real = glrep.lr_coeff
+
+    def counting(lam, mu, nu):
+        seen.append((lam, mu, nu))
+        return real(lam, mu, nu)
+
+    monkeypatch.setattr(glrep, "lr_coeff", counting)
+    gl3 = SetPartition.full(3)
+    weights = [(2, 1, 0), (2, 0, -1), (1, 1, 1), (3, 1, 0), (0, 0, -2)]
+    for w1 in weights:
+        for w2 in weights:
+            seen.clear()
+            got = tensor_mult_C([DominantWeight.of(w1, gl3),
+                                 DominantWeight.of(w2, gl3)])
+            assert got == tensor_mult_oracle(w1, w2, 3)
+            assert seen
+            for lam, mu, nu in seen:
+                for inner in (lam, mu):
+                    assert len(inner) <= len(nu) and \
+                        all(a <= b for a, b in zip(inner, nu)), (lam, mu, nu)
 
 
 def test_levi_branch_D_dimension_identity():
