@@ -13,10 +13,11 @@ which side goes first:
   removed before every run; per metric it records the medians of the
   speed-scaled run values, the parent's quartiles, and in how many pairs
   the change was better;
-- the check-free deep-degree probe
-  ``verify_skew_duality(2, 2, [3,3], 2, n_max, check_hw=False)`` at n_max 6
-  and 8, PROBE_RUNS (3) runs per side: the call's wall time, the peak RSS
-  of the process and the report's sha256;
+- the check-free deep-degree probe, ``torusrep.cli.main`` on
+  ``verify-duality --N 2 --ell 2 --a 3,3 --n-max N --skip-hw`` (an argv
+  both sides accept) at n_max 6 and 8, PROBE_RUNS (3) runs per side: the
+  call's wall time, the peak RSS of the process and the sha256 of the
+  report the call writes to stdout;
 - the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
   (3) runs per side: the process's wall time, each job's time as the
   script prints it, and the sha256 of each report, which must agree
@@ -48,14 +49,21 @@ PAIRS = 10
 SECONDS = 20
 PROBE_RUNS = 3
 BATTERY_RUNS = 3
-PROBE = ("import hashlib, json, resource, time; "
-         "from torusrep.duality import verify_skew_duality as v; "
-         "t = time.perf_counter(); r = v(2, 2, [3, 3], 2, {n}, check_hw=False); "
-         "s = time.perf_counter() - t; "
-         "print(json.dumps({{'wall_s': round(s, 3), "
-         "'peak_rss_mb': round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1), "
-         "'passed': r.passed, "
-         "'report_sha256': hashlib.sha256(r.to_json().encode()).hexdigest()}}))")
+PROBE = """\
+import contextlib, hashlib, io, json, resource, time
+from torusrep.cli import main
+argv = "verify-duality --N 2 --ell 2 --a 3,3 --n-max {n} --skip-hw".split()
+out = io.StringIO()
+t = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main(argv)
+s = time.perf_counter() - t
+print(json.dumps({{
+    "wall_s": round(s, 3),
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "passed": code == 0,
+    "report_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}}))
+"""
 
 
 def end_to_end_metrics():
@@ -223,8 +231,9 @@ def main() -> int:
         "deep_degree_probe": {
             "command": "PYTHONPATH=src python3 -c " + json.dumps(PROBE.format(n="N")),
             "note": "N = n_max; one fresh interpreter per run, parent and change "
-                    "alternated; wall_s is the call alone, peak_rss_mb is ru_maxrss "
-                    "of the whole process",
+                    "alternated; wall_s is the main() call alone (parsing, the "
+                    "suite and the JSON report), peak_rss_mb is ru_maxrss of the "
+                    "whole process",
             "results": probes,
         },
         "battery": {

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print the graded decomposition table of one Fock configuration.
 
-Usage: python scripts/duality_tables.py [N] [ell] [q] [a1,a2,...] [n_max]
+Usage: python scripts/duality_tables.py [N] [q] [a1,a2,...] [n_max]
+
+The number of flavors ell is the length of the parameter tuple.
 """
 import pathlib
 import sys
@@ -16,11 +18,11 @@ from torusrep.scalars import as_scalar  # noqa: E402
 def main() -> int:
     argv = sys.argv[1:]
     N = int(argv[0]) if len(argv) > 0 else 2
-    ell = int(argv[1]) if len(argv) > 1 else 1
-    q = as_scalar(argv[2]) if len(argv) > 2 else as_scalar(2)
-    a = [as_scalar(x) for x in argv[3].split(",")] if len(argv) > 3 else [as_scalar(3)]
-    n_max = int(argv[4]) if len(argv) > 4 else 2
-    rep = verify_skew_duality(N, ell, a, q, n_max)
+    q = as_scalar(argv[1]) if len(argv) > 1 else as_scalar(2)
+    a = [as_scalar(x) for x in argv[2].split(",")] if len(argv) > 2 else [as_scalar(3)]
+    n_max = int(argv[3]) if len(argv) > 3 else 2
+    ell = len(a)
+    rep = verify_skew_duality(N, a, q, n_max)
     print(f"N={N} ell={ell} q={q} a={a}  ({rep.verdict})")
     for entry in rep.degrees:
         n = entry["n"]

@@ -31,20 +31,19 @@ JOBS = [
     ("bracket_N3", lambda: verify_bracket_axioms(3, "5/2", 200, SEED)),
     ("theta_N2", lambda: verify_theta_iso(2, 2, 200, SEED)),
     ("theta_N3", lambda: verify_theta_iso(3, 3, 200, SEED)),
-    ("module_l1", lambda: verify_module_property(2, 1, [3], 2, 100, SEED)),
-    ("module_l2", lambda: verify_module_property(2, 2, [3, 5], 2, 100, SEED)),
-    ("hw_N2l2", lambda: verify_highest_weight(2, 2, [3, 3], 2)),
-    ("nilpotency", lambda: verify_nilpotency(1, [3], 2)),
-    ("duality_N2l1", lambda: verify_skew_duality(2, 1, [3], 2, 2)),
-    ("duality_N2l2", lambda: verify_skew_duality(2, 2, [3, 3], 2, 2)),
-    ("duality_N3l1", lambda: verify_skew_duality(3, 1, [3], 2, 2)),
-    ("tensor_33", lambda: verify_tensor_branching(2, 1, 1, [3], [3], 2, 1)),
-    ("tensor_35", lambda: verify_tensor_branching(2, 1, 1, [3], [5], 2, 1)),
-    ("levi_22", lambda: verify_levi_branching((2, 2), 1, [3], 2, 1)),
-    ("levi_23", lambda: verify_levi_branching((2, 3), 1, [3], 2, 1)),
-    ("lattice", lambda: verify_lattice_intertwiner(2, 1, 2, 1, [3], 2,
-                                                   n_max=1, trials=100,
-                                                   seed=SEED)),
+    ("module_l1", lambda: verify_module_property(2, [3], 2, 100, SEED)),
+    ("module_l2", lambda: verify_module_property(2, [3, 5], 2, 100, SEED)),
+    ("hw_N2l2", lambda: verify_highest_weight(2, [3, 3], 2)),
+    ("nilpotency", lambda: verify_nilpotency([3], 2)),
+    ("duality_N2l1", lambda: verify_skew_duality(2, [3], 2, 2)),
+    ("duality_N2l2", lambda: verify_skew_duality(2, [3, 3], 2, 2)),
+    ("duality_N3l1", lambda: verify_skew_duality(3, [3], 2, 2)),
+    ("tensor_33", lambda: verify_tensor_branching(2, [3], [3], 2, 1)),
+    ("tensor_35", lambda: verify_tensor_branching(2, [3], [5], 2, 1)),
+    ("levi_22", lambda: verify_levi_branching((2, 2), [3], 2, 1)),
+    ("levi_23", lambda: verify_levi_branching((2, 3), [3], 2, 1)),
+    ("lattice", lambda: verify_lattice_intertwiner(2, 2, 1, [3], 2, n_max=1,
+                                                   trials=100, seed=SEED)),
 ]
 
 

@@ -100,29 +100,30 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ell=True, a=True):
-        sp.add_argument("--N", type=int, default=2)
+    def common(sp, N=True, a=True, seed=False):
+        if N:
+            sp.add_argument("--N", type=int, default=2)
         sp.add_argument("--q", type=_rational, default=as_scalar(2))
-        if ell:
-            sp.add_argument("--ell", type=_positive, default=1)
         if a:
+            sp.add_argument("--ell", type=_positive, default=1)
             sp.add_argument("--a", type=_rational_list, default=[as_scalar(3)])
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", type=str, default=None)
         sp.add_argument("--format", choices=("json", "tsv"), default="json")
 
     sp = sub.add_parser("verify-bracket", help="bracket axioms on random triples")
-    common(sp, ell=False, a=False)
+    common(sp, a=False, seed=True)
     sp.add_argument("--trials", type=_positive, default=200)
     sp.add_argument("--max-exp", type=_nonnegative, default=3)
 
     sp = sub.add_parser("verify-theta", help="covariant relabeling is a bracket isomorphism")
-    common(sp, ell=False, a=False)
+    common(sp, a=False, seed=True)
     sp.add_argument("--trials", type=_positive, default=200)
     sp.add_argument("--max-exp", type=_nonnegative, default=3)
 
     sp = sub.add_parser("verify-module", help="commutator vs bracket on the Fock space")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--trials", type=_positive, default=100)
     sp.add_argument("--deg-max", type=_nonnegative, default=2)
     sp.add_argument("--max-exp", type=_nonnegative, default=2)
@@ -147,12 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=_nonnegative, default=1)
 
     sp = sub.add_parser("verify-levi", help="diagonal Levi branching of the big Fock space")
-    common(sp)
+    common(sp, N=False)
     sp.add_argument("--bfN", type=_positive_list, default=[2, 2])
     sp.add_argument("--n-max", type=_nonnegative, default=1)
 
     sp = sub.add_parser("verify-lattice", help="index-sublattice refolding intertwiner")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--M0", type=_positive, default=2)
     sp.add_argument("--M1", type=_positive, default=1)
     sp.add_argument("--n-max", type=_nonnegative, default=1)
@@ -262,6 +263,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        # --ell and --ellp state the lengths of --a and --b
+        opts = vars(args)
+        for count, values in (("ell", "a"), ("ellp", "b")):
+            if values in opts and len(opts[values]) != opts[count]:
+                raise InvalidParams(f"need {opts[count]} parameters, "
+                                    f"got {len(opts[values])}")
         if args.command == "verify-bracket":
             rep = verify_bracket_axioms(args.N, args.q, args.trials, args.seed,
                                         args.max_exp)
@@ -269,28 +276,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rep = verify_theta_iso(args.N, args.q, args.trials, args.seed,
                                    args.max_exp)
         elif args.command == "verify-module":
-            rep = verify_module_property(args.N, args.ell, args.a, args.q,
-                                         args.trials, args.seed,
-                                         args.deg_max, args.max_exp)
+            rep = verify_module_property(args.N, args.a, args.q, args.trials,
+                                         args.seed, args.deg_max, args.max_exp)
         elif args.command == "verify-hw":
-            rep = verify_highest_weight(args.N, args.ell, args.a, args.q,
-                                        args.mu_bound)
+            rep = verify_highest_weight(args.N, args.a, args.q, args.mu_bound)
         elif args.command == "verify-nilpotency":
-            rep = verify_nilpotency(args.ell, args.a, args.q, args.N,
-                                    args.deg_max)
+            rep = verify_nilpotency(args.a, args.q, args.N, args.deg_max)
         elif args.command == "verify-duality":
-            rep = verify_skew_duality(args.N, args.ell, args.a, args.q,
-                                      args.n_max, check_hw=not args.skip_hw)
+            rep = verify_skew_duality(args.N, args.a, args.q, args.n_max,
+                                      check_hw=not args.skip_hw)
         elif args.command == "verify-tensor":
-            rep = verify_tensor_branching(args.N, args.ell, args.ellp,
-                                          args.a, args.b, args.q, args.n_max)
+            rep = verify_tensor_branching(args.N, args.a, args.b, args.q,
+                                          args.n_max)
         elif args.command == "verify-levi":
-            rep = verify_levi_branching(args.bfN, args.ell, args.a, args.q,
-                                        args.n_max)
+            rep = verify_levi_branching(args.bfN, args.a, args.q, args.n_max)
         elif args.command == "verify-lattice":
-            rep = verify_lattice_intertwiner(args.N, args.ell, args.M0,
-                                             args.M1, args.a, args.q,
-                                             args.n_max, args.trials,
+            rep = verify_lattice_intertwiner(args.N, args.M0, args.M1, args.a,
+                                             args.q, args.n_max, args.trials,
                                              args.seed)
         elif args.command == "dims":
             sys.stdout.write(f"{graded_dim(args.n, args.N, args.ell)}\n")

@@ -21,14 +21,18 @@ distinct, so the exponential sums separate).
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, PartitionMismatch
 from .fock import (
+    PSI,
     FockVector,
     Monomial,
     basis_monomials,
+    gen_label,
+    gen_mode,
     gl_ell_action,
     glbar_action,
     graded_dim,
@@ -88,25 +92,20 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def weight_spaces(n: int, N: int, ell: int,
-                  keep: Optional[Callable[[Tuple[int, ...]], bool]] = None,
-                  tables: Optional[FlavorTables] = None
+def weight_spaces(n: int, tables: FlavorTables,
+                  keep: Optional[Callable[[Tuple[int, ...]], bool]] = None
                   ) -> Dict[Tuple[int, ...], List[Monomial]]:
-    """Degree-n monomials grouped by flavor weight, each slice sorted; only
-    the nonempty slices of the weights w with keep(w) when ``keep`` is set.
+    """Degree-n monomials of rank tables.N with tables.ell flavors, grouped
+    by flavor weight, each slice sorted; only the nonempty slices of the
+    weights w with keep(w) when ``keep`` is set.
 
     Generators sort by flavor first, so a monomial is the concatenation of
     its per-flavor parts, and the weight-w slice is the union over degree
     compositions (n_1, ..., n_ell) of n of the products of the flavor-p
-    parts of degree n_p and charge w_p.  ``tables`` (rank N, ell flavors)
-    carries the enumerated parts from one call to the next."""
-    if tables is None:
-        tables = FlavorTables(N, ell)
-    elif (tables.N, tables.ell) != (N, ell):
-        raise ValueError(f"tables of rank {tables.N} with {tables.ell} flavors "
-                         f"used for rank {N} with {ell} flavors")
+    parts of degree n_p and charge w_p.  ``tables`` carries the enumerated
+    parts from one call to the next."""
     out: Dict[Tuple[int, ...], List[Monomial]] = {}
-    for comp in _compositions(n, ell):
+    for comp in _compositions(n, tables.ell):
         per_flavor = tables.at(comp)
         for w in itertools.product(*per_flavor):
             if keep is None or keep(w):
@@ -206,8 +205,7 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
         return 0
     rows: List[Dict[int, Fraction]] = []
     for (flavors, A, B) in _block_upper_ops(partition, n0, N):
-        images = [glbar_action(A, B, v, N, params.ell, flavors=flavors)
-                  for v in base]
+        images = [glbar_action(A, B, v, N, flavors) for v in base]
         rows.extend(_image_rows(images))
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
@@ -219,27 +217,24 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
     return len(nullspace(rows, len(base)))
 
 
-def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
+def verify_skew_duality(N: int, a: Sequence, q, n_max: int,
                         check_hw: bool = True) -> DecompositionReport:
     """Per degree: sum over dominant weights of (fixed dim) x (Levi dim)
     must exhaust the slice dimension, and each detected weight must carry a
     one-dimensional joint highest-weight space."""
-    if len(a) != ell:
-        raise InvalidParams(f"need {ell} parameters, got {len(a)}")
     params = ParameterSet.of(q, a, N)
     partition = validate_spectrum(a, q)
     report = DecompositionReport(config={
-        "suite": "skew-duality", "N": N, "ell": ell,
+        "suite": "skew-duality", "N": N, "ell": params.ell,
         "q": str(params.q), "a": [str(x) for x in params.a],
         "partition": partition.describe(), "n_max": n_max,
     })
     seen: set = set()
-    tables = FlavorTables(N, ell)
+    tables = FlavorTables(N, params.ell)
     for n in range(n_max + 1):
         table = {}
         lhs = 0
-        spaces = weight_spaces(n, N, ell,
-                               lambda w: is_dominant(w, partition), tables)
+        spaces = weight_spaces(n, tables, lambda w: is_dominant(w, partition))
         fdims = _dominant_fixed_dims(partition, spaces, N)
         for w, m in fdims.items():
             d = levi_dim(w, partition)
@@ -248,24 +243,25 @@ def verify_skew_duality(N: int, ell: int, a: Sequence, q, n_max: int,
             if check_hw and w not in seen:
                 seen.add(w)
                 n0 = hw_degree(w, params)
-                hw_slice = weight_spaces(n0, N, ell, w.__eq__, tables).get(w, [])
+                hw_slice = weight_spaces(n0, tables, w.__eq__).get(w, [])
                 jd = joint_hw_dim(w, hw_slice, params)
                 if jd != 1:
                     report.fail({"degree": n, "weight": weight_key(w),
                                  "joint_hw_dim": jd, "expected": 1})
-        rhs = graded_dim(n, N, ell)
+        rhs = graded_dim(n, N, params.ell)
         report.add_case(n, table, lhs, rhs)
         if lhs != rhs:
             report.fail({"degree": n, "lhs": lhs, "rhs": rhs})
     return report
 
 
-def verify_tensor_branching(N: int, ell: int, ellp: int, a: Sequence,
-                            b: Sequence, q, n_max: int) -> DecompositionReport:
+def verify_tensor_branching(N: int, a: Sequence, b: Sequence, q,
+                            n_max: int) -> DecompositionReport:
     """Isotypic comparison of the product-side and merged-side fixed spaces
     through the Levi restriction constants."""
-    if len(a) != ell or len(b) != ellp:
-        raise InvalidParams("parameter tuples must match the stated lengths")
+    if not a or not b:
+        raise InvalidParams("need at least one parameter on each side")
+    ell, ellp = len(a), len(b)
     ab = list(a) + list(b)
     params = ParameterSet.of(q, ab, N)
     merged = validate_spectrum(ab, q)
@@ -284,8 +280,7 @@ def verify_tensor_branching(N: int, ell: int, ellp: int, a: Sequence,
         # each product block lies inside a merged block, so the product-
         # dominant slices hold the merged-dominant ones, and levi_branch_D
         # pairs Levi-dominant weights: no other slice is read
-        spaces = weight_spaces(n, N, ell + ellp,
-                               lambda w: is_dominant(w, prod_part), tables)
+        spaces = weight_spaces(n, tables, lambda w: is_dominant(w, prod_part))
         # merged-side data
         fdim = _dominant_fixed_dims(merged, spaces, N)
         dmaps = {w: levi_branch_D(DominantWeight.of(w, merged), part_a, part_b)
@@ -318,25 +313,22 @@ def verify_tensor_branching(N: int, ell: int, ellp: int, a: Sequence,
     return report
 
 
-def verify_levi_branching(bfN: Sequence[int], ell: int, a: Sequence, q,
+def verify_levi_branching(bfN: Sequence[int], a: Sequence, q,
                           n_max: int) -> DecompositionReport:
     """Fixed-space dimensions of the big slice against the convolution of
     the factors weighted by the diagonal tensor constants."""
-    if len(a) != ell:
-        raise InvalidParams(f"need {ell} parameters, got {len(a)}")
     bfN = tuple(bfN)
     N = sum(bfN)
     params = ParameterSet.of(q, a, N)
     partition = validate_spectrum(a, q)
     report = DecompositionReport(config={
-        "suite": "levi-branching", "bfN": list(bfN), "ell": ell,
+        "suite": "levi-branching", "bfN": list(bfN), "ell": params.ell,
         "q": str(params.q), "a": [str(x) for x in params.a], "n_max": n_max,
     })
-    by_rank = {r: FlavorTables(r, ell) for r in set(bfN) | {N}}
+    by_rank = {r: FlavorTables(r, params.ell) for r in set(bfN) | {N}}
 
     def dominant_dims(n: int, Nr: int) -> Dict[Tuple[int, ...], int]:
-        spaces = weight_spaces(n, Nr, ell,
-                               lambda w: is_dominant(w, partition), by_rank[Nr])
+        spaces = weight_spaces(n, by_rank[Nr], lambda w: is_dominant(w, partition))
         return _dominant_fixed_dims(partition, spaces, Nr)
 
     # per factor rank and degree: {weight: fixed dim}; equal factors share
@@ -394,12 +386,11 @@ def lattice_parameters(a: Sequence, q, M0: int, M1: int) -> Tuple[Tuple[Fraction
 def phi_gen(g, ell: int, M0: int, N: int):
     """Refold one generator of the M0*ell-flavor algebra into the ell-flavor
     algebra: flavor k*ell+p at mode n becomes flavor p at mode M0*n -+ k."""
-    pp, kind, idx = g
+    pp, kind, _ = g
     p = (pp - 1) % ell + 1
     k = (pp - 1) // ell
-    n = idx // N + (1 if kind == 0 else 0)
-    i = (n * N - idx) if kind == 0 else (idx - n * N + 1)
-    if kind == 0:
+    n, i = gen_mode(g, N), gen_label(g, N)
+    if kind == PSI:
         return psi(i, p, M0 * n - k, N)
     return psibar(i, p, M0 * n + k, N)
 
@@ -430,19 +421,15 @@ def _pairing(g1, g2) -> int:
     return 1 if (p1 == p2 and i1 + i2 == -1) else 0
 
 
-def verify_lattice_intertwiner(N: int, ell: int, M0: int, M1: int,
-                               a: Sequence, q, n_max: int = 1,
-                               trials: int = 100,
+def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
+                               n_max: int = 1, trials: int = 100,
                                seed: int = 0) -> DecompositionReport:
     """Checks the refolding isomorphism: anticommutation transport, the
     torus-action intertwining over the index sublattice, flavor-action
     equivariance, and the dimension identity for the diagonal restriction
     constants."""
-    import random as _random
-
-    if len(a) != ell:
-        raise InvalidParams(f"need {ell} parameters, got {len(a)}")
     params = ParameterSet.of(q, a, N)
+    ell = params.ell
     part = validate_spectrum(a, q)
     aa, qq = lattice_parameters(a, q, M0, M1)
     big_part = validate_spectrum(aa, qq)   # NotGeneric propagates
@@ -450,7 +437,7 @@ def verify_lattice_intertwiner(N: int, ell: int, M0: int, M1: int,
         raise PartitionMismatch(
             f"refolded partition {big_part.describe()} != {part.power(M0).describe()}")
     big_params = ParameterSet.of(qq, aa, N)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     report = DecompositionReport(config={
         "suite": "lattice-intertwiner", "N": N, "ell": ell, "M0": M0,
         "M1": M1, "q": str(params.q), "a": [str(x) for x in params.a],

@@ -55,8 +55,7 @@ def gen_mode(g: Gen, N: int) -> int:
 def gen_label(g: Gen, N: int) -> int:
     """The matrix label i in 1..N."""
     _, kind, idx = g
-    n = gen_mode(g, N)
-    return n * N - idx if kind == PSI else idx - n * N + 1
+    return (-idx - 1) % N + 1 if kind == PSI else idx % N + 1
 
 
 def gen_degree(g: Gen, N: int) -> int:
@@ -234,13 +233,12 @@ def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
     return FockVector._of(acc)
 
 
-def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int, ell: int,
-                 flavors: Optional[Sequence[int]] = None) -> FockVector:
+def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int,
+                 flavors: Sequence[int]) -> FockVector:
     """Action of the centrally extended doubly-infinite matrix unit
-    E_{mrow,ncol}; the optional flavor block restricts the sum."""
+    E_{mrow,ncol}, summed over the given flavors (a block, or 1..ell)."""
     m, i = (mrow - 1) // N, (mrow - 1) % N + 1
     n, j = (ncol - 1) // N, (ncol - 1) % N + 1
-    flavors = flavors if flavors is not None else range(1, ell + 1)
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         for p in flavors:

@@ -43,6 +43,12 @@ def trim(lam: Sequence[int]) -> IntTuple:
     return tuple(out)
 
 
+def _det_shift(w: Sequence[int]) -> Tuple[int, IntTuple]:
+    """(c, trim(w + c)) for the least c >= 0 that makes w a partition."""
+    c = -min(list(w) + [0])
+    return c, trim(tuple(x + c for x in w))
+
+
 # -- Littlewood-Richardson by lattice-word tableau filling -------------------
 
 def _lr_contents(lam: IntTuple, nu: IntTuple,
@@ -137,10 +143,9 @@ class DominantWeight:
     def __post_init__(self):
         if len(self.mu) != self.partition.ell:
             raise InvalidParams("weight length differs from partition size")
-        for b in self.partition.blocks:
-            vals = [self.mu[i - 1] for i in b]
-            if any(vals[t] < vals[t + 1] for t in range(len(vals) - 1)):
-                raise InvalidParams(f"weight {self.mu} not dominant on block {b}")
+        if not is_dominant(self.mu, self.partition):
+            raise InvalidParams(f"weight {self.mu} not dominant on "
+                                f"{self.partition.describe()}")
 
     @staticmethod
     def of(mu: Sequence[int], partition: SetPartition) -> "DominantWeight":
@@ -162,9 +167,8 @@ def levi_dim(mu: Sequence[int], partition: SetPartition) -> int:
     """Product of per-block Weyl dimensions (after a det shift per block)."""
     dim = 1
     for b in partition.blocks:
-        vals = [mu[i - 1] for i in b]
-        shift = min(vals + [0])
-        dim *= weyl_dim([v - shift for v in vals], len(b))
+        _, lam = _det_shift([mu[i - 1] for i in b])
+        dim *= weyl_dim(lam, len(b))
     return dim
 
 
@@ -197,9 +201,8 @@ def _tensor_block(w1: IntTuple, w2: IntTuple,
     integer weights, after a det shift of each factor to a partition.
     Returns {((index, value), ...): multiplicity}."""
     n = len(block)
-    c1, c2 = -min(list(w1) + [0]), -min(list(w2) + [0])
-    p1 = trim(tuple(x + c1 for x in w1))
-    p2 = trim(tuple(x + c2 for x in w2))
+    c1, p1 = _det_shift(w1)
+    c2, p2 = _det_shift(w2)
     # c^nu_{p1,p2} != 0 forces p1 and p2 inside nu and nu_1 <= p1_1 + p2_1
     inner = tuple(max(a, b) for a, b in itertools.zip_longest(p1, p2, fillvalue=0))
     first = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
@@ -284,8 +287,7 @@ def _restrict_block(w: IntTuple, block: IntTuple,
     n1, n2 = len(left), len(right)
     if n1 == 0 or n2 == 0:
         return {tuple(zip(block, w)): 1}
-    shift = -min(list(w) + [0])
-    xi = trim(tuple(x + shift for x in w))
+    shift, xi = _det_shift(w)
     out: Dict[Assignment, int] = {}
     # c^xi_{lam,mu} != 0 forces lam, mu inside xi, so one search per lam
     # inside xi yields every mu, with entries capped by xi's first n2 rows

@@ -5,6 +5,7 @@ returns a DecompositionReport whose witness pins the first failure.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -209,23 +210,20 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
     return report
 
 
-def verify_module_property(N: int, ell: int, a: Sequence, q, trials: int,
-                           seed: int, deg_max: int = 2,
-                           max_exp: int = 2) -> DecompositionReport:
+def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
+                           deg_max: int = 2, max_exp: int = 2) -> DecompositionReport:
     """Commutator of actions against the action of the bracket on every
     basis vector of bounded degree."""
-    if len(a) != ell:
-        raise InvalidParams(f"need {ell} parameters, got {len(a)}")
     params = ParameterSet.of(q, a, N)
     rng = random.Random(seed)
     act = CachedAction(params)
     report = DecompositionReport(config={
-        "suite": "module-property", "N": N, "ell": ell, "q": str(params.q),
+        "suite": "module-property", "N": N, "ell": params.ell, "q": str(params.q),
         "a": [str(x) for x in params.a], "trials": trials, "seed": seed,
         "deg_max": deg_max, "max_exp": max_exp,
     })
     basis = [FockVector.monomial(m)
-             for n in range(deg_max + 1) for m in basis_monomials(n, N, ell)]
+             for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
     ok = 0
     for t in range(trials):
         x = sample_basis_element(rng, N, max_exp)
@@ -247,13 +245,12 @@ def verify_module_property(N: int, ell: int, a: Sequence, q, trials: int,
     return report
 
 
-def verify_highest_weight(N: int, ell: int, a: Sequence, q,
+def verify_highest_weight(N: int, a: Sequence, q,
                           mu_bound: int = 2) -> DecompositionReport:
     """The product vectors are killed by the raising half, carry the stated
     toral eigenvalues, and are fixed vectors of the stated flavor weight."""
-    if len(a) != ell:
-        raise InvalidParams(f"need {ell} parameters, got {len(a)}")
     params = ParameterSet.of(q, a, N)
+    ell = params.ell
     partition = validate_spectrum(a, q)
     act = CachedAction(params)
     report = DecompositionReport(config={
@@ -261,8 +258,7 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
         "a": [str(x) for x in params.a], "mu_bound": mu_bound,
         "m0_list": list(HW_M0), "m1_window": M1_WINDOW, "h_window": TORAL_WINDOW,
     })
-    import itertools as _it
-    mus = [mu for mu in _it.product(range(-mu_bound, mu_bound + 1), repeat=ell)
+    mus = [mu for mu in itertools.product(range(-mu_bound, mu_bound + 1), repeat=ell)
            if is_dominant(mu, partition)]
     ok = 0
     for mu in mus:
@@ -307,7 +303,7 @@ def verify_highest_weight(N: int, ell: int, a: Sequence, q,
     return report
 
 
-def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2,
+def verify_nilpotency(a: Sequence, q, N: int = 2,
                       deg_max: int = 2) -> DecompositionReport:
     """Level-one square-vanishing: the quadratic mode sums of the bilinear
     family annihilate every bounded-degree state for off-diagonal labels.
@@ -317,17 +313,15 @@ def verify_nilpotency(ell: int, a: Sequence, q, N: int = 2,
     degree-d state; outside the reported K window every composite term is
     zero for the same reason.
     """
-    if len(a) != ell:
-        raise InvalidParams(f"need {ell} parameters, got {len(a)}")
     params = ParameterSet.of(q, a, N)
     act = CachedAction(params)
     report = DecompositionReport(config={
-        "suite": "nilpotency", "N": N, "ell": ell, "q": str(params.q),
+        "suite": "nilpotency", "N": N, "ell": params.ell, "q": str(params.q),
         "a": [str(x) for x in params.a], "deg_max": deg_max,
         "m1_window": M1_WINDOW, "K_window": K_WINDOW,
     })
     basis = [FockVector.monomial(m)
-             for n in range(deg_max + 1) for m in basis_monomials(n, N, ell)]
+             for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
     ok = runs = 0
     for i in range(1, N + 1):
         for j in range(1, N + 1):

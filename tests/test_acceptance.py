@@ -71,8 +71,8 @@ def test_A2_theta_isomorphism():
 
 def test_A3_module_property():
     with criterion("A3 module property", 60):
-        for ell, a in ((1, [3]), (2, [3, 5])):
-            rep = verify_module_property(2, ell, a, 2, 100, SEED,
+        for a in ([3], [3, 5]):
+            rep = verify_module_property(2, a, 2, 100, SEED,
                                          deg_max=2, max_exp=2)
             assert rep.passed, rep.witness
         # the scalar corrections and the central values, explicitly
@@ -90,32 +90,32 @@ def test_A3_module_property():
 def test_A4_highest_weight():
     with criterion("A4 highest-weight relations", 60):
         for N in (2, 3):
-            for ell, a in ((1, [3]), (2, [3, 3]), (2, [3, 5])):
-                rep = verify_highest_weight(N, ell, a, 2, mu_bound=2)
+            for a in ([3], [3, 3], [3, 5]):
+                rep = verify_highest_weight(N, a, 2, mu_bound=2)
                 assert rep.passed, rep.witness
 
 
 def test_A5_nilpotency():
     with criterion("A5 level-one nilpotency", 30):
-        rep = verify_nilpotency(1, [3], 2, N=2, deg_max=2)
+        rep = verify_nilpotency([3], 2, N=2, deg_max=2)
         assert rep.passed, rep.witness
 
 
 def test_A6_skew_duality():
     with criterion("A6 skew duality", 120):
-        rep = verify_skew_duality(2, 1, [3], 2, 2)
+        rep = verify_skew_duality(2, [3], 2, 2)
         assert rep.passed, rep.witness
         d0 = rep.degrees[0]
         assert d0["table"] == {"(0)": [1, 1], "(1)": [2, 1], "(2)": [1, 1]}
         assert d0["lhs"] == d0["rhs"] == 4
-        for (N, ell, a) in ((2, 2, [3, 5]), (2, 2, [3, 3]), (3, 1, [3])):
-            rep = verify_skew_duality(N, ell, a, 2, 2)
+        for (N, a) in ((2, [3, 5]), (2, [3, 3]), (3, [3])):
+            rep = verify_skew_duality(N, a, 2, 2)
             assert rep.passed, rep.witness
 
 
 def test_A7_tensor_branching():
     with criterion("A7 tensor branching", 120):
-        rep = verify_tensor_branching(2, 1, 1, [3], [3], 2, 1)
+        rep = verify_tensor_branching(2, [3], [3], 2, 1)
         assert rep.passed, rep.witness
         table0 = rep.degrees[0]["table"]
         assert table0["(1)|(1)"] == [4, 4]
@@ -125,18 +125,18 @@ def test_A7_tensor_branching():
         D20 = levi_branch_D(DominantWeight.of((2, 0), merged), gl1, gl1)
         D11 = levi_branch_D(DominantWeight.of((1, 1), merged), gl1, gl1)
         assert D20[((1,), (1,))] == 1 and D11[((1,), (1,))] == 1
-        from torusrep.duality import fixed_dim, weight_spaces
-        spaces = weight_spaces(0, 2, 2)
+        from torusrep.duality import FlavorTables, fixed_dim, weight_spaces
+        spaces = weight_spaces(0, FlavorTables(2, 2))
         assert fixed_dim(merged, spaces[(2, 0)], 2) == 1
         assert fixed_dim(merged, spaces[(1, 1)], 2) == 3
-        rep = verify_tensor_branching(2, 1, 1, [3], [5], 2, 1)
+        rep = verify_tensor_branching(2, [3], [5], 2, 1)
         assert rep.passed, rep.witness
 
 
 def test_A8_levi_branching():
     with criterion("A8 Levi branching", 180):
         for bfN in ((2, 2), (2, 3)):
-            rep = verify_levi_branching(bfN, 1, [3], 2, 1)
+            rep = verify_levi_branching(bfN, [3], 2, 1)
             assert rep.passed, rep.witness
 
 
@@ -176,7 +176,7 @@ def test_A9_lr_oracle_agreement():
 
 def test_A10_lattice_intertwiner():
     with criterion("A10 sublattice intertwiner", 120):
-        rep = verify_lattice_intertwiner(2, 1, 2, 1, [3], 2, n_max=1,
+        rep = verify_lattice_intertwiner(2, 2, 1, [3], 2, n_max=1,
                                          trials=100, seed=SEED)
         assert rep.passed, rep.witness
         assert rep.config["refolded_a"] == ["3", "3/2"]

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrep.cli import main
+from torusrep.cli import build_parser, main
 from torusrep.reports import DecompositionReport
 
 PKG = Path(__file__).resolve().parents[1]
@@ -49,10 +50,66 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_parameter_length_mismatch_is_usage_error(capsys):
+    # --ell and --ellp state the lengths of --a and --b; the CLI checks them
     code = main(["verify-duality", "--N", "2", "--ell", "2", "--q", "2",
                  "--a", "3", "--n-max", "1"])
     assert code == 2
-    assert "parameters" in capsys.readouterr().err
+    assert "need 2 parameters, got 1" in capsys.readouterr().err
+    assert main(["verify-tensor", "--ellp", "2", "--b", "3,5,7"]) == 2
+    assert "need 2 parameters, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-hw", "--seed", "1"],
+    ["verify-nilpotency", "--seed", "1"],
+    ["verify-duality", "--seed", "1"],
+    ["verify-tensor", "--seed", "1"],
+    ["verify-levi", "--seed", "1"],
+    ["verify-levi", "--N", "3"],
+], ids="-".join)
+def test_unread_flag_is_usage_error(argv, capsys):
+    # these suites draw nothing at random, and verify-levi takes its ranks
+    # from --bfN: a flag the run would ignore is refused
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _subparsers():
+    """The parser of each subcommand, by name."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# Small bounds for a fast run of every verify-* subcommand.
+QUICK = {
+    "verify-bracket": ["--trials", "1"],
+    "verify-theta": ["--trials", "1"],
+    "verify-module": ["--trials", "1", "--deg-max", "0"],
+    "verify-hw": ["--mu-bound", "0"],
+    "verify-nilpotency": ["--deg-max", "0"],
+    "verify-duality": ["--n-max", "0"],
+    "verify-tensor": ["--n-max", "0"],
+    "verify-levi": ["--n-max", "0"],
+    "verify-lattice": ["--n-max", "0", "--trials", "1"],
+}
+# Flags that choose where and how the report is written, and --skip-hw,
+# which only drops checks.
+NOT_IN_CONFIG = {"output", "format", "skip_hw"}
+
+
+@pytest.mark.parametrize("command", sorted(c for c in _subparsers()
+                                            if c.startswith("verify-")))
+def test_every_flag_is_recorded_in_the_config(command, capsys):
+    # a flag the report config does not name is an input the run ignores
+    flags = {a.dest for a in _subparsers()[command]._actions
+             if a.option_strings and a.dest != "help"}
+    assert main([command] + QUICK[command]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert sorted(flags - NOT_IN_CONFIG - set(config)) == []
 
 
 @pytest.mark.parametrize("command", ["verify-duality", "verify-tensor",
@@ -215,7 +272,10 @@ TRIALS = (["1", "3"], ["-1", "0", "x"])
 MAX_EXP = (["0", "2"], ["-1", "x"])
 DEG_MAX = (["0"], ["-1", "x"])
 N_MAX = (["0", "1"], ["-1", "x"])
-COMMON = dict(N=N, q=Q, ell=ELL, a=A, seed=SEED)
+# A flag the subcommand does not accept: given only as the broken flag, with
+# a value other subcommands take.
+REFUSED = ([], ["3"])
+COMMON = dict(N=N, q=Q, ell=ELL, a=A)
 # Per subcommand: the flags always given, and those that may be left at
 # their default.
 SUBCOMMANDS = {
@@ -223,21 +283,24 @@ SUBCOMMANDS = {
                        dict(N=(["2", "3"], N[1]), q=Q, seed=SEED)),
     "verify-theta": (dict(trials=TRIALS, max_exp=MAX_EXP),
                      dict(N=(["2", "3"], N[1]), q=Q, seed=SEED)),
-    "verify-module": (dict(trials=TRIALS, deg_max=DEG_MAX, max_exp=MAX_EXP), COMMON),
-    "verify-hw": (dict(mu_bound=(["0", "1"], ["-1", "x"])), COMMON),
+    "verify-module": (dict(trials=TRIALS, deg_max=DEG_MAX, max_exp=MAX_EXP),
+                      dict(COMMON, seed=SEED)),
+    "verify-hw": (dict(mu_bound=(["0", "1"], ["-1", "x"])), dict(COMMON, seed=REFUSED)),
     "verify-nilpotency": (dict(deg_max=DEG_MAX, ell=(["1"], ELL[1])),
                           dict(N=N, q=Q, a=A)),
-    "verify-duality": (dict(n_max=N_MAX), dict(COMMON, skip_hw=([None], ["x"]))),
+    "verify-duality": (dict(n_max=N_MAX),
+                       dict(COMMON, skip_hw=([None], ["x"]), seed=REFUSED)),
     "verify-tensor": (dict(n_max=N_MAX),
-                      dict(COMMON, ellp=(["1"], ["-1", "0", "x"]), b=A)),
+                      dict(COMMON, ellp=(["1"], ["-1", "0", "x"]), b=A, seed=REFUSED)),
     "verify-levi": (dict(n_max=N_MAX),
-                    dict(COMMON, bfN=(["1,1", "2,1"], ["", "0,2", "1", "-1,3", "x"]))),
+                    dict(COMMON, N=REFUSED, seed=REFUSED,
+                         bfN=(["1,1", "2,1"], ["", "0,2", "1", "-1,3", "x"]))),
     "verify-lattice": (dict(n_max=N_MAX, trials=TRIALS, M0=(["1", "2"], ["-1", "0"]),
-                            M1=(["1", "2"], ["-1", "0"])), COMMON),
+                            M1=(["1", "2"], ["-1", "0"])), dict(COMMON, seed=SEED)),
     "dims": (dict(N=N, ell=ELL, n=(["0", "2"], ["-1", "x"])), {}),
-    "branch": (dict(mode=(["tensor", "levi", "diag"], ["x"])),
-               dict(I=(["[[1],[2]]", "[[1,2]]"], ["[[1],[3]]", "[[1,2]", "[]"]),
-                    J=(["[[1,2]]", "[[1],[2]]"], ["[[2]]"]),
+    "branch": (dict(mode=(["tensor", "levi", "diag"], ["x"]),
+                    I=(["[[1],[2]]", "[[1,2]]"], ["[[1],[3]]", "[[1,2]", "[]"])),
+               dict(J=(["[[1,2]]", "[[1],[2]]"], ["[[2]]"]),
                     mu=(["(1)", "(0)"], ["(1,x)", "()"]),
                     nu=(["(1)", "(-1)"], ["(x)"]),
                     xi=(["(1,0)", "(2,-1)", "(0,1)"], ["(1,x)"]),
@@ -249,11 +312,12 @@ SUBCOMMANDS = {
 def argvs(draw, command, broken):
     """The required flags, some optional ones and the flag `broken` (if not
     None); `broken` takes a bad value, every other flag a good one (None
-    stands for a bare switch)."""
+    stands for a bare switch).  A flag without good values only ever comes
+    as `broken`."""
     required, optional = SUBCOMMANDS[command]
     pools = dict(required, **optional)
-    names = list(required) + [k for k in optional
-                              if k == broken or draw(st.booleans())]
+    names = list(required) + [k for k, (good, _) in optional.items()
+                              if k == broken or (good and draw(st.booleans()))]
     argv = [command]
     for name in names:
         good, bad = pools[name]

@@ -284,13 +284,13 @@ def test_gl_ell_examples():
 
 
 def test_glbar_examples():
-    N, ell = 2, 1
+    N = 2
     v = FockVector.monomial((psi(2, 1, 0, N),))
-    got = glbar_action(1, 2, v, N, ell)
+    got = glbar_action(1, 2, v, N, [1])
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
     # vacuum killed by strictly-upper units acting at positive rows
     for row, col in [(3, 1), (3, 4), (5, 2)]:
-        assert glbar_action(row, col, FockVector.vacuum(), N, ell).is_zero() or row <= col
+        assert glbar_action(row, col, FockVector.vacuum(), N, [1]).is_zero() or row <= col
 
 
 def test_glbar_level():
@@ -298,7 +298,7 @@ def test_glbar_level():
     # [E_{A,B}, E_{B,A}] acts as E_{A,A} - E_{B,B} + |S_r| when the unit
     # pair straddles the normal-ordering cut (A <= 0 < B), and without the
     # central summand otherwise
-    N, ell = 2, 2
+    N = 2
     blocks = [(1, 2), (1,), (2,)]
     vs = [FockVector.vacuum(),
           FockVector.monomial((psi(1, 1, 0, N), psi(1, 2, 0, N))),
@@ -306,19 +306,19 @@ def test_glbar_level():
     for S in blocks:
         for (A, B) in [(-1, 1), (0, 2), (1, 2), (-2, -1), (1, 4)]:
             for v in vs:
-                comm = (glbar_action(A, B, glbar_action(B, A, v, N, ell, S), N, ell, S)
-                        - glbar_action(B, A, glbar_action(A, B, v, N, ell, S), N, ell, S))
-                want = (glbar_action(A, A, v, N, ell, S)
-                        - glbar_action(B, B, v, N, ell, S))
+                comm = (glbar_action(A, B, glbar_action(B, A, v, N, S), N, S)
+                        - glbar_action(B, A, glbar_action(A, B, v, N, S), N, S))
+                want = (glbar_action(A, A, v, N, S)
+                        - glbar_action(B, B, v, N, S))
                 if A <= 0 < B:
                     want = want + v.scale(len(S))
                 assert comm == want
 
 
 def test_glbar_diagonal_counts():
-    N, ell = 2, 2
+    N = 2
     v = FockVector.monomial((psi(1, 1, 0, N), psi(1, 2, 0, N)))
-    got = glbar_action(1, 1, v, N, ell, flavors=[1])
+    got = glbar_action(1, 1, v, N, flavors=[1])
     assert got == v
 
 
@@ -432,8 +432,9 @@ def test_gl_ell_commutes_with_glbar():
         row, col = rng.randrange(-1, 4), rng.randrange(-1, 4)
         if row == 0 or col == 0:
             continue
-        a = gl_ell_action(r, s, glbar_action(row, col, v, N, ell), N)
-        b = glbar_action(row, col, gl_ell_action(r, s, v, N), N, ell)
+        flavors = range(1, ell + 1)
+        a = gl_ell_action(r, s, glbar_action(row, col, v, N, flavors), N)
+        b = glbar_action(row, col, gl_ell_action(r, s, v, N), N, flavors)
         assert a == b
 
 

@@ -43,8 +43,8 @@ def _jobs():
     jobs = {name: job for name, job in battery.JOBS
             if name not in ("module_l2", "nilpotency")}
     jobs["duality_N2l2_deg5"] = lambda: verify_skew_duality(
-        2, 2, [3, 3], 2, 5, check_hw=False)
-    jobs["duality_N2l3_hw"] = lambda: verify_skew_duality(2, 3, [3, 3, 5], 2, 3)
+        2, [3, 3], 2, 5, check_hw=False)
+    jobs["duality_N2l3_hw"] = lambda: verify_skew_duality(2, [3, 3, 5], 2, 3)
     return jobs
 
 
