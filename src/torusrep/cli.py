@@ -199,6 +199,20 @@ def _split_product_partition(part: SetPartition, na: int):
     return part_a, part_b
 
 
+def _merged_partition(args) -> SetPartition:
+    """--J (default: one merged block); it must partition the indices of
+    --I, and every --I block must lie inside one --J block."""
+    part = args.I
+    merged = args.J or SetPartition.full(part.ell)
+    if merged.ell != part.ell:
+        raise InvalidParams(f"--J partitions 1..{merged.ell}, "
+                            f"--I partitions 1..{part.ell}")
+    for b in part.blocks:
+        if not set(b) <= set(merged.block_of(b[0])):
+            raise InvalidParams(f"--I block {list(b)} straddles --J blocks")
+    return merged
+
+
 def _pad_dominant(w, offset: int, merged: SetPartition):
     """Zero-pad a segment weight to the merged index set, sorted within
     each merged block (the polynomial induction seed)."""
@@ -217,7 +231,10 @@ def _branch_table(args) -> DecompositionReport:
     if args.mode == "tensor":
         if args.mu is None or args.nu is None:
             raise InvalidParams("--mode tensor needs --mu and --nu")
-        merged = args.J or SetPartition.full(part.ell)
+        if len(args.mu) + len(args.nu) != part.ell:
+            raise InvalidParams(f"--mu and --nu need {part.ell} entries "
+                                f"together, got {len(args.mu) + len(args.nu)}")
+        merged = _merged_partition(args)
         na = len(args.mu)
         _split_product_partition(part, na)   # validates the split
         report = DecompositionReport(config={
@@ -233,7 +250,7 @@ def _branch_table(args) -> DecompositionReport:
     if args.mode == "levi":
         if args.xi is None or args.mu is None:
             raise InvalidParams("--mode levi needs --xi and --mu (split witness)")
-        merged = args.J or SetPartition.full(part.ell)
+        merged = _merged_partition(args)
         na = len(args.mu)
         part_a, part_b = _split_product_partition(part, na)
         D = levi_branch_D(DominantWeight.of(args.xi, merged), part_a, part_b)

@@ -197,7 +197,7 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
     the ambient degree n0 = hw_degree(mu) of the canonical product vector,
     given the weight-mu slice of that degree (one value of
     ``weight_spaces(n0, ...)``)."""
-    partition = params.spectrum_partition()
+    partition = validate_spectrum(params.a, params.q)
     N = params.N
     n0 = hw_degree(mu, params)
     base = fixed_space(partition, monos, N)
@@ -229,7 +229,6 @@ def verify_skew_duality(N: int, a: Sequence, q, n_max: int,
         "q": str(params.q), "a": [str(x) for x in params.a],
         "partition": partition.describe(), "n_max": n_max,
     })
-    seen: set = set()
     tables = FlavorTables(N, params.ell)
     for n in range(n_max + 1):
         table = {}
@@ -240,11 +239,10 @@ def verify_skew_duality(N: int, a: Sequence, q, n_max: int,
             d = levi_dim(w, partition)
             table[weight_key(w)] = [m, d]
             lhs += m * d
-            if check_hw and w not in seen:
-                seen.add(w)
-                n0 = hw_degree(w, params)
-                hw_slice = weight_spaces(n0, tables, w.__eq__).get(w, [])
-                jd = joint_hw_dim(w, hw_slice, params)
+            # the weight-w slices are empty below hw_degree(w), so w is
+            # first met at that degree, with its product vector
+            if check_hw and n == hw_degree(w, params):
+                jd = joint_hw_dim(w, spaces[w], params)
                 if jd != 1:
                     report.fail({"degree": n, "weight": weight_key(w),
                                  "joint_hw_dim": jd, "expected": 1})

@@ -58,12 +58,9 @@ def gen_label(g: Gen, N: int) -> int:
     return (-idx - 1) % N + 1 if kind == PSI else idx % N + 1
 
 
-def gen_degree(g: Gen, N: int) -> int:
-    return -gen_mode(g, N)
-
-
 def monomial_degree(m: Monomial, N: int) -> int:
-    return sum(gen_degree(g, N) for g in m)
+    """The degree: minus the sum of the generator modes."""
+    return -sum(gen_mode(g, N) for g in m)
 
 
 def monomial_weight(m: Monomial, ell: int) -> Tuple[int, ...]:
@@ -94,11 +91,6 @@ class FockVector(SparseVector):
         return f"FockVector<{len(self._terms)} terms>"
 
 
-def normal_order_pair(m: int, n: int) -> Tuple[bool, int]:
-    """Ordering rule for :psi(m) psibar(n):, returned as (psi_first, sign)."""
-    return (True, 1) if m <= n else (False, -1)
-
-
 def _gen_on_monomial(g: Gen, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
     """Single-generator left action on one monomial: (sign, monomial) or None."""
     if g[2] < 0:
@@ -114,12 +106,16 @@ def _gen_on_monomial(g: Gen, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
 
 
 def bilinear_on_monomial(i: int, p: int, m: int, j: int, pb: int, n: int,
-                         mono: Monomial, N: int,
-                         rule=normal_order_pair) -> Optional[Tuple[int, Monomial]]:
-    """:psi_i^p(m) psibar_j^pb(n): on one monomial; at most one term."""
-    psi_first, sign = rule(m, n)
+                         mono: Monomial, N: int) -> Optional[Tuple[int, Monomial]]:
+    """:psi_i^p(m) psibar_j^pb(n): on one monomial; at most one term.
+
+    The normal order keeps psi(m) psibar(n) when m <= n and writes
+    -psibar(n) psi(m) otherwise; the right factor acts first."""
     a, b = psi(i, p, m, N), psibar(j, pb, n, N)
-    first, second = (b, a) if psi_first else (a, b)
+    if m <= n:
+        first, second, sign = b, a, 1
+    else:
+        first, second, sign = a, b, -1
     step = _gen_on_monomial(first, mono)
     if step is None:
         return None
@@ -132,17 +128,16 @@ def bilinear_on_monomial(i: int, p: int, m: int, j: int, pb: int, n: int,
 
 
 def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
-                        params: ParameterSet, mono: Monomial,
-                        rule=normal_order_pair) -> Dict[Monomial, Fraction]:
+                        params: ParameterSet, mono: Monomial) -> Dict[Monomial, Fraction]:
     """One matrix-unit torus generator E_{i,j} t0^m0 t1^m1 on one monomial.
 
     The action is the sum over modes k and flavors p of
     a_p^{m1} q^{-m1 k} :psi_i^p(m0 - k) psibar_j^p(k):, plus a diagonal
     scalar correction when m0 = 0, i = j, m1 != 0.  Only candidate pairs
-    (k, p) are visited.  Under either normal-ordering rule the annihilating
-    factor acts first, so a term survives only if that factor contracts
-    with a generator of the monomial, or if both factors create.  The
-    candidates are therefore:
+    (k, p) are visited.  In the normal order the annihilating factor acts
+    first, so a term survives only if that factor contracts with a
+    generator of the monomial, or if both factors create.  The candidates
+    are therefore:
 
     - for a psi generator (p, 0, idx): k = (-idx - j)/N where integral,
       since psibar_j^p(k) contracts it;
@@ -170,7 +165,7 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
     if m1:
         ap = [qpow(x, m1) for x in a]
     for k, p in sorted(candidates):
-        step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N, rule)
+        step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N)
         if step is None:
             continue
         sign, mono2 = step

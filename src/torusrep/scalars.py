@@ -13,7 +13,6 @@ from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, InvalidQ, NotGeneric
 
-Scalar = Fraction
 Rational = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
@@ -109,9 +108,6 @@ class SparseVector:
             return self._of({})
         return self._of({k: c * v for k, v in self._terms.items()})
 
-    def __rmul__(self, c: Rational):
-        return self.scale(c)
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._terms == other._terms
 
@@ -151,10 +147,6 @@ class SetPartition:
         return SetPartition(norm)
 
     @staticmethod
-    def discrete(ell: int) -> "SetPartition":
-        return SetPartition(tuple((i,) for i in range(1, ell + 1)))
-
-    @staticmethod
     def full(ell: int) -> "SetPartition":
         return SetPartition((tuple(range(1, ell + 1)),))
 
@@ -167,9 +159,6 @@ class SetPartition:
             if i in b:
                 return b
         raise KeyError(i)
-
-    def same_block(self, i: int, j: int) -> bool:
-        return j in self.block_of(i)
 
     def shifted(self, offset: int) -> "SetPartition":
         return SetPartition(tuple(tuple(i + offset for i in b) for b in self.blocks))
@@ -212,9 +201,6 @@ class ParameterSet:
     @property
     def ell(self) -> int:
         return len(self.a)
-
-    def spectrum_partition(self) -> SetPartition:
-        return validate_spectrum(self.a, self.q)
 
 
 def gamma_q_exponent(x: Rational, q: Rational) -> Optional[int]:

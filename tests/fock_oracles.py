@@ -1,9 +1,9 @@
 """Test-side oracles and helpers of the Fock module: an independent
-normal-ordering rule, the evaluation-module form of the torus action,
-generator words, the text form of Fock vectors, and the weight slices of a
-degree grouped from the full monomial list."""
+normal-ordering rule and the bilinear built on it, the evaluation-module
+form of the torus action, generator words, the text form of Fock vectors,
+and the weight slices of a degree grouped from the full monomial list."""
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from torusrep.fock import (
     PSI,
@@ -15,6 +15,8 @@ from torusrep.fock import (
     gen_label,
     gen_mode,
     monomial_weight,
+    psi,
+    psibar,
     rho_action,
 )
 from torusrep.liealg import GlqElement, K0, K1
@@ -22,8 +24,23 @@ from torusrep.scalars import ParameterSet, accumulate, qpow
 
 
 def normal_order_pair_mode_criterion(m: int, n: int) -> Tuple[bool, int]:
-    """Equivalent rule keyed on the psibar mode alone."""
+    """Ordering rule for :psi(m) psibar(n): keyed on the psibar mode alone,
+    returned as (psi_first, sign)."""
     return (True, 1) if n >= 0 else (False, -1)
+
+
+def bilinear_mode_criterion(i: int, p: int, m: int, j: int, pb: int, n: int,
+                            mono: Monomial, N: int) -> Optional[Tuple[int, Monomial]]:
+    """:psi_i^p(m) psibar_j^pb(n): on one monomial under the mode-criterion
+    rule, as two single-generator steps; at most one term."""
+    psi_first, sign = normal_order_pair_mode_criterion(m, n)
+    a, b = psi(i, p, m, N), psibar(j, pb, n, N)
+    for g in ((b, a) if psi_first else (a, b)):
+        step = _gen_on_monomial(g, mono)
+        if step is None:
+            return None
+        sign, mono = sign * step[0], step[1]
+    return (sign, mono)
 
 
 def rho_action_tensor_oracle(x: GlqElement, params: ParameterSet,

@@ -168,6 +168,20 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
     ["verify-lattice", "--M0", "-1"],
     ["branch", "--mode", "levi", "--I", "[[1,2]]", "--J", "[[1],[2]]",
      "--xi", "(1,0)", "--mu", "()"],
+    # --mu and --nu together carry one entry per --I index, and --J
+    # partitions the --I indices into unions of --I blocks
+    ["branch", "--mode", "tensor", "--I", "[[1],[2]]", "--mu", "(1)",
+     "--nu", "(1,2)"],
+    ["branch", "--mode", "tensor", "--I", "[[1],[2]]", "--mu", "(1,2)",
+     "--nu", "(1)"],
+    ["branch", "--mode", "tensor", "--I", "[[1],[2]]", "--mu", "(1)",
+     "--nu", "()"],
+    ["branch", "--mode", "tensor", "--I", "[[1],[2],[3]]", "--mu", "(1)",
+     "--nu", "(1)"],
+    ["branch", "--mode", "tensor", "--I", "[[1],[2]]", "--J", "[[1],[2],[3]]",
+     "--mu", "(1)", "--nu", "(1)"],
+    ["branch", "--mode", "levi", "--I", "[[1],[2]]", "--J", "[[1,2,3]]",
+     "--xi", "(1,0,0)", "--mu", "(0)"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     # excluded parameters and malformed values: exit 2, never a traceback

@@ -25,15 +25,17 @@ from torusrep.fock import (
     gl_ell_action,
     graded_dim,
     hw_degree,
+    hw_vector,
     psi,
     psibar,
 )
+from torusrep.glrep import is_dominant
 from torusrep.scalars import ParameterSet, SetPartition, validate_spectrum
 
 
 def test_fixed_space_examples():
     params = ParameterSet.of(2, [3], 2)
-    part = SetPartition.discrete(1)
+    part = SetPartition.of([[1]])
     got = fixed_space(part, weight_spaces(0, FlavorTables(2, 1))[(1,)], params.N)
     assert len(got) == 2
     assert {v.support()[0] for v in got} == {
@@ -173,6 +175,26 @@ def test_joint_hw_dim_examples():
 def test_joint_hw_dim_single_flavor_window(mu):
     params = ParameterSet.of(2, [3], 2)
     assert joint_hw_dim(mu, hw_slice(mu, params), params) == 1
+
+
+@pytest.mark.parametrize("N,a,n_max", [(2, [3, 3], 5), (3, [3], 3),
+                                       (2, [3, 3, 5], 3)])
+def test_dominant_weight_first_met_at_hw_degree(N, a, n_max):
+    # verify_skew_duality checks each weight's joint highest-weight space
+    # on the slice it has listed at hw_degree(w): the weight-w slices are
+    # empty below that degree, and there the slice holds the product vector
+    params = ParameterSet.of(2, a, N)
+    partition = validate_spectrum(a, 2)
+    tables = FlavorTables(N, len(a))
+    by_degree = [weight_spaces(n, tables, lambda w: is_dominant(w, partition))
+                 for n in range(n_max + 1)]
+    met = set().union(*by_degree)
+    assert met
+    for w in met:
+        n0 = hw_degree(w, params)
+        assert min(n for n, spaces in enumerate(by_degree) if w in spaces) == n0
+        (mono,) = hw_vector(w, params).support()
+        assert mono in by_degree[n0][w]
 
 
 def test_skew_duality_basic():

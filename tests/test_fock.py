@@ -13,7 +13,6 @@ from torusrep.fock import (
     basis_monomials,
     bilinear_on_monomial,
     creators_of_degree,
-    gen_degree,
     gen_label,
     gen_mode,
     gl_ell_action,
@@ -23,7 +22,6 @@ from torusrep.fock import (
     hw_vector,
     monomial_degree,
     monomial_weight,
-    normal_order_pair,
     psi,
     psibar,
     rho_action,
@@ -32,8 +30,8 @@ from torusrep.fock import (
 
 from fock_oracles import (
     apply_word,
+    bilinear_mode_criterion,
     format_monomial,
-    normal_order_pair_mode_criterion,
     rho_action_tensor_oracle,
     vector_to_json,
 )
@@ -48,10 +46,10 @@ def test_flat_coordinates_roundtrip():
         for n in range(-3, 4):
             g = psi(i, 1, n, N)
             assert gen_mode(g, N) == n and gen_label(g, N) == i
-            assert gen_degree(g, N) == -n
+            assert monomial_degree((g,), N) == -n
             gb = psibar(i, 1, n, N)
             assert gen_mode(gb, N) == n and gen_label(gb, N) == i
-            assert gen_degree(gb, N) == -n
+            assert monomial_degree((gb,), N) == -n
 
 
 def test_phi_coordinate_identities():
@@ -98,11 +96,8 @@ def test_clifford_relations_on_states():
 
 
 def test_normal_order_rules_agree():
-    # the orders may differ only where the anticommutator vanishes, so at
-    # m + n == 0 the two rules must agree
-    for m in range(-3, 4):
-        assert normal_order_pair(m, -m) == normal_order_pair_mode_criterion(m, -m)
-    # as operators the two characterizations agree everywhere, including m+n=0
+    # the two orders may differ only where the anticommutator vanishes, so
+    # as operators they agree everywhere, including m + n == 0
     N, ell = 2, 1
     monos = basis_monomials(0, N, ell) + basis_monomials(1, N, ell)
     for m in range(-2, 3):
@@ -110,24 +105,19 @@ def test_normal_order_rules_agree():
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
                     for mono in monos:
-                        x = bilinear_on_monomial(i, 1, m, j, 1, n, mono, N,
-                                                 normal_order_pair)
-                        y = bilinear_on_monomial(i, 1, m, j, 1, n, mono, N,
-                                                 normal_order_pair_mode_criterion)
+                        x = bilinear_on_monomial(i, 1, m, j, 1, n, mono, N)
+                        y = bilinear_mode_criterion(i, 1, m, j, 1, n, mono, N)
                         assert x == y
-
-
-def test_normal_order_pair_examples():
-    assert normal_order_pair(0, 0) == (True, 1)
-    assert normal_order_pair(1, 0) == (False, -1)
-    assert normal_order_pair(-2, -1) == (True, 1)
 
 
 # -- full-window oracles of the two Fock actions -------------------------------
 
-def rho_mat_window_oracle(i, j, m0, m1, params, mono, rule=normal_order_pair):
+def rho_mat_window_oracle(i, j, m0, m1, params, mono,
+                          bilinear=bilinear_on_monomial):
     """rho_mat_on_monomial by a scan of the whole mode window [m0 - d, d]
-    (d the monomial degree), outside which both orderings kill the monomial."""
+    (d the monomial degree), outside which both orderings kill the monomial;
+    each bilinear term comes from ``bilinear`` (the production one, or
+    the mode-criterion oracle)."""
     N, ell, q, a = params.N, params.ell, params.q, params.a
     out = {}
     d = monomial_degree(mono, N)
@@ -138,7 +128,7 @@ def rho_mat_window_oracle(i, j, m0, m1, params, mono, rule=normal_order_pair):
         qk = qpow(q, -m1 * lo)
     for k in range(lo, d + 1):
         for p in range(1, ell + 1):
-            step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N, rule)
+            step = bilinear(i, p, m0 - k, j, p, k, mono, N)
             if step is None:
                 continue
             sign, mono2 = step
@@ -211,11 +201,12 @@ def test_rho_mat_on_monomial_matches_window_oracle(data):
     params = ParameterSet.of(q, a, N)
     mono = data.draw(monomials(N, ell))
     m0, m1 = data.draw(st.integers(-5, 5)), data.draw(st.integers(-3, 3))
-    for rule in (normal_order_pair, normal_order_pair_mode_criterion):
+    for bilinear in (bilinear_on_monomial, bilinear_mode_criterion):
         for i in range(1, N + 1):
             for j in range(1, N + 1):
-                got = rho_mat_on_monomial(i, j, m0, m1, params, mono, rule)
-                want = rho_mat_window_oracle(i, j, m0, m1, params, mono, rule)
+                got = rho_mat_on_monomial(i, j, m0, m1, params, mono)
+                want = rho_mat_window_oracle(i, j, m0, m1, params, mono,
+                                             bilinear)
                 assert list(got.items()) == list(want.items())
 
 
