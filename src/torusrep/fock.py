@@ -25,13 +25,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams
 from .liealg import GlqElement, K0, K1
-from .scalars import ParameterSet, Rational, SparseVector, accumulate, qpow
+from .scalars import NEG_ONE, ONE, ParameterSet, Rational, SparseVector, accumulate, qpow
 
 PSI = 0
 PSIBAR = 1
 Gen = Tuple[int, int, int]          # (p, kind, idx)
 Monomial = Tuple[Gen, ...]          # strictly increasing creators
-VACUUM: Monomial = ()
 
 
 def psi(i: int, p: int, n: int, N: int) -> Gen:
@@ -75,10 +74,6 @@ class FockVector(SparseVector):
     """Finite rational combination of canonical creation monomials."""
 
     __slots__ = ()
-
-    @staticmethod
-    def vacuum(coeff: Rational = 1) -> "FockVector":
-        return FockVector({VACUUM: coeff})
 
     @staticmethod
     def monomial(m: Monomial, coeff: Rational = 1) -> "FockVector":
@@ -127,32 +122,24 @@ def bilinear_on_monomial(i: int, p: int, m: int, j: int, pb: int, n: int,
     return (sign * s1 * s2, mono2)
 
 
-def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
-                        params: ParameterSet, mono: Monomial) -> Dict[Monomial, Fraction]:
-    """One matrix-unit torus generator E_{i,j} t0^m0 t1^m1 on one monomial.
+def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
+               ell: int) -> Tuple[Tuple[Monomial, int, int, int], ...]:
+    """The nonzero terms of :psi_i^p(m0 - k) psibar_j^p(k): on one monomial,
+    over all modes k and flavors p, as (monomial, sign, p, k) in ascending
+    (k, p) order.
 
-    The action is the sum over modes k and flavors p of
-    a_p^{m1} q^{-m1 k} :psi_i^p(m0 - k) psibar_j^p(k):, plus a diagonal
-    scalar correction when m0 = 0, i = j, m1 != 0.  Only candidate pairs
-    (k, p) are visited.  In the normal order the annihilating factor acts
-    first, so a term survives only if that factor contracts with a
-    generator of the monomial, or if both factors create.  The candidates
-    are therefore:
+    Only candidate pairs (k, p) are visited.  In the normal order the
+    annihilating factor acts first, so a term survives only if that factor
+    contracts with a generator of the monomial, or if both factors create.
+    The candidates are therefore:
 
     - for a psi generator (p, 0, idx): k = (-idx - j)/N where integral,
       since psibar_j^p(k) contracts it;
     - for a psibar generator (p, 1, idx): k = m0 - (i - idx - 1)/N where
       integral, since psi_i^p(m0 - k) contracts it;
     - the both-create window m0 <= k <= -1, for every flavor.
-
-    They are visited in ascending (k, p) order, and the coefficient is
-    computed only for the terms that survive.  With m1 = 0 the values are
-    plain int signs.
     """
-    N, q, a = params.N, params.q, params.a
-    if i > N or j > N:
-        raise InvalidParams(f"matrix index out of range for N={N}")
-    candidates = {(k, p) for k in range(m0, 0) for p in range(1, params.ell + 1)}
+    candidates = {(k, p) for k in range(m0, 0) for p in range(1, ell + 1)}
     for p, kind, idx in mono:
         if kind == PSI:
             k, r = divmod(-idx - j, N)
@@ -161,19 +148,51 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
             k += m0
         if not r:
             candidates.add((k, p))
-    out: Dict[Monomial, Fraction] = {}
-    if m1:
-        ap = [qpow(x, m1) for x in a]
+    table = []
     for k, p in sorted(candidates):
         step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N)
-        if step is None:
-            continue
-        sign, mono2 = step
-        accumulate(out, mono2,
-                   sign if m1 == 0 else sign * ap[p - 1] * qpow(q, -m1 * k))
-    if m0 == 0 and i == j and m1 != 0:
-        qm = qpow(q, m1)
-        accumulate(out, mono, sum(ap) * qm / (1 - qm))
+        if step is not None:
+            table.append((step[1], step[0], p, k))
+    return tuple(table)
+
+
+def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
+                        params: ParameterSet, mono: Monomial) -> Dict[Monomial, Fraction]:
+    """One matrix-unit torus generator E_{i,j} t0^m0 t1^m1 on one monomial.
+
+    The action is the sum over modes k and flavors p of
+    (a_p q^{-k})^{m1} :psi_i^p(m0 - k) psibar_j^p(k):, plus the diagonal
+    scalar sum_p a_p^{m1} q^{m1} / (1 - q^{m1}) when m0 = 0, i = j,
+    m1 != 0.  The terms and their signs do not depend on m1: the
+    `sign_table` is kept in ``params.signs`` on (i, j, m0, mono) and serves
+    every m1, and the scalars are kept in ``params.powers``.  Terms are
+    accumulated in the table's (k, p) order; at m1 = 0 the coefficients
+    are the constants ONE and NEG_ONE.
+    """
+    N = params.N
+    if i > N or j > N:
+        raise InvalidParams(f"matrix index out of range for N={N}")
+    key = (i, j, m0, mono)
+    table = params.signs.get(key)
+    if table is None:
+        table = params.signs[key] = sign_table(i, j, m0, mono, N, params.ell)
+    out: Dict[Monomial, Fraction] = {}
+    if not m1:
+        for mono2, sign, _, _ in table:
+            accumulate(out, mono2, ONE if sign == 1 else NEG_ONE)
+        return out
+    q, powers = params.q, params.powers
+    for mono2, sign, p, k in table:
+        c = powers.get((p, k, m1))
+        if c is None:
+            c = powers[p, k, m1] = qpow(params.a[p - 1] * qpow(q, -k), m1)
+        accumulate(out, mono2, c if sign == 1 else -c)
+    if m0 == 0 and i == j:
+        c = powers.get(m1)
+        if c is None:
+            qm = qpow(q, m1)
+            c = powers[m1] = sum(qpow(x, m1) for x in params.a) * qm / (1 - qm)
+        accumulate(out, mono, c)
     return out
 
 
@@ -191,8 +210,10 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVect
             continue
         i, j, m0, m1 = key
         for mono, c in vec._terms.items():
+            w = c if coeff == 1 else -c if coeff == -1 else c * coeff
             for mono2, c2 in rho_mat_on_monomial(i, j, m0, m1, params, mono).items():
-                accumulate(acc, mono2, c * coeff * c2)
+                accumulate(acc, mono2,
+                           w if c2 is ONE else -w if c2 is NEG_ONE else w * c2)
     return FockVector._of(acc)
 
 
@@ -224,7 +245,7 @@ def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
             if step is None:
                 continue
             sign, mono2 = step
-            accumulate(acc, mono2, c if sign == 1 else -c)
+            accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
     return FockVector._of(acc)
 
 
@@ -241,7 +262,7 @@ def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int,
             if step is None:
                 continue
             sign, mono2 = step
-            accumulate(acc, mono2, c if sign == 1 else -c)
+            accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
     return FockVector._of(acc)
 
 

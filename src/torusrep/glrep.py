@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
-from .scalars import Rational, SetPartition, as_scalar, qpow
+from .scalars import SetPartition, qpow
 
 IntTuple = Tuple[int, ...]
 Assignment = Tuple[Tuple[int, int], ...]    # ((index, value), ...)
@@ -320,11 +320,6 @@ class EtaFunctional:
     a: Tuple[Fraction, ...]
     N: int
     q: Fraction
-
-    @staticmethod
-    def of(mu: Sequence[int], a: Sequence[Rational], N: int, q: Rational) -> "EtaFunctional":
-        return EtaFunctional(tuple(int(x) for x in mu),
-                             tuple(as_scalar(x) for x in a), N, as_scalar(q))
 
     def __post_init__(self):
         if len(self.mu) != len(self.a):

@@ -7,7 +7,7 @@ point arithmetic occurs anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -15,8 +15,8 @@ from .errors import InvalidParams, InvalidQ, NotGeneric
 
 Rational = Union[int, str, Fraction]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
+NEG_ONE = Fraction(-1)
 
 
 def as_scalar(x: Rational) -> Fraction:
@@ -79,9 +79,6 @@ class SparseVector:
 
     def items(self) -> Iterator[Tuple[Hashable, Fraction]]:
         return iter(sorted(self._terms.items(), key=self._order))
-
-    def coeff(self, key: Hashable) -> Fraction:
-        return self._terms.get(key, ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -179,11 +176,19 @@ class SetPartition:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """The specialization data (q, a_1..a_ell) for a fixed N >= 2."""
+    """The specialization data (q, a_1..a_ell) for a fixed N >= 2.
+
+    ``signs`` and ``powers`` are the tables of `fock.rho_mat_on_monomial`,
+    filled on first use: ``signs`` maps (i, j, m0, monomial) to its sign
+    table, ``powers`` maps (p, k, m1) to (a_p q^{-k})^{m1} and m1 to the
+    diagonal scalar.  They take no part in equality or hashing, so each
+    suite, which builds its own instance, starts with empty tables."""
 
     q: Fraction
     a: Tuple[Fraction, ...]
     N: int
+    signs: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    powers: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_q(self.q)

@@ -43,7 +43,7 @@ from .liealg import (
 )
 from .errors import InvalidParams
 from .reports import DecompositionReport, weight_key
-from .scalars import ParameterSet, accumulate, check_q, validate_spectrum
+from .scalars import NEG_ONE, ONE, ParameterSet, accumulate, check_q, validate_spectrum
 
 # Fixed windows, printed in the report configs: the t0 exponents of the
 # raising generators the highest-weight suite applies, the t1 exponents
@@ -96,9 +96,10 @@ class CachedAction:
                     i, j, m0, m1 = key
                     r = rho_mat_on_monomial(i, j, m0, m1, self.params, m)
                     self._cache[ck] = r
-                w = c * coeff
+                w = c if coeff == 1 else -c if coeff == -1 else c * coeff
                 for m2, c2 in r.items():
-                    accumulate(acc, m2, w * c2)
+                    accumulate(acc, m2,
+                               w if c2 is ONE else -w if c2 is NEG_ONE else w * c2)
         return FockVector._of(acc)
 
 

@@ -1,9 +1,10 @@
 """Test-side oracles and helpers of the Fock module: an independent
 normal-ordering rule and the bilinear built on it, the evaluation-module
-form of the torus action, generator words, the text form of Fock vectors,
-and the weight slices of a degree grouped from the full monomial list."""
+form of the torus action, generator words, the vacuum and coefficient
+lookup of sparse vectors, the text form of Fock vectors, and the weight
+slices of a degree grouped from the full monomial list."""
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from torusrep.fock import (
     PSI,
@@ -20,7 +21,7 @@ from torusrep.fock import (
     rho_action,
 )
 from torusrep.liealg import GlqElement, K0, K1
-from torusrep.scalars import ParameterSet, accumulate, qpow
+from torusrep.scalars import ParameterSet, SparseVector, accumulate, qpow
 
 
 def normal_order_pair_mode_criterion(m: int, n: int) -> Tuple[bool, int]:
@@ -74,6 +75,15 @@ def rho_action_tensor_oracle(x: GlqElement, params: ParameterSet,
                     out = out + FockVector.monomial(
                         tuple(rebuilt), c * cs * coeff * qpow(a[p - 1], m1))
     return out
+
+
+def vacuum() -> FockVector:
+    return FockVector.monomial(())
+
+
+def coeff(vec: SparseVector, key: Hashable) -> Fraction:
+    """The coefficient of one basis key, zero when absent."""
+    return vec._terms.get(key, Fraction(0))
 
 
 def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:

@@ -1,6 +1,6 @@
 """Schur-character oracles for the Littlewood-Richardson and branching
-constants of `torusrep.glrep`, and the equivalence of highest-weight
-functionals.
+constants of `torusrep.glrep`, and the construction and equivalence of
+highest-weight functionals.
 
 Each oracle multiplies or restricts Schur polynomials, built from
 semistandard tableaux, and peels off dominant leading terms. None of them
@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from torusrep.errors import InvalidParams
 from torusrep.glrep import EtaFunctional, mu_split, trim
-from torusrep.scalars import qpow
+from torusrep.scalars import Rational, as_scalar, qpow
 
 IntTuple = Tuple[int, ...]
 Poly = Dict[IntTuple, int]
@@ -154,6 +154,13 @@ def levi_branch_oracle(xi: IntTuple, n1: int, n2: int) -> Dict[Tuple[IntTuple, I
             elif e in work:
                 del work[e]
     return out
+
+
+def eta_of(mu: Sequence[int], a: Sequence[Rational], N: int,
+           q: Rational) -> EtaFunctional:
+    """An EtaFunctional from ints, strings or Fractions."""
+    return EtaFunctional(tuple(int(x) for x in mu),
+                         tuple(as_scalar(x) for x in a), N, as_scalar(q))
 
 
 def eta_equiv(e1: EtaFunctional, e2: EtaFunctional) -> bool:

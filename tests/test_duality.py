@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fock_oracles import weight_spaces_oracle
+from fock_oracles import coeff, weight_spaces_oracle
 from torusrep.duality import (
     FlavorTables,
     fixed_dim,
@@ -49,8 +49,8 @@ def test_fixed_space_examples():
     assert len(got) == 3
     # the kernel relation: the two mixed-label coefficients must agree
     for v in got:
-        c12 = v.coeff((psi(1, 1, 0, 2), psi(2, 2, 0, 2)))
-        c21 = v.coeff((psi(2, 1, 0, 2), psi(1, 2, 0, 2)))
+        c12 = coeff(v, (psi(1, 1, 0, 2), psi(2, 2, 0, 2)))
+        c21 = coeff(v, (psi(2, 1, 0, 2), psi(1, 2, 0, 2)))
         assert c12 == c21
 
 

@@ -3,7 +3,7 @@ higher degrees, a third flavor, mixed partitions, deeper refolds, and a
 cross-configuration consistency check through the functional equivalence."""
 import pytest
 
-from glrep_oracles import eta_equiv
+from glrep_oracles import eta_equiv, eta_of
 from torusrep.duality import (
     FlavorTables,
     fixed_dim,
@@ -14,7 +14,6 @@ from torusrep.duality import (
     weight_spaces,
 )
 from torusrep.fock import hw_degree
-from torusrep.glrep import EtaFunctional
 from torusrep.scalars import ParameterSet, validate_spectrum
 
 
@@ -76,8 +75,8 @@ def test_equivalent_data_share_graded_dimensions(mu, a, nu, b):
     # so the multiplicity-space dimensions agree after aligning the ambient
     # offsets, even though the two Fock configurations differ
     q, N = 2, 2
-    assert eta_equiv(EtaFunctional.of(mu, a, N, q),
-                     EtaFunctional.of(nu, b, N, q))
+    assert eta_equiv(eta_of(mu, a, N, q),
+                     eta_of(nu, b, N, q))
     pa, pb = ParameterSet.of(q, a, N), ParameterSet.of(q, b, N)
     Ia, Ib = validate_spectrum(a, q), validate_spectrum(b, q)
     da, db = hw_degree(mu, pa), hw_degree(nu, pb)

@@ -33,6 +33,7 @@ from fock_oracles import (
     bilinear_mode_criterion,
     format_monomial,
     rho_action_tensor_oracle,
+    vacuum,
     vector_to_json,
 )
 from test_liealg import rand_basis
@@ -61,7 +62,7 @@ def test_phi_coordinate_identities():
 
 def test_vacuum_annihilation():
     N = 2
-    v = FockVector.vacuum()
+    v = vacuum()
     assert apply_word([psibar(1, 1, 0, N)], v).is_zero()
     assert apply_word([psi(1, 1, 1, N)], v).is_zero()
     w = apply_word([psi(1, 1, 0, N)], v)
@@ -73,8 +74,8 @@ def test_anticommutation_signs():
     # psi_1(0) psi_2(0) |0> = -psi_2(0) psi_1(0) |0>
     N = 2
     a, b = psi(1, 1, 0, N), psi(2, 1, 0, N)
-    v1 = apply_word([a, b], FockVector.vacuum())
-    v2 = apply_word([b, a], FockVector.vacuum())
+    v1 = apply_word([a, b], vacuum())
+    v2 = apply_word([b, a], vacuum())
     assert v1 == -v2 and not v1.is_zero()
 
 
@@ -219,9 +220,63 @@ def test_rho_mat_diagonal_correction_can_vanish():
         assert rho_mat_window_oracle(1, 1, 0, m1, params, ()) == {}
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rho_mat_on_monomial_memo_is_exact(data):
+    # one ParameterSet answers every m1 from one sign table per
+    # (i, j, m0, mono); each answer must equal a fresh instance's and the
+    # window oracle's, item for item and in order
+    N = data.draw(st.sampled_from([2, 3]))
+    a = data.draw(st.one_of(
+        st.just((3, -3)),
+        st.lists(st.sampled_from(A_VALUES), min_size=1, max_size=3)))
+    q = data.draw(st.sampled_from([Fraction(2), Fraction(5, 2)]))
+    monos = data.draw(st.lists(monomials(N, len(a)), min_size=1, max_size=2,
+                               unique=True))
+    i, j = data.draw(st.integers(1, N)), data.draw(st.integers(1, N))
+    m0 = data.draw(st.sampled_from([0, 0, -2, -1, 1, 2]))
+    m1s = data.draw(st.permutations(range(-3, 4)))
+    shared = ParameterSet.of(q, a, N)
+    for m1 in m1s:
+        for mono in monos:
+            got = rho_mat_on_monomial(i, j, m0, m1, shared, mono)
+            fresh = rho_mat_on_monomial(i, j, m0, m1, ParameterSet.of(q, a, N),
+                                        mono)
+            want = rho_mat_window_oracle(i, j, m0, m1, shared, mono)
+            assert list(got.items()) == list(fresh.items()) == list(want.items())
+            assert all(type(c) is Fraction for c in got.values())
+    assert len(shared.signs) == len(monos)
+
+
+def test_action_tables_are_suite_scoped(monkeypatch):
+    # each suite builds its own ParameterSet, so a second run builds every
+    # sign table again instead of reading the first run's
+    from torusrep import fock
+    from torusrep.verify import verify_nilpotency
+
+    built = []
+    real = fock.sign_table
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fock, "sign_table", counting)
+    first = verify_nilpotency([3], 2, deg_max=0)
+    n_first = len(built)
+    second = verify_nilpotency([3], 2, deg_max=0)
+    assert n_first > 0 and len(built) == 2 * n_first
+    assert first.to_json() == second.to_json()
+
+    p1, p2 = ParameterSet.of(2, [3], 2), ParameterSet.of(2, [3], 2)
+    rho_mat_on_monomial(1, 2, -1, 1, p1, ())
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert p1.signs and p1.powers and not p2.signs and not p2.powers
+
+
 def test_actions_keep_fraction_coefficients():
-    # at m1 = 0 rho_mat_on_monomial may return int signs; the vectors built
-    # from them still carry Fractions
+    # at m1 = 0 the images carry the Fraction constants +-1, and the vectors
+    # built from them Fractions
     from torusrep.verify import CachedAction
 
     params = ParameterSet.of(2, [3, 5], 2)
@@ -229,6 +284,9 @@ def test_actions_keep_fraction_coefficients():
     for mono in basis_monomials(1, 2, 2):
         v = FockVector.monomial(mono)
         for x in (E(1, 2, 0, 0), E(2, 1, -1, 0), E(1, 1, 1, 0)):
+            (i, j, m0, m1), = x._terms
+            image = rho_mat_on_monomial(i, j, m0, m1, params, mono)
+            assert all(type(c) is Fraction for c in image.values())
             for w in (rho_action(x, params, v), act(x, v)):
                 assert all(type(c) is Fraction for _, c in w.items())
 
@@ -252,7 +310,7 @@ def test_gl_ell_action_matches_window_oracle(data):
 
 def test_rho_examples():
     params = ParameterSet.of(2, [3], 2)
-    v = FockVector.vacuum()
+    v = vacuum()
     got = rho_action(E(1, 1, 0, 1), params, v)
     assert got == v.scale(Fraction(3) * 2 / (1 - 2))
     assert rho_action(GlqElement.k0(), params, v) == v
@@ -269,7 +327,7 @@ def test_gl_ell_examples():
     v = FockVector.monomial((psi(1, 2, 0, N),))
     got = gl_ell_action(1, 2, v, N)
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
-    assert gl_ell_action(1, 2, FockVector.vacuum(), N).is_zero()
+    assert gl_ell_action(1, 2, vacuum(), N).is_zero()
     w = FockVector.monomial((psi(1, 1, 0, N),))
     assert gl_ell_action(1, 1, w, N) == w
 
@@ -281,7 +339,7 @@ def test_glbar_examples():
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
     # vacuum killed by strictly-upper units acting at positive rows
     for row, col in [(3, 1), (3, 4), (5, 2)]:
-        assert glbar_action(row, col, FockVector.vacuum(), N, [1]).is_zero() or row <= col
+        assert glbar_action(row, col, vacuum(), N, [1]).is_zero() or row <= col
 
 
 def test_glbar_level():
@@ -291,7 +349,7 @@ def test_glbar_level():
     # central summand otherwise
     N = 2
     blocks = [(1, 2), (1,), (2,)]
-    vs = [FockVector.vacuum(),
+    vs = [vacuum(),
           FockVector.monomial((psi(1, 1, 0, N), psi(1, 2, 0, N))),
           FockVector.monomial((psibar(2, 1, -1, N),))]
     for S in blocks:
@@ -315,7 +373,7 @@ def test_glbar_diagonal_counts():
 
 def test_hw_vector_examples():
     params = ParameterSet.of(2, [3], 2)
-    assert hw_vector([0], params) == FockVector.vacuum()
+    assert hw_vector([0], params) == vacuum()
     assert hw_vector([1], params) == FockVector.monomial((psi(1, 1, 0, 2),))
     assert hw_vector([-1], params) == FockVector.monomial((psibar(2, 1, -1, 2),))
     assert hw_degree([0], params) == 0
@@ -488,7 +546,7 @@ def test_diagonal_bilinears_count_mode_sets():
 def test_vacuum_weight_consistency():
     for (N, ell, a) in [(2, 1, [3]), (2, 2, [3, 5]), (3, 1, [3])]:
         params = ParameterSet.of(2, a, N)
-        v = FockVector.vacuum()
+        v = vacuum()
         got = rho_action(h_gen(N, 0, N, params.q), params, v)
         assert got == v.scale(ell)
         for i in range(1, N):

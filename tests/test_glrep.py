@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glrep_oracles import (
     eta_equiv,
+    eta_of,
     levi_branch_oracle,
     partitions_with_bound,
     poly_mul,
@@ -18,7 +19,6 @@ from torusrep.errors import IncompatiblePartitions
 from torusrep.scalars import SetPartition
 from torusrep.glrep import (
     DominantWeight,
-    EtaFunctional,
     eta_eval,
     is_dominant,
     levi_branch_D,
@@ -315,11 +315,11 @@ def test_mu_split():
 
 def test_eta_eval_examples():
     q = Fraction(2)
-    eta = EtaFunctional.of((1,), (3,), 2, q)
+    eta = eta_of((1,), (3,), 2, q)
     for n in range(-3, 4):
         assert eta_eval(eta, 1, n) == Fraction(3) ** n
         assert eta_eval(eta, 2, n) == 0
-    eta0 = EtaFunctional.of((0,), (7,), 2, q)
+    eta0 = eta_of((0,), (7,), 2, q)
     assert eta_eval(eta0, 2, 0) == 1
     assert eta_eval(eta0, 2, 1) == Fraction(7) * 2
     assert eta_eval(eta0, 1, 5) == 0
@@ -327,9 +327,9 @@ def test_eta_eval_examples():
 
 def test_eta_equiv_examples():
     q = Fraction(2)
-    e1 = EtaFunctional.of((1,), (3,), 2, q)
-    e2 = EtaFunctional.of((3,), (6,), 2, q)
-    e3 = EtaFunctional.of((1,), (5,), 2, q)
+    e1 = eta_of((1,), (3,), 2, q)
+    e2 = eta_of((3,), (6,), 2, q)
+    e3 = eta_of((1,), (5,), 2, q)
     assert eta_equiv(e1, e2)
     assert not eta_equiv(e1, e3)
     assert eta_equiv(e1, e1)
@@ -338,10 +338,10 @@ def test_eta_equiv_examples():
 def test_eta_equiv_is_equivalence_and_permutation_invariant():
     q = Fraction(2)
     es = [
-        EtaFunctional.of((1, 4), (3, 5), 2, q),
-        EtaFunctional.of((4, 1), (5, 3), 2, q),
-        EtaFunctional.of((3, 4), (6, 5), 2, q),
-        EtaFunctional.of((1, 4), (3, 7), 2, q),
+        eta_of((1, 4), (3, 5), 2, q),
+        eta_of((4, 1), (5, 3), 2, q),
+        eta_of((3, 4), (6, 5), 2, q),
+        eta_of((1, 4), (3, 7), 2, q),
     ]
     assert eta_equiv(es[0], es[1]) and eta_equiv(es[0], es[2])
     assert eta_equiv(es[1], es[2])
