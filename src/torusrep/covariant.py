@@ -20,11 +20,11 @@ terms trade the exponents q^{m1*n0} and q^{n1*m0}.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import NotInSl, NotInSlInfinity
 from .liealg import GlqElement, K0, K1, mat_key, require_sl
-from .scalars import Rational, SparseVector, accumulate, as_scalar, qpow
+from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow
 
 K = "k"
 KPRIME = "kprime"
@@ -76,14 +76,16 @@ def _split_row(m: int, N: int) -> Tuple[int, int]:
 def canonicalize(m: int, n: int, k: int, N: int, q: Rational) -> Tuple[Fraction, EKey]:
     """Canonical form of the class of E_{m,n} (x) t^k, for m != n.
 
-    Shifts the row into 1..N, picking up the character power q^{-k*m1}.
+    Shifts the row into 1..N, picking up the character power q^{-k*m1};
+    the power q^0 is the constant ONE.
     """
     if m == n:
         raise NotInSlInfinity("single diagonal unit is not trace-zero")
     q = as_scalar(q)
     m1, i = _split_row(m, N)
     n1, j = _split_row(n, N)
-    return qpow(q, -k * m1), ekey(i, j, k, n1 - m1)
+    e = -k * m1
+    return q ** e if e else ONE, ekey(i, j, k, n1 - m1)
 
 
 def canonicalize_diag_diff(m: int, n: int, k: int, N: int, q: Rational) -> CovElement:
@@ -121,19 +123,26 @@ def _hbar_diff(i: int, j: int) -> CovElement:
 RawKey = Tuple
 
 
-def _raw_of_key(key: CovKey, N: int, q: Fraction) -> Dict[RawKey, Fraction]:
-    if key == K:
-        return {(K,): Fraction(1)}
-    if key == KPRIME:
-        return {("d", 1, 0): Fraction(1), ("d", N + 1, 0): Fraction(-1)}
-    if key[0] == "h":
-        r = key[1]
-        return {("d", r, 0): Fraction(1), ("d", r + 1, 0): Fraction(-1)}
-    _, i, j, m0, m1 = key
-    if i == j and m1 == 0:
-        c = 1 / (1 - qpow(q, -m0))
-        return {("d", i, m0): c, ("d", N + i, m0): -c}
-    return {("u", i, N * m1 + j, m0): Fraction(1)}
+def _raw_units(u: CovElement, N: int, q: Fraction) -> List[Tuple[int, int, int, Fraction]]:
+    """The raw form of u without its center, as (r, s, t, coefficient)
+    for E_{r,s} (x) t^t; r = s for a diagonal unit."""
+    out = []
+    for key, c in u._terms.items():
+        if key == K:
+            continue
+        if key == KPRIME or key[0] == "h":
+            r, s = (1, N + 1) if key == KPRIME else (key[1], key[1] + 1)
+            units = ((r, 0, ONE), (s, 0, NEG_ONE))
+        else:
+            _, i, j, m0, m1 = key
+            if i != j or m1 != 0:
+                out.append((i, N * m1 + j, m0, c))
+                continue
+            d = 1 / (1 - q ** -m0)
+            units = ((i, m0, d), (N + i, m0, -d))
+        for r, t, d in units:
+            out.append((r, r, t, c if d is ONE else -c if d is NEG_ONE else c * d))
+    return out
 
 
 def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovElement:
@@ -145,7 +154,7 @@ def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovEl
         elif key[0] == "u":
             _, r, s, t = key
             coeff, ck = canonicalize(r, s, t, N, q)
-            accumulate(out, ck, c * coeff)
+            accumulate(out, ck, c if coeff is ONE else c * coeff)
         else:
             _, r, t = key
             accumulate(diag.setdefault(t, {}), r, c)
@@ -172,14 +181,16 @@ def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
     """
     if (c - b) % N == 0:
         g = (c - b) // N
-        w = coeff * qpow(q, g * m)
+        e = g * m
+        w = coeff if not e else q ** e if coeff is ONE else coeff * q ** e
         r, s = a + N * g, d
         accumulate(acc, ("d", r, m + n) if r == s else ("u", r, s, m + n), w)
-        if r == s and m + n == 0:
+        if r == s and m + n == 0 and m:
             accumulate(acc, (K,), w * m)
     if (d - a) % N == 0:
         g = (d - a) // N
-        w = coeff * qpow(q, g * m)
+        e = g * m
+        w = coeff if not e else q ** e if coeff is ONE else coeff * q ** e
         r, s = c, b + N * g
         accumulate(acc, ("d", r, m + n) if r == s else ("u", r, s, m + n), -w)
 
@@ -187,19 +198,11 @@ def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
 def cov_bracket(u: CovElement, v: CovElement, N: int, q: Rational) -> CovElement:
     q = as_scalar(q)
     acc: Dict[RawKey, Fraction] = {}
-    for ku, cu in u.items():
-        ru = _raw_of_key(ku, N, q)
-        for kv, cv in v.items():
-            rv = _raw_of_key(kv, N, q)
-            for rku, rcu in ru.items():
-                if rku == (K,):
-                    continue
-                for rkv, rcv in rv.items():
-                    if rkv == (K,):
-                        continue
-                    a, b, m = (rku[1], rku[1], rku[2]) if rku[0] == "d" else rku[1:]
-                    c, d, n = (rkv[1], rkv[1], rkv[2]) if rkv[0] == "d" else rkv[1:]
-                    _raw_bracket(a, b, m, c, d, n, N, q, cu * cv * rcu * rcv, acc)
+    rv = _raw_units(v, N, q)
+    for a, b, m, cu in _raw_units(u, N, q):
+        for c, d, n, cv in rv:
+            _raw_bracket(a, b, m, c, d, n, N, q,
+                         cv if cu is ONE else cu if cv is ONE else cu * cv, acc)
     return _canonicalize_raw(acc, N, q)
 
 
@@ -211,7 +214,7 @@ def theta(x: GlqElement, N: int, q: Rational) -> CovElement:
     require_sl(x, N)
     out: Dict[CovKey, Fraction] = {}
     diag0: Dict[int, Fraction] = {}
-    for key, c in x.items():
+    for key, c in x._terms.items():
         if key == K0:
             out[K] = c
         elif key == K1:
@@ -236,7 +239,7 @@ def theta(x: GlqElement, N: int, q: Rational) -> CovElement:
 
 def theta_inv(u: CovElement, N: int, q: Rational) -> GlqElement:
     out: Dict = {}
-    for key, c in u.items():
+    for key, c in u._terms.items():
         if key == K:
             accumulate(out, K0, c)
         elif key == KPRIME:

@@ -201,7 +201,7 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVect
     E_{i,j} t0^m0 t1^m1 acting by the fermionic bilinear sums."""
     ell = params.ell
     acc: Dict[Monomial, Fraction] = {}
-    for key, coeff in x.items():
+    for key, coeff in x._terms.items():
         if key == K0:
             for mono, c in vec._terms.items():
                 accumulate(acc, mono, c * coeff * ell)
@@ -252,12 +252,18 @@ def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
 def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int,
                  flavors: Sequence[int]) -> FockVector:
     """Action of the centrally extended doubly-infinite matrix unit
-    E_{mrow,ncol}, summed over the given flavors (a block, or 1..ell)."""
+    E_{mrow,ncol}, summed over the given flavors (a block, or 1..ell).
+    As in `gl_ell_action`, a term survives only if the partner of each
+    annihilating factor, a creator (negative index), is in the monomial."""
     m, i = (mrow - 1) // N, (mrow - 1) % N + 1
     n, j = (ncol - 1) // N, (ncol - 1) % N + 1
+    partners = [(kind, idx) for kind, idx in ((PSIBAR, m * N + i - 1), (PSI, -n * N - j))
+                if idx < 0]
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         for p in flavors:
+            if any((p, kind, idx) not in mono for kind, idx in partners):
+                continue
             step = bilinear_on_monomial(i, p, -m, j, p, n, mono, N)
             if step is None:
                 continue

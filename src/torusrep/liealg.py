@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Tuple, Union
 
 from .errors import NotInSl
-from .scalars import Rational, SparseVector, accumulate, as_scalar, qpow
+from .scalars import ONE, Rational, SparseVector, accumulate, as_scalar, qpow
 
 K0 = "k0"
 K1 = "k1"
@@ -63,7 +63,7 @@ class GlqElement(SparseVector):
 def _sl_defect(x: GlqElement, N: int) -> Fraction:
     """Trace of the (t0, t1)-degree-(0,0) diagonal part."""
     tr = Fraction(0)
-    for k, c in x.items():
+    for k, c in x._terms.items():
         if isinstance(k, tuple):
             i, j, m0, m1 = k
             if i > N or j > N:
@@ -86,26 +86,36 @@ def require_sl(x: GlqElement, N: int) -> None:
 
 
 def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
-    """Bilinear extension of the defining commutator; k0, k1 are central."""
+    """Bilinear extension of the defining commutator; k0, k1 are central.
+    Products by the constant ONE and powers q^0 are skipped."""
     q = as_scalar(q)
     out: Dict[Key, Fraction] = {}
-    for kx, cx in x.items():
+    for kx, cx in x._terms.items():
         if not isinstance(kx, tuple):
             continue
         i, j, m0, m1 = kx
-        for ky, cy in y.items():
+        for ky, cy in y._terms.items():
             if not isinstance(ky, tuple):
                 continue
             k, l, n0, n1 = ky
-            c = cx * cy
+            if j != k and i != l:
+                continue
+            c = cy if cx is ONE else cx if cy is ONE else cx * cy
+            s0, s1 = m0 + n0, m1 + n1
             if j == k:
-                accumulate(out, (i, l, m0 + n0, m1 + n1), c * qpow(q, m1 * n0))
+                e = m1 * n0
+                w = c if not e else q ** e if c is ONE else c * q ** e
+                accumulate(out, (i, l, s0, s1), w)
+                if i == l and not s0 and not s1:
+                    # the level term; here n1*m0 = m1*n0 too
+                    if m0:
+                        accumulate(out, K0, w * m0)
+                    if m1:
+                        accumulate(out, K1, w * m1)
             if i == l:
-                accumulate(out, (k, j, m0 + n0, m1 + n1), -c * qpow(q, n1 * m0))
-            if j == k and i == l and m0 + n0 == 0 and m1 + n1 == 0:
-                w = c * qpow(q, m1 * n0)
-                accumulate(out, K0, w * m0)
-                accumulate(out, K1, w * m1)
+                e = n1 * m0
+                w = c if not e else q ** e if c is ONE else c * q ** e
+                accumulate(out, (k, j, s0, s1), -w)
     return GlqElement._of(out)
 
 

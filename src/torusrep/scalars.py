@@ -78,6 +78,8 @@ class SparseVector:
         return cls._of({})
 
     def items(self) -> Iterator[Tuple[Hashable, Fraction]]:
+        """The terms sorted by ``_order``: a sort on every call, so for
+        output (text forms, witnesses); inner loops iterate ``_terms``."""
         return iter(sorted(self._terms.items(), key=self._order))
 
     def is_zero(self) -> bool:
@@ -94,7 +96,10 @@ class SparseVector:
     def __sub__(self, other: "SparseVector"):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            accumulate(out, k, -c)
+        return self._of(out)
 
     def __neg__(self):
         return self._of({k: -c for k, c in self._terms.items()})

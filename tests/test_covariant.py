@@ -21,7 +21,8 @@ from torusrep.covariant import (
 from torusrep.errors import NotInSl, NotInSlInfinity
 from torusrep.liealg import GlqElement, bracket
 
-from test_liealg import rand_basis
+from liealg_oracles import bracket_oracle, cov_bracket_orbit_oracle
+from test_liealg import COEFFS, Q_VALUES, rand_basis
 
 E = GlqElement.matrix_unit
 Q = Fraction(5, 2)
@@ -168,6 +169,31 @@ def test_cov_bracket_is_a_lie_bracket(seed, N):
            + cov_bracket(v, cov_bracket(w, u, N, Q), N, Q)
            + cov_bracket(w, cov_bracket(u, v, N, Q), N, Q))
     assert jac.is_zero()
+
+
+def cov_elements(N: int):
+    """Multi-term elements over the canonical window |m0|, |m1| <= 2."""
+    return st.dictionaries(st.sampled_from(list(cov_basis_keys(N, 2))),
+                           st.sampled_from(COEFFS),
+                           min_size=1, max_size=4).map(CovElement._of)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from(Q_VALUES), st.data())
+def test_cov_bracket_matches_orbit_oracle(N, q, data):
+    u = data.draw(cov_elements(N))
+    v = data.draw(cov_elements(N))
+    assert cov_bracket(u, v, N, q) == cov_bracket_orbit_oracle(u, v, N, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from(Q_VALUES), st.data())
+def test_oracles_agree_under_theta(N, q, data):
+    # the two slow oracles, tied by theta alone
+    u = data.draw(cov_elements(N))
+    v = data.draw(cov_elements(N))
+    x, y = theta_inv(u, N, q), theta_inv(v, N, q)
+    assert theta(bracket_oracle(x, y, q), N, q) == cov_bracket_orbit_oracle(u, v, N, q)
 
 
 def test_gsum_support_is_small():

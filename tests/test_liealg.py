@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusrep import cli, verify
 from torusrep.liealg import (
+    K0,
+    K1,
     GlqElement,
     bracket,
     format_element,
@@ -12,9 +15,18 @@ from torusrep.liealg import (
     h_gen,
     is_in_sl,
 )
+from torusrep.scalars import NEG_ONE, ONE, accumulate
+
+from liealg_oracles import bracket_oracle
 
 E = GlqElement.matrix_unit
 Q = Fraction(5, 2)
+
+# The kernels skip products by the constant ONE (an identity test), so the
+# oracle tests also draw a coefficient equal to ONE but not the same object.
+FRESH_ONE = Fraction(1)
+COEFFS = [ONE, NEG_ONE, FRESH_ONE, Fraction(-2, 3), Fraction(7), Fraction(3, 4)]
+Q_VALUES = [Fraction(2), Fraction(5, 2), Fraction(-3), Fraction(1, 3)]
 
 
 def rand_basis(rng, N, max_exp):
@@ -84,6 +96,55 @@ def test_bracket_closure_and_grading(seed):
     if len(gx) == 1 and len(gy) == 1 and not b.is_zero():
         (dx,), (dy,) = gx.keys(), gy.keys()
         assert set(grade(b)) == {dx + dy}
+
+
+def glq_elements(N: int):
+    """Multi-term elements with k0/k1 terms and coefficients from COEFFS."""
+    key = st.one_of(st.sampled_from([K0, K1]),
+                    st.tuples(st.integers(1, N), st.integers(1, N),
+                              st.integers(-2, 2), st.integers(-2, 2)))
+    return st.dictionaries(key, st.sampled_from(COEFFS),
+                           min_size=1, max_size=5).map(GlqElement._of)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from(Q_VALUES), st.data())
+def test_bracket_matches_oracle(N, q, data):
+    assert FRESH_ONE == ONE and FRESH_ONE is not ONE
+    x = data.draw(glq_elements(N))
+    y = data.draw(glq_elements(N))
+    assert bracket(x, y, q) == bracket_oracle(x, y, q)
+
+
+def bracket_wrong_twist(x, y, q):
+    """[x, y] with q^{m1 n0} in place of q^{n1 m0} on the second term."""
+    out = {}
+    for kx, cx in x._terms.items():
+        for ky, cy in y._terms.items():
+            if not (isinstance(kx, tuple) and isinstance(ky, tuple)):
+                continue
+            (i, j, m0, m1), (k, l, n0, n1) = kx, ky
+            w = cx * cy * Fraction(q) ** (m1 * n0)
+            if j == k:
+                accumulate(out, (i, l, m0 + n0, m1 + n1), w)
+            if i == l:
+                accumulate(out, (k, j, m0 + n0, m1 + n1), -w)
+            if j == k and i == l and m0 + n0 == 0 and m1 + n1 == 0:
+                accumulate(out, K0, w * m0)
+                accumulate(out, K1, w * m1)
+    return GlqElement._of(out)
+
+
+def test_bracket_suite_catches_a_wrong_twist(monkeypatch, capsys):
+    # the suite computes [x, y] once per trial and reuses it in every law;
+    # a kernel with the wrong q-power must still fail with a witness
+    monkeypatch.setattr(verify, "bracket", bracket_wrong_twist)
+    report = verify.verify_bracket_axioms(2, 2, 50, 0)
+    assert not report.passed
+    assert report.witness["law"] in ("antisymmetry", "jacobi")
+    argv = ["verify-bracket", "--N", "2", "--q", "2", "--trials", "50", "--seed", "0"]
+    assert cli.main(argv) == 1
+    assert '"verdict": "fail"' in capsys.readouterr().out
 
 
 def test_commuting_family():
