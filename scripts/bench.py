@@ -13,17 +13,19 @@ which side goes first:
   removed before every run; per metric it records the medians of the
   speed-scaled run values, the parent's quartiles, and in how many pairs
   the change was better;
-- the check-free deep-degree probe, ``torusrep.cli.main`` on
-  ``verify-duality --N 2 --ell 2 --a 3,3 --n-max N --skip-hw`` (an argv
-  both sides accept) at n_max 6 and 8, PROBE_RUNS (3) runs per side: the
-  call's wall time, the peak RSS of the process and the sha256 of the
-  report the call writes to stdout;
+- the check-free deep-degree probes, ``torusrep.cli.main`` on each argv of
+  PROBES (argvs both sides accept: two flavours at n_max 6, 8 and 10,
+  three flavours at n_max 5), PROBE_RUNS (3) runs per side: the call's
+  wall time, the peak RSS of the process and the sha256 of the report the
+  call writes to stdout.  Each run is a child process whose address space
+  is limited to PROBE_AS_BYTES (2 GiB) and whose time to PROBE_TIMEOUT_S;
+  a run that exceeds either is recorded as not completed;
 - the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
   (3) runs per side: the process's wall time, each job's time as the
   script prints it, and the sha256 of each report, which must agree
   between the sides;
-- one ``perfbench/run.py --trace 1`` run of the change per workload, for
-  the coverage check and the elimination counts.
+- one ``perfbench/run.py --trace 1`` run of each side per workload, for
+  the coverage check, the elimination counts and the Fock-action counts.
 
 The result goes to BENCH_<N>.json at the root of this checkout.
 """
@@ -35,6 +37,7 @@ import os
 import pathlib
 import platform
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -44,7 +47,12 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ("deep_degree", "fixed_space", "fock_action", "algebra")
-PROBE_DEGREES = (6, 8)
+PROBES = {
+    f"n_max_{n}": f"verify-duality --N 2 --ell 2 --a 3,3 --n-max {n} --skip-hw"
+    for n in (6, 8, 10)}
+PROBES["ell_3_n_max_5"] = "verify-duality --N 2 --ell 3 --a 3,3,3 --n-max 5 --skip-hw"
+PROBE_AS_BYTES = 2 << 30
+PROBE_TIMEOUT_S = 600
 PAIRS = 10
 SECONDS = 20
 PROBE_RUNS = 3
@@ -52,7 +60,7 @@ BATTERY_RUNS = 3
 PROBE = """\
 import contextlib, hashlib, io, json, resource, time
 from torusrep.cli import main
-argv = "verify-duality --N 2 --ell 2 --a 3,3 --n-max {n} --skip-hw".split()
+argv = "{argv}".split()
 out = io.StringIO()
 t = time.perf_counter()
 with contextlib.redirect_stdout(out):
@@ -97,10 +105,22 @@ def perfbench(root: pathlib.Path, workload: str, trace: int):
     return json.loads(lines[-1]), proc.returncode
 
 
-def probe(root: pathlib.Path, n: int):
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (PROBE_AS_BYTES, PROBE_AS_BYTES))
+
+
+def probe(root: pathlib.Path, argv: str):
+    """One probe run in a fresh, address-space-limited interpreter; None
+    when it runs out of memory or time."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(n=n)], env=env,
-                          capture_output=True, text=True, check=True)
+    try:
+        proc = subprocess.run([sys.executable, "-c", PROBE.format(argv=argv)], env=env,
+                              capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
+                              preexec_fn=limit_address_space)
+    except subprocess.TimeoutExpired:
+        return None
+    if proc.returncode:
+        return None
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -159,20 +179,23 @@ def main() -> int:
         return ("parent", "change") if k % 2 == 0 else ("change", "parent")
 
     probes = {}
-    for n in PROBE_DEGREES:
+    for name, argv in PROBES.items():
         runs = {"parent": [], "change": []}
         for k in range(PROBE_RUNS):
             for side in order(k):
-                runs[side].append(probe(sides[side], n))
-                print(f"probe n_max {n} {side}: {runs[side][-1]}", file=sys.stderr)
-        probes[f"n_max_{n}"] = {
-            side: {"runs": [{"wall_s": r["wall_s"], "peak_rss_mb": r["peak_rss_mb"]}
-                            for r in rs],
-                   "wall_s_median": statistics.median(r["wall_s"] for r in rs),
-                   "peak_rss_mb_max": max(r["peak_rss_mb"] for r in rs),
-                   "passed": all(r["passed"] for r in rs),
-                   "report_sha256": sorted({r["report_sha256"] for r in rs})}
-            for side, rs in runs.items()}
+                runs[side].append(probe(sides[side], argv))
+                print(f"probe {name} {side}: {runs[side][-1]}", file=sys.stderr)
+        probes[name] = {"argv": argv}
+        for side, rs in runs.items():
+            done = [r for r in rs if r is not None]
+            probes[name][side] = {
+                "completed": len(done), "runs": len(rs),
+                "wall_s": [r["wall_s"] for r in done],
+                "peak_rss_mb": [r["peak_rss_mb"] for r in done],
+                "wall_s_median": statistics.median(r["wall_s"] for r in done) if done else None,
+                "peak_rss_mb_max": max((r["peak_rss_mb"] for r in done), default=None),
+                "passed": all(r["passed"] for r in done),
+                "report_sha256": sorted({r["report_sha256"] for r in done})}
 
     runs = {"parent": [], "change": []}
     for k in range(BATTERY_RUNS):
@@ -210,14 +233,17 @@ def main() -> int:
 
     trace1 = {}
     for workload in WORKLOADS:
-        result, code = perfbench(ROOT, workload, 1)
-        entry = {"exit_code": code, "correct": result["correct"],
-                 "failed": result["failed"]}
-        entry.update({name: m["value"] for name, m in result["metrics"].items()
-                      if name.startswith(("linalg.nullspace.", "fock.basis_monomials.",
-                                          "duality.weight_spaces."))
-                      and not name.endswith(".self_s")})
-        trace1[workload] = entry
+        trace1[workload] = {}
+        for side, root in sides.items():
+            result, code = perfbench(root, workload, 1)
+            entry = {"exit_code": code, "correct": result["correct"],
+                     "failed": result["failed"]}
+            entry.update({name: m["value"] for name, m in result["metrics"].items()
+                          if name.startswith(("linalg.nullspace.", "fock.basis_monomials.",
+                                              "duality.weight_spaces.", "duality.fixed_space.",
+                                              "fock.gl_ell_action.", "fock.bilinear_on_monomial."))
+                          and not name.endswith(".self_s")})
+            trace1[workload][side] = entry
 
     parent_commit = None
     if (args.parent / ".git").exists():
@@ -229,11 +255,12 @@ def main() -> int:
         "env": environment(),
         "src_sha256": {side: src_sha256(root) for side, root in sides.items()},
         "deep_degree_probe": {
-            "command": "PYTHONPATH=src python3 -c " + json.dumps(PROBE.format(n="N")),
-            "note": "N = n_max; one fresh interpreter per run, parent and change "
-                    "alternated; wall_s is the main() call alone (parsing, the "
-                    "suite and the JSON report), peak_rss_mb is ru_maxrss of the "
-                    "whole process",
+            "command": "PYTHONPATH=src python3 -c " + json.dumps(PROBE.format(argv="ARGV")),
+            "note": "ARGV = each probe's argv; one fresh interpreter per run, parent "
+                    "and change alternated, each under RLIMIT_AS = "
+                    f"{PROBE_AS_BYTES >> 20} MiB and a {PROBE_TIMEOUT_S} s timeout; "
+                    "wall_s is the main() call alone (parsing, the suite and the JSON "
+                    "report), peak_rss_mb is ru_maxrss of the whole process",
             "results": probes,
         },
         "battery": {
@@ -250,7 +277,7 @@ def main() -> int:
                     "which side ran first; medians of the speed-scaled run values",
             "workloads": trace0,
         },
-        "perfbench_trace1_change": {
+        "perfbench_trace1": {
             "command": f"python3 perfbench/run.py --workload W --seed 0 "
                        f"--seconds {SECONDS} --trace 1",
             "workloads": trace1,

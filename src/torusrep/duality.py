@@ -3,20 +3,22 @@ decomposition checks.
 
 Everything is compared inside one ambient graded space: multiplicity =
 dimension of the subspace fixed by the Levi raising operators at a fixed
-weight, computed by exact sparse elimination (``linalg.nullspace``).  The
-Fock space is a tensor product over the flavors, so each suite enumerates
-the one-flavor monomials of every degree once (``FlavorTables``) and
-``weight_spaces`` assembles from them only the weight slices a check reads:
-the dominant ones (for tensor branching those of the product side, which
-hold the pair weights).  Each slice's monomials go to ``fixed_space`` /
-``fixed_dim``.  The operator images of a slice's basis go to the
-elimination as sparse rows, one per target monomial (``_image_rows``), and
-each sparse kernel vector comes back as a ``FockVector`` over the slice's
-monomials.  The torus-side highest-weight conditions are imposed through
-the block-triangular doubly-infinite operators, which span the same
-constraints as the raising half of the torus algebra on any bounded-degree
-slice once the parameters are generic (the block values b_r q^{-k} are then
-distinct, so the exponential sums separate).
+weight, computed by exact sparse elimination (``linalg.nullspace``).  Each
+suite enumerates the one-flavor monomials of every degree once
+(``FlavorTables``), and ``weight_spaces`` assembles from them only the
+weight slices a check reads.  A raising operator moves a generator to
+another flavor of its block at the same site (kind, idx), so a slice is the
+direct sum of its site-occupation components.  As a Levi module a component
+is a product of exterior powers and their duals (Howe's skew duality), so
+its fixed dimension depends only on the weight and its ``component_type``
+(per occupied site, the kind and the per-block counts).  ``fixed_dim``
+eliminates each (weight, type) once, on the first component met, in a memo
+that the suite call owns: one per partition, shared across the ranks of the
+Levi suite.  The torus-side highest-weight conditions are imposed on whole
+slices through the block-triangular doubly-infinite operators, which span
+the same constraints as the raising half of the torus algebra on any
+bounded-degree slice once the parameters are generic (the block values
+b_r q^{-k} are then distinct, so the exponential sums separate).
 """
 from __future__ import annotations
 
@@ -142,8 +144,6 @@ def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
                 N: int) -> List[FockVector]:
     """Exact basis of the raising-fixed subspace of one weight slice, given
     by its monomials (one value of ``weight_spaces``)."""
-    if not monos:
-        return []
     basis = [FockVector._of({m: ONE}) for m in monos]
     ops = raising_pairs(partition)
     if not ops:
@@ -155,19 +155,48 @@ def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
             for vec in nullspace(rows, len(monos))]
 
 
-def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], N: int) -> int:
-    return len(fixed_space(partition, monos, N))
+def component_type(profile: Sequence[Tuple[int, int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The type of a site-occupation profile (the sorted (kind, idx, block)
+    triples of a monomial): per occupied site, the kind followed by the
+    blocks of its generators, sorted over the sites."""
+    sites: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for kind, idx, b in profile:
+        sites[kind, idx] = sites.get((kind, idx), (kind,)) + (b,)
+    return tuple(sorted(sites.values()))
+
+
+def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], N: int,
+              memo: Dict) -> int:
+    """Dimension of the raising-fixed subspace of one weight slice, summed
+    over its site-occupation components.  ``memo`` maps (weight, component
+    type) to the dimension found on the first such component; it serves one
+    partition, at any rank N."""
+    if not monos or not raising_pairs(partition):
+        return len(monos)
+    w = monomial_weight(monos[0], partition.ell)
+    block = {p: b for b, ps in enumerate(partition.blocks) for p in ps}
+    components: Dict[Tuple[Tuple[int, int, int], ...], List[Monomial]] = {}
+    for m in monos:
+        profile = tuple(sorted([(kind, idx, block[p]) for p, kind, idx in m]))
+        components.setdefault(profile, []).append(m)
+    total = 0
+    for profile, comp in components.items():
+        key = (w, component_type(profile))
+        if key not in memo:
+            memo[key] = len(fixed_space(partition, comp, N))
+        total += memo[key]
+    return total
 
 
 def _dominant_fixed_dims(partition: SetPartition,
                         spaces: Dict[Tuple[int, ...], List[Monomial]],
-                        N: int) -> Dict[Tuple[int, ...], int]:
+                        N: int, memo: Dict) -> Dict[Tuple[int, ...], int]:
     """The nonzero fixed dimensions of the dominant weight slices of one
     degree, in increasing weight order."""
     out = {}
     for w in sorted(spaces):
         if is_dominant(w, partition):
-            m = fixed_dim(partition, spaces[w], N)
+            m = fixed_dim(partition, spaces[w], N, memo)
             if m:
                 out[w] = m
     return out
@@ -230,11 +259,12 @@ def verify_skew_duality(N: int, a: Sequence, q, n_max: int,
         "partition": partition.describe(), "n_max": n_max,
     })
     tables = FlavorTables(N, params.ell)
+    memo = {}
     for n in range(n_max + 1):
         table = {}
         lhs = 0
         spaces = weight_spaces(n, tables, lambda w: is_dominant(w, partition))
-        fdims = _dominant_fixed_dims(partition, spaces, N)
+        fdims = _dominant_fixed_dims(partition, spaces, N, memo)
         for w, m in fdims.items():
             d = levi_dim(w, partition)
             table[weight_key(w)] = [m, d]
@@ -274,13 +304,14 @@ def verify_tensor_branching(N: int, a: Sequence, b: Sequence, q,
     })
     mult_free_required = (ellp == 1)
     tables = FlavorTables(N, ell + ellp)
+    merged_memo, prod_memo = {}, {}   # one type memo per partition
     for n in range(n_max + 1):
         # each product block lies inside a merged block, so the product-
         # dominant slices hold the merged-dominant ones, and levi_branch_D
         # pairs Levi-dominant weights: no other slice is read
         spaces = weight_spaces(n, tables, lambda w: is_dominant(w, prod_part))
         # merged-side data
-        fdim = _dominant_fixed_dims(merged, spaces, N)
+        fdim = _dominant_fixed_dims(merged, spaces, N, merged_memo)
         dmaps = {w: levi_branch_D(DominantWeight.of(w, merged), part_a, part_b)
                  for w in fdim}
         # product-side comparison per pair weight
@@ -289,7 +320,7 @@ def verify_tensor_branching(N: int, a: Sequence, b: Sequence, q,
             pair_weights.update(mu + nu for (mu, nu) in dmap)
         table = {}
         for w in sorted(pair_weights):
-            lhs = fixed_dim(prod_part, spaces.get(w, []), N)
+            lhs = fixed_dim(prod_part, spaces.get(w, []), N, prod_memo)
             mu, nu = w[:ell], w[ell:]
             rhs = 0
             for xi, m in fdim.items():
@@ -324,10 +355,11 @@ def verify_levi_branching(bfN: Sequence[int], a: Sequence, q,
         "q": str(params.q), "a": [str(x) for x in params.a], "n_max": n_max,
     })
     by_rank = {r: FlavorTables(r, params.ell) for r in set(bfN) | {N}}
+    memo = {}   # a type carries no rank, so every rank shares it
 
     def dominant_dims(n: int, Nr: int) -> Dict[Tuple[int, ...], int]:
         spaces = weight_spaces(n, by_rank[Nr], lambda w: is_dominant(w, partition))
-        return _dominant_fixed_dims(partition, spaces, Nr)
+        return _dominant_fixed_dims(partition, spaces, Nr, memo)
 
     # per factor rank and degree: {weight: fixed dim}; equal factors share
     fdim_r = {Nr: [dominant_dims(n, Nr) for n in range(n_max + 1)]

@@ -138,6 +138,9 @@ def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
     - for a psibar generator (p, 1, idx): k = m0 - (i - idx - 1)/N where
       integral, since psi_i^p(m0 - k) contracts it;
     - the both-create window m0 <= k <= -1, for every flavor.
+
+    A candidate whose other factor annihilates too is dropped unless that
+    factor's partner is in the monomial as well.
     """
     candidates = {(k, p) for k in range(m0, 0) for p in range(1, ell + 1)}
     for p, kind, idx in mono:
@@ -150,6 +153,10 @@ def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
             candidates.add((k, p))
     table = []
     for k, p in sorted(candidates):
+        a, b = (m0 - k) * N - i, k * N + j - 1
+        if ((a >= 0 and (p, PSIBAR, -a - 1) not in mono)
+                or (b >= 0 and (p, PSI, -b - 1) not in mono)):
+            continue
         step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N)
         if step is not None:
             table.append((step[1], step[0], p, k))

@@ -1,8 +1,9 @@
 """Test-side oracles and helpers of the Fock module: an independent
 normal-ordering rule and the bilinear built on it, the evaluation-module
 form of the torus action, generator words, the vacuum and coefficient
-lookup of sparse vectors, the text form of Fock vectors, and the weight
-slices of a degree grouped from the full monomial list."""
+lookup of sparse vectors, the text form of Fock vectors, the weight
+slices of a degree grouped from the full monomial list, and the Pieri / LR
+count of a component type's fixed dimension."""
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -20,8 +21,11 @@ from torusrep.fock import (
     psibar,
     rho_action,
 )
+from torusrep.glrep import lr_coeff, trim
 from torusrep.liealg import GlqElement, K0, K1
-from torusrep.scalars import ParameterSet, SparseVector, accumulate, qpow
+from torusrep.scalars import ParameterSet, SetPartition, SparseVector, accumulate, qpow
+
+from glrep_oracles import partitions_with_bound
 
 
 def normal_order_pair_mode_criterion(m: int, n: int) -> Tuple[bool, int]:
@@ -125,3 +129,52 @@ def weight_spaces_oracle(n: int, N: int, ell: int
     for m in basis_monomials(n, N, ell):
         out.setdefault(monomial_weight(m, ell), []).append(m)
     return out
+
+
+def type_fixed_dim_oracle(w: Sequence[int], ctype: Sequence[Tuple[int, ...]],
+                          partition: SetPartition) -> int:
+    """The raising-fixed dimension at weight w of a site-occupation
+    component of type ``ctype`` (the key of `torusrep.duality.component_type`:
+    per occupied site, its kind followed by the blocks of its generators),
+    counted with no Fock action and no elimination.
+
+    As a module of the Levi group, the component is the outer product over
+    the blocks B, of rank r, of the tensor product over the sites of
+    Lambda^k(C^r) (a psi site holding k generators of B) or its dual (a
+    psibar site).  With Lambda^k(C^r)^* = Lambda^(r-k)(C^r) x det^(-1), the
+    fixed dimension is the product over the blocks of the multiplicity of
+    the partition w|B + (J, ..., J), J the number of dual factors, in a
+    product of column shapes, each factor taken by `glrep.lr_coeff` (the
+    Pieri rule).
+
+    A counting oracle must never become the production route: with
+    singleton blocks a left side built only from counts turns the duality
+    check into an identity between two generating functions, and proves
+    nothing about the Fock module.
+    """
+    total = 1
+    for b, block in enumerate(partition.blocks):
+        r = len(block)
+        columns, duals = [], 0
+        for kind, *blocks in ctype:
+            k = blocks.count(b)
+            if k and kind != PSI:
+                duals += 1
+                k = r - k
+            if k:
+                columns.append(k)
+        target = [w[p - 1] + duals for p in block]
+        if target[-1] < 0:
+            return 0
+        products = {(): 1}
+        for k in columns:
+            out: Dict[Tuple[int, ...], int] = {}
+            for mu, m in products.items():
+                for nu in partitions_with_bound(sum(mu) + k, r, target[0]):
+                    if all(x <= t for x, t in zip(nu, target)):
+                        c = lr_coeff(mu, (1,) * k, nu)
+                        if c:
+                            out[nu] = out.get(nu, 0) + m * c
+            products = out
+        total *= products.get(trim(target), 0)
+    return total

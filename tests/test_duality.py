@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from fock_oracles import coeff, weight_spaces_oracle
+import torusrep.duality as duality
+from fock_oracles import coeff, type_fixed_dim_oracle, weight_spaces_oracle
 from torusrep.duality import (
     FlavorTables,
+    component_type,
     fixed_dim,
     fixed_space,
     joint_hw_dim,
@@ -41,7 +43,7 @@ def test_fixed_space_examples():
     assert {v.support()[0] for v in got} == {
         (psi(1, 1, 0, 2),), (psi(2, 1, 0, 2),)}
 
-    assert fixed_dim(part, weight_spaces(0, FlavorTables(2, 1))[(0,)], params.N) == 1
+    assert len(fixed_space(part, weight_spaces(0, FlavorTables(2, 1))[(0,)], params.N)) == 1
 
     params2 = ParameterSet.of(2, [3, 3], 2)
     part2 = SetPartition.full(2)
@@ -131,13 +133,14 @@ def test_fixed_space_dimension_identity_small():
     params = ParameterSet.of(2, [3, 3], 2)
     part = SetPartition.full(2)
     from torusrep.glrep import is_dominant, levi_dim
+    memo = {}
     for n in (0, 1):
         total = 0
         spaces = weight_spaces(n, FlavorTables(2, 2))
         for w in sorted(spaces):
             if not is_dominant(w, part):
                 continue
-            total += fixed_dim(part, spaces[w], params.N) * levi_dim(w, part)
+            total += fixed_dim(part, spaces[w], params.N, memo) * levi_dim(w, part)
         assert total == graded_dim(n, 2, 2)
 
 
@@ -147,6 +150,7 @@ def test_fixed_dim_matches_weight_count_oracle():
     for N, ell in [(2, 2), (3, 2)]:
         params = ParameterSet.of(2, [3, 3], N)
         part = SetPartition.full(2)
+        memo = {}
         for n in (0, 1, 2):
             spaces = weight_spaces(n, FlavorTables(N, ell))
             for w in sorted(spaces):
@@ -154,7 +158,89 @@ def test_fixed_dim_matches_weight_count_oracle():
                     continue
                 raised = (w[0] + 1, w[1] - 1)
                 oracle = len(spaces.get(w, [])) - len(spaces.get(raised, []))
-                assert fixed_dim(part, spaces[w], params.N) == oracle
+                assert fixed_dim(part, spaces[w], params.N, memo) == oracle
+
+
+def memo_route(N, partition, n_max, keep=None):
+    """Per dominant slice of degrees 0..n_max, with the weights dominant for
+    ``keep`` (default: the partition) listed, as in the suites:
+    (degree, weight, slice, memoised count), and the memo they filled."""
+    keep = keep or partition
+    tables = FlavorTables(N, partition.ell)
+    memo, out = {}, []
+    for n in range(n_max + 1):
+        spaces = weight_spaces(n, tables, lambda w: is_dominant(w, keep))
+        for w, monos in spaces.items():
+            if is_dominant(w, partition):
+                out.append((n, w, monos, fixed_dim(partition, monos, N, memo)))
+    return out, memo
+
+
+ROUTE_CASES = [(2, [3, 3], 6), (3, [3, 3], 4), (2, [3, 3, 3], 4),
+               (2, [3, 3, 5], 3), (2, [3, 3, 5, 5], 3)]
+
+
+@pytest.mark.parametrize("N,a,n_max", ROUTE_CASES)
+def test_memoised_count_matches_whole_slice_elimination(N, a, n_max):
+    # each dominant slice: one elimination per (weight, component type)
+    # against the kernel of the whole slice
+    partition = validate_spectrum(a, 2)
+    slices, memo = memo_route(N, partition, n_max)
+    assert memo
+    for n, w, monos, count in slices:
+        assert count == len(fixed_space(partition, monos, N)), (n, w)
+
+
+def test_memoised_count_matches_on_tensor_branching_slices():
+    # the slices verify_tensor_branching(2, [3], [3], 2, 3) reads: the
+    # product-dominant ones, counted for the merged and the product partition
+    merged = validate_spectrum([3, 3], 2)
+    prod = validate_spectrum([3], 2).union(validate_spectrum([3], 2))
+    assert verify_tensor_branching(2, [3], [3], 2, 3).passed
+    for partition in (merged, prod):
+        slices, _ = memo_route(2, partition, 3, keep=prod)
+        for n, w, monos, count in slices:
+            assert count == len(fixed_space(partition, monos, 2)), (n, w)
+
+
+@pytest.mark.parametrize("N,a,n_max", [(2, [3, 3], 6), (3, [3, 3], 4),
+                                       (2, [3, 3, 3], 4), (2, [3, 3, 5], 4),
+                                       (2, [3, 3, 5, 5], 3)])
+def test_memo_entries_match_pieri_oracle(N, a, n_max):
+    # every (weight, type) the count eliminated, against the Pieri / LR
+    # multiplicity of its Levi module
+    partition = validate_spectrum(a, 2)
+    _, memo = memo_route(N, partition, n_max)
+    assert any(memo.values())
+    for (w, ctype), dim in memo.items():
+        assert dim == type_fixed_dim_oracle(w, ctype, partition), (w, ctype)
+
+
+def test_component_type_records_kind_and_blocks():
+    # psi site -3 holds a block-0 and a block-1 generator, psi site -5 and
+    # psibar site -1 one of block 0 each; where the sites are is forgotten
+    profile = ((0, -5, 0), (0, -3, 0), (0, -3, 1), (1, -1, 0))
+    assert component_type(profile) == ((0, 0), (0, 0, 1), (1, 0))
+    assert component_type(((0, -9, 0), (0, -2, 0), (0, -2, 1), (1, -4, 0))) \
+        == component_type(profile)
+
+
+@pytest.mark.parametrize("coarser,a", [
+    (lambda t: tuple(sorted(site[1:] for site in t)), [3, 3, 3]),
+    (lambda t: tuple(sorted((site[0],) + (0,) * (len(site) - 1) for site in t)),
+     [3, 3, 5]),
+])
+def test_a_coarser_type_key_is_caught(monkeypatch, coarser, a):
+    # dropping the kind of a site (harmless for rank-two blocks, where
+    # Lambda^k* = Lambda^(2-k) x det^-1, but not for rank three), or merging
+    # the blocks, lets one elimination stand for a different module
+    monkeypatch.setattr(duality, "component_type",
+                        lambda profile: coarser(component_type(profile)))
+    partition = validate_spectrum(a, 2)
+    slices, _ = memo_route(2, partition, 4)
+    assert any(count != len(fixed_space(partition, monos, 2))
+               for _, _, monos, count in slices)
+    assert not verify_skew_duality(2, a, 2, 4, check_hw=False).passed
 
 
 def hw_slice(mu, params):
