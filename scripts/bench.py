@@ -13,13 +13,14 @@ which side goes first:
   removed before every run; per metric it records the medians of the
   speed-scaled run values, the parent's quartiles, and in how many pairs
   the change was better;
-- the check-free deep-degree probes, ``torusrep.cli.main`` on each argv of
-  PROBES (argvs both sides accept: two flavours at n_max 6, 8 and 10,
-  three flavours at n_max 5), PROBE_RUNS (3) runs per side: the call's
-  wall time, the peak RSS of the process and the sha256 of the report the
-  call writes to stdout.  Each run is a child process whose address space
-  is limited to PROBE_AS_BYTES (2 GiB) and whose time to PROBE_TIMEOUT_S;
-  a run that exceeds either is recorded as not completed;
+- the deep-degree probes, ``torusrep.cli.main`` on each argv of PROBES
+  (argvs both sides accept: without the highest-weight checks, two
+  flavours at n_max 6, 8 and 10 and three flavours at n_max 5; with them,
+  rank 3 and two flavours at n_max 5), PROBE_RUNS (3) runs per side: the
+  call's wall time, the peak RSS of the process and the sha256 of the
+  report the call writes to stdout.  Each run is a child process whose
+  address space is limited to PROBE_AS_BYTES (2 GiB) and whose time to
+  PROBE_TIMEOUT_S; a run that exceeds either is recorded as not completed;
 - the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
   (3) runs per side: the process's wall time, each job's time as the
   script prints it, and the sha256 of each report, which must agree
@@ -51,6 +52,7 @@ PROBES = {
     f"n_max_{n}": f"verify-duality --N 2 --ell 2 --a 3,3 --n-max {n} --skip-hw"
     for n in (6, 8, 10)}
 PROBES["ell_3_n_max_5"] = "verify-duality --N 2 --ell 3 --a 3,3,3 --n-max 5 --skip-hw"
+PROBES["hw_N_3_n_max_5"] = "verify-duality --N 3 --ell 2 --a 3,3 --n-max 5"
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10
@@ -241,6 +243,7 @@ def main() -> int:
             entry.update({name: m["value"] for name, m in result["metrics"].items()
                           if name.startswith(("linalg.nullspace.", "fock.basis_monomials.",
                                               "duality.weight_spaces.", "duality.fixed_space.",
+                                              "duality.joint_hw_dim.", "fock.rho_action.",
                                               "fock.gl_ell_action.", "fock.bilinear_on_monomial."))
                           and not name.endswith(".self_s")})
             trace1[workload][side] = entry

@@ -139,9 +139,13 @@ def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
       integral, since psi_i^p(m0 - k) contracts it;
     - the both-create window m0 <= k <= -1, for every flavor.
 
-    A candidate whose other factor annihilates too is dropped unless that
-    factor's partner is in the monomial as well.
+    A candidate is dropped if an annihilating factor's partner is missing
+    from the monomial, or if a creating factor is already in it (Pauli
+    exclusion) unless m0 = 0 and i = j: there the flat indices of the two
+    factors sum to -1 at every (k, p), so the annihilating factor removes
+    that very generator first.  Every candidate left gives a term.
     """
+    pauli = m0 or i != j
     candidates = {(k, p) for k in range(m0, 0) for p in range(1, ell + 1)}
     for p, kind, idx in mono:
         if kind == PSI:
@@ -155,11 +159,12 @@ def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
     for k, p in sorted(candidates):
         a, b = (m0 - k) * N - i, k * N + j - 1
         if ((a >= 0 and (p, PSIBAR, -a - 1) not in mono)
-                or (b >= 0 and (p, PSI, -b - 1) not in mono)):
+                or (b >= 0 and (p, PSI, -b - 1) not in mono)
+                or (pauli and ((a < 0 and (p, PSI, a) in mono)
+                               or (b < 0 and (p, PSIBAR, b) in mono)))):
             continue
-        step = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N)
-        if step is not None:
-            table.append((step[1], step[0], p, k))
+        sign, mono2 = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N)
+        table.append((mono2, sign, p, k))
     return tuple(table)
 
 

@@ -2,11 +2,13 @@
 normal-ordering rule and the bilinear built on it, the evaluation-module
 form of the torus action, generator words, the vacuum and coefficient
 lookup of sparse vectors, the text form of Fock vectors, the weight
-slices of a degree grouped from the full monomial list, and the Pieri / LR
-count of a component type's fixed dimension."""
+slices of a degree grouped from the full monomial list, the Pieri / LR
+count of a component type's fixed dimension, and the whole-slice route of
+the joint highest-weight dimension."""
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from torusrep.duality import _block_upper_ops, _image_rows, fixed_space
 from torusrep.fock import (
     PSI,
     FockVector,
@@ -16,14 +18,24 @@ from torusrep.fock import (
     basis_monomials,
     gen_label,
     gen_mode,
+    glbar_action,
+    hw_degree,
     monomial_weight,
     psi,
     psibar,
     rho_action,
 )
-from torusrep.glrep import lr_coeff, trim
-from torusrep.liealg import GlqElement, K0, K1
-from torusrep.scalars import ParameterSet, SetPartition, SparseVector, accumulate, qpow
+from torusrep.glrep import EtaFunctional, eta_eval, lr_coeff, trim
+from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, h_gen
+from torusrep.linalg import nullspace
+from torusrep.scalars import (
+    ParameterSet,
+    SetPartition,
+    SparseVector,
+    accumulate,
+    qpow,
+    validate_spectrum,
+)
 
 from glrep_oracles import partitions_with_bound
 
@@ -178,3 +190,28 @@ def type_fixed_dim_oracle(w: Sequence[int], ctype: Sequence[Tuple[int, ...]],
             products = out
         total *= products.get(trim(target), 0)
     return total
+
+
+def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
+                        params: ParameterSet) -> int:
+    """`torusrep.duality.joint_hw_dim` by the whole-slice route: the
+    raising-fixed basis of the slice (`fixed_space`), then one elimination
+    of the block upper images and of the images of every
+    h_{i,n} - eta(h_{i,n}) on that basis.  It makes no use of the toral
+    generators acting diagonally."""
+    partition = validate_spectrum(params.a, params.q)
+    N = params.N
+    base = fixed_space(partition, monos, N)
+    if not base:
+        return 0
+    rows = []
+    for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), N):
+        rows.extend(_image_rows([glbar_action(A, B, v, N, flavors) for v in base]))
+    eta = EtaFunctional(tuple(mu), params.a, N, params.q)
+    for i in range(1, N + 1):
+        for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
+            h = h_gen(i, n, N, params.q)
+            val = eta_eval(eta, i, n)
+            images = [rho_action(h, params, v) - v.scale(val) for v in base]
+            rows.extend(_image_rows(images))
+    return len(nullspace(rows, len(base)))

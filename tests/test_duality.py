@@ -1,9 +1,16 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 import torusrep.duality as duality
-from fock_oracles import coeff, type_fixed_dim_oracle, weight_spaces_oracle
+from fock_oracles import (
+    coeff,
+    joint_hw_dim_oracle,
+    type_fixed_dim_oracle,
+    weight_spaces_oracle,
+)
+from torusrep.cli import main
 from torusrep.duality import (
     FlavorTables,
     component_type,
@@ -261,6 +268,55 @@ def test_joint_hw_dim_examples():
 def test_joint_hw_dim_single_flavor_window(mu):
     params = ParameterSet.of(2, [3], 2)
     assert joint_hw_dim(mu, hw_slice(mu, params), params) == 1
+
+
+@pytest.mark.parametrize("q", [2, Fraction(5, 2)])
+@pytest.mark.parametrize("N,a,n_max", [(2, [3, 3], 5), (3, [3, 3], 4),
+                                       (2, [3, 3, 3], 4), (2, [3, 5], 4),
+                                       (2, [3], 5)])
+def test_joint_hw_dim_matches_whole_slice_route(N, a, n_max, q):
+    # the eigenvalue filter against the whole-slice route (raising-fixed
+    # basis, then the upper and toral images on it), on every dominant
+    # slice at the degree hw_degree(w) of its product vector and one above
+    params = ParameterSet.of(q, a, N)
+    partition = validate_spectrum(a, q)
+    tables = FlavorTables(N, len(a))
+    answers = set()
+    for n in range(n_max + 1):
+        spaces = weight_spaces(n, tables, lambda w: is_dominant(w, partition))
+        for w, monos in spaces.items():
+            above = n - hw_degree(w, params)
+            if above <= 1:
+                got = joint_hw_dim(w, monos, params)
+                assert got == joint_hw_dim_oracle(w, monos, params), (n, w)
+                answers.add((above, got))
+    assert answers == {(0, 1), (1, 0)}
+
+
+def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):
+    # one wrong value of eta leaves no monomial of the product-vector slice
+    # with matching eigenvalues
+    real = duality.eta_eval
+    monkeypatch.setattr(duality, "eta_eval", lambda eta, i, n:
+                        real(eta, i, n) + (1 if (i, n) == (1, 2) else 0))
+    rep = verify_skew_duality(2, [3, 3], 2, 3)
+    assert not rep.passed
+    assert rep.witness["joint_hw_dim"] == 0
+
+
+def test_an_off_diagonal_toral_image_fails_the_hw_check(monkeypatch, capsys):
+    # a toral image with a term off its monomial is an identity failure:
+    # exit 1 with a witness, never a pass or a traceback
+    real = duality.rho_action
+    stray = FockVector.monomial((psi(1, 1, -9, 2),))
+    monkeypatch.setattr(duality, "rho_action",
+                        lambda x, params, vec: real(x, params, vec) + stray)
+    code = main(["verify-duality", "--N", "2", "--ell", "2", "--a", "3,3",
+                 "--n-max", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert "off its line" in report["witness"]["joint_hw_dim"]
 
 
 @pytest.mark.parametrize("N,a,n_max", [(2, [3, 3], 5), (3, [3], 3),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrep.liealg import GlqElement, bracket, h_gen
+from torusrep.liealg import TORAL_WINDOW, GlqElement, bracket, h_gen
 from torusrep.scalars import ParameterSet, qpow
 from torusrep.fock import (
     PSI,
@@ -26,6 +26,7 @@ from torusrep.fock import (
     psibar,
     rho_action,
     rho_mat_on_monomial,
+    sign_table,
 )
 
 from fock_oracles import (
@@ -272,6 +273,43 @@ def test_action_tables_are_suite_scoped(monkeypatch):
     rho_mat_on_monomial(1, 2, -1, 1, p1, ())
     assert p1 == p2 and hash(p1) == hash(p2)
     assert p1.signs and p1.powers and not p2.signs and not p2.powers
+
+
+def test_sign_table_calls_the_bilinear_only_on_hits(monkeypatch):
+    # every candidate that reaches bilinear_on_monomial gives a term: one
+    # whose annihilating factor has no partner, or whose creating factor is
+    # already in the monomial, is ruled out before the call
+    from torusrep import fock
+
+    results = []
+
+    def recording(*args):
+        results.append(bilinear_on_monomial(*args))
+        return results[-1]
+
+    monkeypatch.setattr(fock, "bilinear_on_monomial", recording)
+    for N, ell in [(2, 1), (2, 2), (3, 1)]:
+        for mono in [m for d in range(3) for m in basis_monomials(d, N, ell)]:
+            for i in range(1, N + 1):
+                for j in range(1, N + 1):
+                    for m0 in range(-2, 3):
+                        sign_table(i, j, m0, mono, N, ell)
+    assert results and None not in results
+
+
+@pytest.mark.parametrize("N,ell", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_toral_generators_act_diagonally(N, ell):
+    # h_{i,n} lies in the Cartan part (m0 = 0, i = j), so it maps every
+    # monomial to a multiple of itself; the joint highest-weight check reads
+    # the eigenvalues off these images
+    params = ParameterSet.of(2, [3, 5][:ell], N)
+    hs = [h_gen(i, n, N, params.q) for i in range(1, N + 1)
+          for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
+    for d in range(4):
+        for m in basis_monomials(d, N, ell):
+            v = FockVector.monomial(m)
+            for h in hs:
+                assert set(rho_action(h, params, v)._terms) <= {m}, (h, m)
 
 
 def test_actions_keep_fraction_coefficients():
