@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--mu-bound", type=_nonnegative, default=2)
 
-    sp = sub.add_parser("verify-nilpotency", help="level-one square-vanishing")
+    sp = sub.add_parser("verify-nilpotency", help="level-one square-vanishing (needs --ell 1)")
     common(sp)
     sp.add_argument("--deg-max", type=_nonnegative, default=2)
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import NotInSl, NotInSlInfinity
-from .liealg import GlqElement, K0, K1, mat_key, require_sl
-from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow
+from .liealg import GlqElement, K0, K1, mat_key
+from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow, split_index
 
 K = "k"
 KPRIME = "kprime"
@@ -67,12 +67,6 @@ class CovElement(SparseVector):
         return f"CovElement({format_cov(self)!r})"
 
 
-def _split_row(m: int, N: int) -> Tuple[int, int]:
-    """Write m = N*m1 + i with 1 <= i <= N."""
-    i = (m - 1) % N + 1
-    return (m - i) // N, i
-
-
 def canonicalize(m: int, n: int, k: int, N: int, q: Rational) -> Tuple[Fraction, EKey]:
     """Canonical form of the class of E_{m,n} (x) t^k, for m != n.
 
@@ -82,8 +76,8 @@ def canonicalize(m: int, n: int, k: int, N: int, q: Rational) -> Tuple[Fraction,
     if m == n:
         raise NotInSlInfinity("single diagonal unit is not trace-zero")
     q = as_scalar(q)
-    m1, i = _split_row(m, N)
-    n1, j = _split_row(n, N)
+    m1, i = split_index(m, N)
+    n1, j = split_index(n, N)
     e = -k * m1
     return q ** e if e else ONE, ekey(i, j, k, n1 - m1)
 
@@ -93,8 +87,8 @@ def canonicalize_diag_diff(m: int, n: int, k: int, N: int, q: Rational) -> CovEl
     if m == n:
         return CovElement.zero()
     q = as_scalar(q)
-    m1, i = _split_row(m, N)
-    n1, j = _split_row(n, N)
+    m1, i = split_index(m, N)
+    n1, j = split_index(n, N)
     if k != 0:
         out = CovElement.basis(ekey(i, i, k, 0), qpow(q, -k * m1))
         return out - CovElement.basis(ekey(j, j, k, 0), qpow(q, -k * n1))
@@ -116,11 +110,11 @@ def _hbar_diff(i: int, j: int) -> CovElement:
 
 # -- raw (pre-canonical) arithmetic -----------------------------------------
 #
-# Raw keys: ("u", r, s, t) for E_{r,s} (x) t^t with r != s, ("d", r, t) for a
-# diagonal unit, and K for the center.  Diagonal raw coefficients must sum to
-# zero per t-degree before canonicalization.
+# Raw keys: (r, s, t) for E_{r,s} (x) t^t, a diagonal unit when r = s, and K
+# for the center.  Diagonal raw coefficients must sum to zero per t-degree
+# before canonicalization.
 
-RawKey = Tuple
+RawKey = Union[Tuple[int, int, int], str]
 
 
 def _raw_units(u: CovElement, N: int, q: Fraction) -> List[Tuple[int, int, int, Fraction]]:
@@ -149,15 +143,15 @@ def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovEl
     out: Dict[CovKey, Fraction] = {}
     diag: Dict[int, Dict[int, Fraction]] = {}
     for key, c in raw.items():
-        if key == (K,):
+        if key == K:
             accumulate(out, K, c)
-        elif key[0] == "u":
-            _, r, s, t = key
+            continue
+        r, s, t = key
+        if r == s:
+            accumulate(diag.setdefault(t, {}), r, c)
+        else:
             coeff, ck = canonicalize(r, s, t, N, q)
             accumulate(out, ck, c if coeff is ONE else c * coeff)
-        else:
-            _, r, t = key
-            accumulate(diag.setdefault(t, {}), r, c)
     for t, live in sorted(diag.items()):
         if not live:
             continue
@@ -183,16 +177,15 @@ def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
         g = (c - b) // N
         e = g * m
         w = coeff if not e else q ** e if coeff is ONE else coeff * q ** e
-        r, s = a + N * g, d
-        accumulate(acc, ("d", r, m + n) if r == s else ("u", r, s, m + n), w)
-        if r == s and m + n == 0 and m:
-            accumulate(acc, (K,), w * m)
+        r = a + N * g
+        accumulate(acc, (r, d, m + n), w)
+        if r == d and m + n == 0 and m:
+            accumulate(acc, K, w * m)
     if (d - a) % N == 0:
         g = (d - a) // N
         e = g * m
         w = coeff if not e else q ** e if coeff is ONE else coeff * q ** e
-        r, s = c, b + N * g
-        accumulate(acc, ("d", r, m + n) if r == s else ("u", r, s, m + n), -w)
+        accumulate(acc, (c, b + N * g, m + n), -w)
 
 
 def cov_bracket(u: CovElement, v: CovElement, N: int, q: Rational) -> CovElement:
@@ -208,10 +201,10 @@ def cov_bracket(u: CovElement, v: CovElement, N: int, q: Rational) -> CovElement
 
 # -- the coordinate isomorphism with the quantum-torus algebra --------------
 
-def theta(x: GlqElement, N: int, q: Rational) -> CovElement:
-    """Relabel a trace-zero element into covariant coordinates."""
-    q = as_scalar(q)
-    require_sl(x, N)
+def theta(x: GlqElement, N: int) -> CovElement:
+    """Relabel a trace-zero element into covariant coordinates.  An index
+    above N, or a (t0, t1)-degree-(0,0) diagonal part with nonzero trace,
+    raises `NotInSl`."""
     out: Dict[CovKey, Fraction] = {}
     diag0: Dict[int, Fraction] = {}
     for key, c in x._terms.items():
@@ -222,22 +215,23 @@ def theta(x: GlqElement, N: int, q: Rational) -> CovElement:
         else:
             i, j, m0, m1 = key
             if i > N or j > N:
-                raise NotInSl(f"index out of range for N={N}")
+                raise NotInSl(f"index out of range for N={N}: {key}")
             if i == j and m0 == 0 and m1 == 0:
                 diag0[i] = c
             else:
                 out[ekey(i, j, m0, m1)] = c
-    if diag0:
-        # traceless by require_sl; telescope into the hbar_r basis
-        acc = Fraction(0)
-        for r in range(1, N):
-            acc += diag0.get(r, Fraction(0))
-            if acc != 0:
-                out[hkey(r)] = acc
+    if sum(diag0.values()) != 0:
+        raise NotInSl("degree-(0,0) diagonal part has nonzero trace")
+    # telescope the traceless diagonal into the hbar_r basis
+    acc = 0
+    for r in range(1, N):
+        acc += diag0.get(r, 0)
+        if acc:
+            out[hkey(r)] = acc
     return CovElement._of(out)
 
 
-def theta_inv(u: CovElement, N: int, q: Rational) -> GlqElement:
+def theta_inv(u: CovElement) -> GlqElement:
     out: Dict = {}
     for key, c in u._terms.items():
         if key == K:

@@ -37,6 +37,7 @@ from .fock import (
     PSI,
     FockVector,
     Monomial,
+    _gen_on_monomial,
     basis_monomials,
     gen_label,
     gen_mode,
@@ -45,6 +46,7 @@ from .fock import (
     graded_dim,
     hw_degree,
     monomial_weight,
+    partner,
     psi,
     psibar,
     rho_action,
@@ -221,19 +223,27 @@ class OffDiagonal(Exception):
     """A toral generator maps a slice monomial outside its own line."""
 
 
+def toral_table(mu: Sequence[int], params: ParameterSet
+                ) -> List[Tuple[int, int, GlqElement, Fraction]]:
+    """(i, n, h_{i,n}, eta(h_{i,n})) for the highest weight (eta, mu), over
+    1 <= i <= N and |n| <= TORAL_WINDOW, i outer and n inner."""
+    eta = EtaFunctional(tuple(mu), params.a, params.N, params.q)
+    return [(i, n, h_gen(i, n, params.N, params.q), eta_eval(eta, i, n))
+            for i in range(1, params.N + 1)
+            for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
+
+
 def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
                  params: ParameterSet) -> int:
     """Dimension of the joint highest-weight space of weight (eta, mu) in
     the span of ``monos`` (one value of ``weight_spaces``), with the upper
     operators of the degree hw_degree(mu).  A monomial is kept only if its
-    h_{i,n} eigenvalues all equal eta_eval(eta, i, n), tested up to the first
+    h_{i,n} eigenvalues all equal eta(h_{i,n}), tested up to the first
     mismatch; the raising pairs and upper operators are eliminated on the
     kept ones.  A toral image off its monomial's line raises `OffDiagonal`."""
     partition = validate_spectrum(params.a, params.q)
     N = params.N
-    eta = EtaFunctional(tuple(mu), params.a, N, params.q)
-    toral = [(i, n, h_gen(i, n, N, params.q), eta_eval(eta, i, n))
-             for i in range(1, N + 1) for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
+    toral = toral_table(mu, params)
     basis = []
     for m in monos:
         v = FockVector._of({m: ONE})
@@ -436,29 +446,16 @@ def phi_gen(g, ell: int, M0: int, N: int):
 
 
 def phi_vector(vec: FockVector, ell: int, M0: int, N: int) -> FockVector:
-    """The induced linear map on Fock vectors (relabel, re-sort, sign)."""
+    """The induced linear map on Fock vectors: the refolded creators of a
+    monomial, applied to the vacuum right to left."""
     out: Dict[Monomial, Fraction] = {}
-    for mono, c in vec.items():
-        gens = [phi_gen(g, ell, M0, N) for g in mono]
-        sign = 1
-        arr = list(gens)
-        for t in range(1, len(arr)):
-            u = t
-            while u > 0 and arr[u - 1] > arr[u]:
-                arr[u - 1], arr[u] = arr[u], arr[u - 1]
-                sign = -sign
-                u -= 1
-        assert all(arr[t] < arr[t + 1] for t in range(len(arr) - 1))
-        accumulate(out, tuple(arr), c * sign)
+    for mono, c in vec._terms.items():
+        sign, image = 1, ()
+        for g in reversed(mono):
+            s, image = _gen_on_monomial(phi_gen(g, ell, M0, N), image)
+            sign *= s
+        accumulate(out, image, c if sign == 1 else -c)
     return FockVector._of(out)
-
-
-def _pairing(g1, g2) -> int:
-    p1, k1, i1 = g1
-    p2, k2, i2 = g2
-    if k1 == k2:
-        return 0
-    return 1 if (p1 == p2 and i1 + i2 == -1) else 0
 
 
 def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
@@ -492,8 +489,8 @@ def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
         kind1, kind2 = rng.randrange(2), rng.randrange(2)
         g1 = (rng.randrange(1, L + 1), kind1, rng.randrange(-2 * N, 2 * N))
         g2 = (rng.randrange(1, L + 1), kind2, rng.randrange(-2 * N, 2 * N))
-        lhs = _pairing(g1, g2)
-        rhs = _pairing(phi_gen(g1, ell, M0, N), phi_gen(g2, ell, M0, N))
+        lhs = int(g2 == partner(g1))
+        rhs = int(phi_gen(g2, ell, M0, N) == partner(phi_gen(g1, ell, M0, N)))
         if lhs == rhs:
             ok += 1
         else:

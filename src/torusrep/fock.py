@@ -12,9 +12,10 @@ pair contracts exactly when the flavors agree and the indices sum to -1,
 and the product A(mu) of the highest-weight construction is already sorted.
 All signs are transposition counts against the global (p, kind, idx) order.
 
-`_gen_on_monomial` is the one Clifford kernel: it inserts or contracts a
-generator with its sign.  A bilinear is two of its steps, and each of the
-three actions accumulates bilinear images monomial by monomial.
+`_gen_on_monomial` is the one Clifford kernel: it inserts a creator, or
+removes an annihilator's `partner`, with its sign.  A bilinear is two of
+its steps, each of the three actions accumulates bilinear images monomial
+by monomial, and the refolding re-sorts a monomial by inserting creators.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams
 from .liealg import GlqElement, K0, K1
-from .scalars import NEG_ONE, ONE, ParameterSet, Rational, SparseVector, accumulate, qpow
+from .scalars import (
+    NEG_ONE, ONE, ParameterSet, Rational, SparseVector, accumulate, qpow, split_index)
 
 PSI = 0
 PSIBAR = 1
@@ -86,6 +88,11 @@ class FockVector(SparseVector):
         return f"FockVector<{len(self._terms)} terms>"
 
 
+def partner(g: Gen) -> Gen:
+    """The one generator g pairs with: same flavor, other kind, idx -1 - idx."""
+    return (g[0], 1 - g[1], -g[2] - 1)
+
+
 def _gen_on_monomial(g: Gen, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
     """Single-generator left action on one monomial: (sign, monomial) or None."""
     if g[2] < 0:
@@ -93,9 +100,9 @@ def _gen_on_monomial(g: Gen, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
         if pos < len(mono) and mono[pos] == g:
             return None
         return (-1 if pos & 1 else 1, mono[:pos] + (g,) + mono[pos:])
-    partner = (g[0], 1 - g[1], -g[2] - 1)
-    pos = bisect_left(mono, partner)
-    if pos >= len(mono) or mono[pos] != partner:
+    h = partner(g)
+    pos = bisect_left(mono, h)
+    if pos >= len(mono) or mono[pos] != h:
         return None
     return (-1 if pos & 1 else 1, mono[:pos] + mono[pos + 1:])
 
@@ -267,8 +274,8 @@ def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int,
     E_{mrow,ncol}, summed over the given flavors (a block, or 1..ell).
     As in `gl_ell_action`, a term survives only if the partner of each
     annihilating factor, a creator (negative index), is in the monomial."""
-    m, i = (mrow - 1) // N, (mrow - 1) % N + 1
-    n, j = (ncol - 1) // N, (ncol - 1) % N + 1
+    m, i = split_index(mrow, N)
+    n, j = split_index(ncol, N)
     partners = [(kind, idx) for kind, idx in ((PSIBAR, m * N + i - 1), (PSI, -n * N - j))
                 if idx < 0]
     acc: Dict[Monomial, Fraction] = {}

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
-from .scalars import SetPartition, qpow
+from .scalars import SetPartition, qpow, split_index
 
 IntTuple = Tuple[int, ...]
 Assignment = Tuple[Tuple[int, int], ...]    # ((index, value), ...)
@@ -306,12 +306,6 @@ def _restrict_block(w: IntTuple, block: IntTuple,
 
 # -- highest-weight functional data -------------------------------------------
 
-def mu_split(mu: int, N: int) -> Tuple[int, int]:
-    """Write mu = mudot*N + mudd with 1 <= mudd <= N."""
-    mudd = (mu - 1) % N + 1
-    return (mu - mudd) // N, mudd
-
-
 @dataclass(frozen=True)
 class EtaFunctional:
     """Highest-weight functional data (mu, a, N, q) on the toral subalgebra."""
@@ -332,7 +326,7 @@ def eta_eval(eta: EtaFunctional, i: int, n: int) -> Fraction:
         raise InvalidParams("need 1 <= i <= N")
     total = Fraction(0)
     for m, ak in zip(eta.mu, eta.a):
-        mudot, mudd = mu_split(m, eta.N)
+        mudot, mudd = split_index(m, eta.N)
         if mudd == i:
             total += qpow(ak * qpow(eta.q, -mudot), n)
     return total

@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple, Union
 
-from .errors import NotInSl
-from .scalars import ONE, Rational, SparseVector, accumulate, as_scalar, qpow
+from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow
 
 K0 = "k0"
 K1 = "k1"
@@ -60,29 +59,18 @@ class GlqElement(SparseVector):
         return f"GlqElement({format_element(self)!r})"
 
 
-def _sl_defect(x: GlqElement, N: int) -> Fraction:
-    """Trace of the (t0, t1)-degree-(0,0) diagonal part."""
+def is_in_sl(x: GlqElement, N: int) -> bool:
+    """Whether every matrix index is at most N and the (t0, t1)-degree-(0,0)
+    diagonal part has trace zero."""
     tr = Fraction(0)
     for k, c in x._terms.items():
         if isinstance(k, tuple):
             i, j, m0, m1 = k
             if i > N or j > N:
-                raise NotInSl(f"index out of range for N={N}: {k}")
+                return False
             if i == j and m0 == 0 and m1 == 0:
                 tr += c
-    return tr
-
-
-def is_in_sl(x: GlqElement, N: int) -> bool:
-    try:
-        return _sl_defect(x, N) == 0
-    except NotInSl:
-        return False
-
-
-def require_sl(x: GlqElement, N: int) -> None:
-    if _sl_defect(x, N) != 0:
-        raise NotInSl("degree-(0,0) diagonal part has nonzero trace")
+    return tr == 0
 
 
 def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
@@ -125,7 +113,7 @@ TORAL_WINDOW = 3
 
 
 def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
-    """The toral generator h_{i,n} (three defining cases).
+    """The toral generator h_{i,n} (three defining cases, as terms; N >= 2).
 
     The i = N, n != 0 case carries the coefficient -q^n, so it needs the
     specialized q.
@@ -133,16 +121,12 @@ def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
     if not 1 <= i <= N:
         raise ValueError("need 1 <= i <= N")
     if i < N:
-        return (GlqElement.matrix_unit(i, i, 0, n)
-                - GlqElement.matrix_unit(i + 1, i + 1, 0, n))
+        return GlqElement._of({(i, i, 0, n): ONE, (i + 1, i + 1, 0, n): NEG_ONE})
     if n == 0:
-        return (GlqElement.k0()
-                - GlqElement.matrix_unit(1, 1)
-                + GlqElement.matrix_unit(N, N))
+        return GlqElement._of({K0: ONE, (1, 1, 0, 0): NEG_ONE, (N, N, 0, 0): ONE})
     if q is None:
         raise ValueError("h_{N,n} with n != 0 depends on q")
-    return (GlqElement.matrix_unit(1, 1, 0, n, -qpow(as_scalar(q), n))
-            + GlqElement.matrix_unit(N, N, 0, n))
+    return GlqElement._of({(1, 1, 0, n): -qpow(as_scalar(q), n), (N, N, 0, n): ONE})
 
 
 def grade(x: GlqElement) -> Dict[int, GlqElement]:

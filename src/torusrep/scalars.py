@@ -122,6 +122,12 @@ def qpow(q: Fraction, n: int) -> Fraction:
     return Fraction(q) ** n
 
 
+def split_index(m: int, N: int) -> Tuple[int, int]:
+    """(d, r) with m = N*d + r and 1 <= r <= N."""
+    d, r = divmod(m - 1, N)
+    return d, r + 1
+
+
 def check_q(q: Fraction) -> Fraction:
     q = as_scalar(q)
     if q in (0, 1, -1):

@@ -3,12 +3,12 @@ normal-ordering rule and the bilinear built on it, the evaluation-module
 form of the torus action, generator words, the vacuum and coefficient
 lookup of sparse vectors, the text form of Fock vectors, the weight
 slices of a degree grouped from the full monomial list, the Pieri / LR
-count of a component type's fixed dimension, and the whole-slice route of
-the joint highest-weight dimension."""
+count of a component type's fixed dimension, the whole-slice route of the
+joint highest-weight dimension, and the insertion-sort refolding."""
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from torusrep.duality import _block_upper_ops, _image_rows, fixed_space
+from torusrep.duality import _block_upper_ops, _image_rows, fixed_space, phi_gen
 from torusrep.fock import (
     PSI,
     FockVector,
@@ -215,3 +215,22 @@ def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
             rows.extend(_image_rows(images))
     return len(nullspace(rows, len(base)))
+
+
+def phi_vector_oracle(vec: FockVector, ell: int, M0: int, N: int) -> FockVector:
+    """`torusrep.duality.phi_vector` by insertion sort: relabel each
+    generator, sort the word by adjacent transpositions and flip the sign
+    at each one."""
+    out: Dict[Monomial, Fraction] = {}
+    for mono, c in vec.items():
+        arr = [phi_gen(g, ell, M0, N) for g in mono]
+        sign = 1
+        for t in range(1, len(arr)):
+            u = t
+            while u > 0 and arr[u - 1] > arr[u]:
+                arr[u - 1], arr[u] = arr[u], arr[u - 1]
+                sign = -sign
+                u -= 1
+        assert all(arr[t] < arr[t + 1] for t in range(len(arr) - 1))
+        accumulate(out, tuple(arr), c * sign)
+    return FockVector._of(out)

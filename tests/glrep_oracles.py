@@ -7,12 +7,18 @@ semistandard tableaux, and peels off dominant leading terms. None of them
 uses the lattice-word search, so the tests compare two independent routes.
 `partitions_with_bound` enumerates partitions by size, independently of the
 shape walk that `torusrep.glrep` uses.
+
+Schur polynomials are memoised on (trimmed shape, nvars) and Schur
+products on (lam, mu, nvars), and handed out as read-only views, so one
+Littlewood-Richardson product serves every candidate nu.
 """
-from typing import Dict, Iterable, Sequence, Tuple
+import functools
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from torusrep.errors import InvalidParams
-from torusrep.glrep import EtaFunctional, mu_split, trim
-from torusrep.scalars import Rational, as_scalar, qpow
+from torusrep.glrep import EtaFunctional, trim
+from torusrep.scalars import Rational, as_scalar, qpow, split_index
 
 IntTuple = Tuple[int, ...]
 Poly = Dict[IntTuple, int]
@@ -63,15 +69,18 @@ def ssyt_fillings(shape: IntTuple, nvars: int) -> Iterable[IntTuple]:
     yield from fill(0)
 
 
-def schur_poly(lam: Sequence[int], nvars: int) -> Poly:
-    """The Schur polynomial as an exponent->coefficient map."""
-    lam = trim(lam)
-    if len(lam) > nvars:
-        return {}
+def schur_poly(lam: Sequence[int], nvars: int) -> Mapping[IntTuple, int]:
+    """The Schur polynomial as a read-only exponent->coefficient map."""
+    return _schur_poly(trim(lam), nvars)
+
+
+@functools.lru_cache(maxsize=None)
+def _schur_poly(lam: IntTuple, nvars: int) -> Mapping[IntTuple, int]:
     out: Poly = {}
-    for content in ssyt_fillings(tuple(lam), nvars):
-        out[content] = out.get(content, 0) + 1
-    return out
+    if len(lam) <= nvars:
+        for content in ssyt_fillings(lam, nvars):
+            out[content] = out.get(content, 0) + 1
+    return MappingProxyType(out)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -110,8 +119,14 @@ def lr_coeff_oracle(lam, mu, nu) -> int:
     """Schur-multiplication oracle for a single LR coefficient."""
     lam, mu, nu = trim(lam), trim(mu), trim(nu)
     nvars = max(len(lam) + len(mu), len(nu), 1)
+    return _schur_product(lam, mu, nvars).get(nu, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _schur_product(lam: IntTuple, mu: IntTuple, nvars: int) -> Mapping[IntTuple, int]:
+    """The Schur expansion of s_lam * s_mu in nvars variables, read-only."""
     prod = poly_mul(schur_poly(lam, nvars), schur_poly(mu, nvars))
-    return schur_expand(prod, nvars).get(nu, 0)
+    return MappingProxyType(schur_expand(prod, nvars))
 
 
 def tensor_mult_oracle(w1: IntTuple, w2: IntTuple, n: int) -> Dict[IntTuple, int]:
@@ -172,7 +187,7 @@ def eta_equiv(e1: EtaFunctional, e2: EtaFunctional) -> bool:
     def pairs(e: EtaFunctional):
         out = []
         for m, ak in zip(e.mu, e.a):
-            mudot, mudd = mu_split(m, e.N)
+            mudot, mudd = split_index(m, e.N)
             out.append((mudd, ak * qpow(e.q, -mudot)))
         return sorted(out)
 

@@ -182,6 +182,8 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
      "--mu", "(1)", "--nu", "(1)"],
     ["branch", "--mode", "levi", "--I", "[[1],[2]]", "--J", "[[1,2,3]]",
      "--xi", "(1,0,0)", "--mu", "(0)"],
+    # the square vanishes at level one only
+    ["verify-nilpotency", "--ell", "2", "--a", "3,5", "--q", "2", "--deg-max", "0"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     # excluded parameters and malformed values: exit 2, never a traceback

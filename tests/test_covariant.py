@@ -19,7 +19,7 @@ from torusrep.covariant import (
     theta_inv,
 )
 from torusrep.errors import NotInSl, NotInSlInfinity
-from torusrep.liealg import GlqElement, bracket
+from torusrep.liealg import GlqElement, bracket, is_in_sl
 
 from liealg_oracles import bracket_oracle, cov_bracket_orbit_oracle
 from test_liealg import COEFFS, Q_VALUES, rand_basis
@@ -94,34 +94,42 @@ def test_cov_bracket_small_cases():
 
 def test_theta_examples():
     q, N = Fraction(2), 2
-    assert theta(E(1, 2, 2, 3), N, q) == CovElement.basis(ekey(1, 2, 2, 3))
-    assert theta(GlqElement.k1(), N, q) == CovElement.basis(KPRIME)
-    assert theta(GlqElement.k0(), N, q) == CovElement.basis(K)
-    assert theta(E(1, 1, 2, 0), N, q) == CovElement.basis(ekey(1, 1, 2, 0))
-    assert theta(E(1, 1) - E(2, 2), N, q) == CovElement.basis(hkey(1))
+    assert theta(E(1, 2, 2, 3), N) == CovElement.basis(ekey(1, 2, 2, 3))
+    assert theta(GlqElement.k1(), N) == CovElement.basis(KPRIME)
+    assert theta(GlqElement.k0(), N) == CovElement.basis(K)
+    assert theta(E(1, 1, 2, 0), N) == CovElement.basis(ekey(1, 1, 2, 0))
+    assert theta(E(1, 1) - E(2, 2), N) == CovElement.basis(hkey(1))
     with pytest.raises(NotInSl):
-        theta(E(1, 1), N, q)
+        theta(E(1, 1), N)
+
+
+def test_theta_refuses_an_index_above_N():
+    # a matrix index above N is outside the rank-N algebra, even when the
+    # degree-(0,0) diagonal part is traceless
+    for x in (E(1, 3, 1, 0), E(3, 1), E(1, 1) - E(3, 3)):
+        assert not is_in_sl(x, 2)
+        with pytest.raises(NotInSl):
+            theta(x, 2)
+    assert is_in_sl(E(1, 3, 1, 0), 3)
 
 
 def test_theta_inv_examples():
-    q, N = Fraction(2), 2
-    assert theta_inv(CovElement.basis(ekey(1, 2, 2, 3)), N, q) == E(1, 2, 2, 3)
-    assert theta_inv(CovElement.basis(K), N, q) == GlqElement.k0()
-    assert theta_inv(CovElement.basis(hkey(1)), N, q) == E(1, 1) - E(2, 2)
+    assert theta_inv(CovElement.basis(ekey(1, 2, 2, 3))) == E(1, 2, 2, 3)
+    assert theta_inv(CovElement.basis(K)) == GlqElement.k0()
+    assert theta_inv(CovElement.basis(hkey(1))) == E(1, 1) - E(2, 2)
     # matrix indices below 1 are rejected, as by GlqElement.matrix_unit
     for key in (ekey(0, 1, 1, 0), hkey(0)):
         with pytest.raises(ValueError):
-            theta_inv(CovElement.basis(key), N, q)
+            theta_inv(CovElement.basis(key))
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_theta_bijective_on_basis_window(N):
-    q = Q
     seen = set()
     for key in cov_basis_keys(N, 3):
         u = CovElement.basis(key)
-        x = theta_inv(u, N, q)
-        assert theta(x, N, q) == u
+        x = theta_inv(u)
+        assert theta(x, N) == u
         assert x not in seen
         seen.add(x)
 
@@ -143,7 +151,7 @@ def basis_window(N, max_exp):
 @pytest.mark.parametrize("N", [2, 3])
 def test_theta_inv_theta_identity(N):
     for x in basis_window(N, 3):
-        assert theta_inv(theta(x, N, Q), N, Q) == x
+        assert theta_inv(theta(x, N)) == x
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,8 +160,8 @@ def test_theta_is_homomorphism(seed, N):
     rng = random.Random(seed)
     x = rand_basis(rng, N, 3)
     y = rand_basis(rng, N, 3)
-    lhs = theta(bracket(x, y, Q), N, Q)
-    rhs = cov_bracket(theta(x, N, Q), theta(y, N, Q), N, Q)
+    lhs = theta(bracket(x, y, Q), N)
+    rhs = cov_bracket(theta(x, N), theta(y, N), N, Q)
     assert lhs == rhs
 
 
@@ -192,8 +200,8 @@ def test_oracles_agree_under_theta(N, q, data):
     # the two slow oracles, tied by theta alone
     u = data.draw(cov_elements(N))
     v = data.draw(cov_elements(N))
-    x, y = theta_inv(u, N, q), theta_inv(v, N, q)
-    assert theta(bracket_oracle(x, y, q), N, q) == cov_bracket_orbit_oracle(u, v, N, q)
+    x, y = theta_inv(u), theta_inv(v)
+    assert theta(bracket_oracle(x, y, q), N) == cov_bracket_orbit_oracle(u, v, N, q)
 
 
 def test_gsum_support_is_small():
@@ -204,7 +212,7 @@ def test_gsum_support_is_small():
     for _ in range(50):
         x = rand_basis(rng, N, 2)
         y = rand_basis(rng, N, 2)
-        got = cov_bracket(theta(x, N, q), theta(y, N, q), N, q)
+        got = cov_bracket(theta(x, N), theta(y, N), N, q)
         assert len(list(got.items())) <= 2 * (N + 2)
 
 

@@ -7,6 +7,7 @@ import torusrep.duality as duality
 from fock_oracles import (
     coeff,
     joint_hw_dim_oracle,
+    phi_vector_oracle,
     type_fixed_dim_oracle,
     weight_spaces_oracle,
 )
@@ -436,6 +437,14 @@ def test_phi_vector_involution_identity():
         for m in basis_monomials(n, N, ell):
             v = FockVector.monomial(m)
             assert phi_vector(v, ell, 1, N) == v
+
+
+@pytest.mark.parametrize("N,ell,M0", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_phi_vector_matches_insertion_sort_oracle(N, ell, M0):
+    for n in range(3):
+        for m in basis_monomials(n, N, M0 * ell):
+            v = FockVector.monomial(m)
+            assert phi_vector(v, ell, M0, N) == phi_vector_oracle(v, ell, M0, N), m
 
 
 def test_lattice_intertwiner_passes():

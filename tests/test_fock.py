@@ -10,6 +10,7 @@ from torusrep.fock import (
     PSI,
     PSIBAR,
     FockVector,
+    _gen_on_monomial,
     basis_monomials,
     bilinear_on_monomial,
     creators_of_degree,
@@ -22,6 +23,7 @@ from torusrep.fock import (
     hw_vector,
     monomial_degree,
     monomial_weight,
+    partner,
     psi,
     psibar,
     rho_action,
@@ -59,6 +61,21 @@ def test_phi_coordinate_identities():
     N = 2
     assert psi(1, 1, 0, N) == (1, PSI, -1)
     assert psibar(2, 1, -1, N) == (1, PSIBAR, -1)
+
+
+def test_partner_is_what_an_annihilator_removes():
+    # on a one-generator monomial an annihilator acts exactly when the
+    # monomial holds its partner, a creator, and then leaves the vacuum
+    gens = [(p, kind, idx) for p in (1, 2) for kind in (PSI, PSIBAR)
+            for idx in range(-6, 6)]
+    for a in gens:
+        if a[2] < 0:
+            continue
+        assert partner(a)[2] < 0 and partner(partner(a)) == a
+        for c in gens:
+            if c[2] < 0:
+                step = _gen_on_monomial(a, (c,))
+                assert step == ((1, ()) if c == partner(a) else None)
 
 
 def test_vacuum_annihilation():

@@ -24,7 +24,6 @@ from torusrep.glrep import (
     levi_branch_D,
     levi_dim,
     lr_coeff,
-    mu_split,
     tensor_mult_C,
     weyl_dim,
 )
@@ -301,16 +300,6 @@ def test_det_twist_invariance():
         DominantWeight.of(tuple(x + c for x in v), gl2),
         DominantWeight.of(tuple(x + c for x in w), gl2)])
     assert shifted == {tuple(x + 2 * c for x in k): m for k, m in base.items()}
-
-
-def test_mu_split():
-    assert mu_split(1, 2) == (0, 1)
-    assert mu_split(0, 2) == (-1, 2)
-    assert mu_split(3, 2) == (1, 1)
-    assert mu_split(-1, 2) == (-1, 1)
-    for mu in range(-6, 7):
-        d, r = mu_split(mu, 3)
-        assert mu == 3 * d + r and 1 <= r <= 3
 
 
 def test_eta_eval_examples():

@@ -16,6 +16,7 @@ from torusrep.scalars import (
     as_scalar,
     gamma_q_exponent,
     qpow,
+    split_index,
     validate_spectrum,
 )
 
@@ -177,3 +178,12 @@ def test_accumulate():
     # an updated key keeps its place; a re-added one goes last
     assert list(terms) == ["b", "c", "a"]
 
+
+def test_split_index():
+    assert split_index(1, 2) == (0, 1)
+    assert split_index(0, 2) == (-1, 2)
+    assert split_index(3, 2) == (1, 1)
+    assert split_index(-1, 2) == (-1, 1)
+    for m in range(-6, 7):
+        d, r = split_index(m, 3)
+        assert m == 3 * d + r and 1 <= r <= 3
