@@ -4,7 +4,7 @@ Classes of E_{m,n} (x) t^k under the relation identifying a basis vector
 with q^k times its N-step diagonal shift.  Canonical coordinates are
 
     e_{i,j}(m0, m1)  <->  class of E_{i, N*m1+j} (x) t^m0,
-    e_{i,i}(m0, 0)   <->  (1 - q^{-m0})^{-1} class of (E_{i,i}-E_{N+i,N+i}) (x) t^m0,
+    e_{i,i}(m0, 0)   <->  class of E_{i,i} (x) t^m0 = q^m0 class of E_{N+i,N+i} (x) t^m0,
     hbar_r           <->  class of E_{r,r}-E_{r+1,r+1},
     kprime           <->  class of E_{r,r}-E_{N+r,N+r} (any r),
     k                <->  the affine center.
@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import NotInSl, NotInSlInfinity
 from .liealg import GlqElement, K0, K1, mat_key
-from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow, split_index
+from .scalars import ONE, Rational, SparseVector, accumulate, as_scalar, split_index
 
 K = "k"
 KPRIME = "kprime"
@@ -60,11 +60,17 @@ class CovElement(SparseVector):
         return (3,) + k[1:]
 
     @staticmethod
+    def _name(k) -> str:
+        if k == K or k == KPRIME:
+            return k
+        if k[0] == "h":
+            return f"hbar[{k[1]}]"
+        _, i, j, m0, m1 = k
+        return f"e[{i},{j}]({m0},{m1})"
+
+    @staticmethod
     def basis(key: CovKey, coeff: Rational = 1) -> "CovElement":
         return CovElement({key: coeff})
-
-    def __repr__(self):
-        return f"CovElement({format_cov(self)!r})"
 
 
 def canonicalize(m: int, n: int, k: int, N: int, q: Rational) -> Tuple[Fraction, EKey]:
@@ -74,38 +80,12 @@ def canonicalize(m: int, n: int, k: int, N: int, q: Rational) -> Tuple[Fraction,
     the power q^0 is the constant ONE.
     """
     if m == n:
-        raise NotInSlInfinity("single diagonal unit is not trace-zero")
+        raise NotInSlInfinity("canonicalize takes an off-diagonal unit")
     q = as_scalar(q)
     m1, i = split_index(m, N)
     n1, j = split_index(n, N)
     e = -k * m1
     return q ** e if e else ONE, ekey(i, j, k, n1 - m1)
-
-
-def canonicalize_diag_diff(m: int, n: int, k: int, N: int, q: Rational) -> CovElement:
-    """Canonical form of the class of (E_{m,m} - E_{n,n}) (x) t^k."""
-    if m == n:
-        return CovElement.zero()
-    q = as_scalar(q)
-    m1, i = split_index(m, N)
-    n1, j = split_index(n, N)
-    if k != 0:
-        out = CovElement.basis(ekey(i, i, k, 0), qpow(q, -k * m1))
-        return out - CovElement.basis(ekey(j, j, k, 0), qpow(q, -k * n1))
-    out = CovElement.basis(KPRIME, n1 - m1) if m1 != n1 else CovElement.zero()
-    return out + _hbar_diff(i, j)
-
-
-def _hbar_diff(i: int, j: int) -> CovElement:
-    """Class of E_{i,i} - E_{j,j} (1 <= i,j <= N) in the hbar_r coordinates."""
-    out: Dict[CovKey, Fraction] = {}
-    if i < j:
-        for r in range(i, j):
-            out[hkey(r)] = Fraction(1)
-    else:
-        for r in range(j, i):
-            out[hkey(r)] = Fraction(-1)
-    return CovElement._of(out)
 
 
 # -- raw (pre-canonical) arithmetic -----------------------------------------
@@ -117,7 +97,7 @@ def _hbar_diff(i: int, j: int) -> CovElement:
 RawKey = Union[Tuple[int, int, int], str]
 
 
-def _raw_units(u: CovElement, N: int, q: Fraction) -> List[Tuple[int, int, int, Fraction]]:
+def _raw_units(u: CovElement, N: int) -> List[Tuple[int, int, int, Fraction]]:
     """The raw form of u without its center, as (r, s, t, coefficient)
     for E_{r,s} (x) t^t; r = s for a diagonal unit."""
     out = []
@@ -126,43 +106,45 @@ def _raw_units(u: CovElement, N: int, q: Fraction) -> List[Tuple[int, int, int, 
             continue
         if key == KPRIME or key[0] == "h":
             r, s = (1, N + 1) if key == KPRIME else (key[1], key[1] + 1)
-            units = ((r, 0, ONE), (s, 0, NEG_ONE))
+            out += ((r, r, 0, c), (s, s, 0, -c))
         else:
             _, i, j, m0, m1 = key
-            if i != j or m1 != 0:
-                out.append((i, N * m1 + j, m0, c))
-                continue
-            d = 1 / (1 - q ** -m0)
-            units = ((i, m0, d), (N + i, m0, -d))
-        for r, t, d in units:
-            out.append((r, r, t, c if d is ONE else -c if d is NEG_ONE else c * d))
+            out.append((i, N * m1 + j, m0, c))
     return out
 
 
 def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovElement:
+    """Canonical coordinates of a raw combination, unit by unit.
+
+    A diagonal unit E_{Nd+i,Nd+i} (x) t^t is q^{-t*d} e_{i,i}(t, 0) for
+    t != 0, and E_{i,i} - d*kprime for t = 0; the E_{i,i} then telescope
+    into hbar_r.
+    """
     out: Dict[CovKey, Fraction] = {}
-    diag: Dict[int, Dict[int, Fraction]] = {}
+    trace: Dict[int, Fraction] = {}
+    diag0: Dict[int, Fraction] = {}
     for key, c in raw.items():
         if key == K:
             accumulate(out, K, c)
             continue
         r, s, t = key
-        if r == s:
-            accumulate(diag.setdefault(t, {}), r, c)
-        else:
+        if r != s:
             coeff, ck = canonicalize(r, s, t, N, q)
             accumulate(out, ck, c if coeff is ONE else c * coeff)
-    for t, live in sorted(diag.items()):
-        if not live:
             continue
-        if sum(live.values()) != 0:
-            raise NotInSl("raw diagonal part has nonzero trace")
-        r0 = min(live)
-        for r, c in sorted(live.items()):
-            if r == r0:
-                continue
-            for k, v in canonicalize_diag_diff(r, r0, t, N, q)._terms.items():
-                accumulate(out, k, c * v)
+        accumulate(trace, t, c)
+        d, i = split_index(r, N)
+        if t:
+            accumulate(out, ekey(i, i, t, 0), c * q ** (-t * d) if d else c)
+        else:
+            accumulate(diag0, i, c)
+            accumulate(out, KPRIME, -d * c)
+    if trace:
+        raise NotInSl("raw diagonal part has nonzero trace")
+    acc = 0
+    for r in range(1, N):
+        acc += diag0.get(r, 0)
+        accumulate(out, hkey(r), acc)
     return CovElement._of(out)
 
 
@@ -191,8 +173,8 @@ def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
 def cov_bracket(u: CovElement, v: CovElement, N: int, q: Rational) -> CovElement:
     q = as_scalar(q)
     acc: Dict[RawKey, Fraction] = {}
-    rv = _raw_units(v, N, q)
-    for a, b, m, cu in _raw_units(u, N, q):
+    rv = _raw_units(v, N)
+    for a, b, m, cu in _raw_units(u, N):
         for c, d, n, cv in rv:
             _raw_bracket(a, b, m, c, d, n, N, q,
                          cv if cu is ONE else cu if cv is ONE else cu * cv, acc)
@@ -261,25 +243,3 @@ def cov_basis_keys(N: int, max_exp: int) -> Iterable[CovKey]:
     yield KPRIME
     yield K
 
-
-def format_cov(u: CovElement) -> str:
-    if u.is_zero():
-        return "0"
-    parts = []
-    for key, c in u.items():
-        if key == K:
-            mono = "k"
-        elif key == KPRIME:
-            mono = "kprime"
-        elif key[0] == "h":
-            mono = f"hbar[{key[1]}]"
-        else:
-            _, i, j, m0, m1 = key
-            mono = f"e[{i},{j}]({m0},{m1})"
-        if c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")

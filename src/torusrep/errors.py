@@ -32,7 +32,7 @@ class NotInSl(TorusRepError):
 
 
 class NotInSlInfinity(TorusRepError):
-    """A single diagonal matrix unit has no class in the trace-zero setting."""
+    """A diagonal matrix unit where an off-diagonal one is required."""
 
 
 class IncompatiblePartitions(TorusRepError):

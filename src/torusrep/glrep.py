@@ -257,7 +257,7 @@ def levi_branch_D(xi: DominantWeight, part_a: SetPartition,
 
     part_a partitions {1..ell}, part_b partitions {1..ell'} (re-indexed to
     live after part_a); every block of the merged partition must split into
-    whole blocks of the product partition.
+    at most one block of part_a and one of part_b.
     """
     ell_a = part_a.ell
     merged = xi.partition
@@ -268,6 +268,10 @@ def levi_branch_D(xi: DominantWeight, part_a: SetPartition,
         if len(tops) != 1:
             raise IncompatiblePartitions(
                 f"product block {pb} straddles merged blocks")
+    sides = [(merged.block_of(pb[0]), pb[0] <= ell_a) for pb in prod_blocks]
+    if len(set(sides)) != len(sides):
+        raise IncompatiblePartitions(
+            "a merged block holds two product blocks on one side")
     per_block = [_restrict_block(xi.restrict(mb), mb, ell_a)
                  for mb in merged.blocks]
     out: Dict[Tuple[IntTuple, IntTuple], int] = {}

@@ -12,7 +12,7 @@ the two central generators k0, k1.  The bracket implements
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, Set, Tuple, Union
 
 from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow
 
@@ -43,6 +43,18 @@ class GlqElement(SparseVector):
         return (2,) + k
 
     @staticmethod
+    def _name(k) -> str:
+        if not isinstance(k, tuple):
+            return k    # "k0" or "k1"
+        i, j, m0, m1 = k
+        name = f"E[{i},{j}]"
+        if m0:
+            name += f"*t0^{m0}"
+        if m1:
+            name += f"*t1^{m1}"
+        return name
+
+    @staticmethod
     def matrix_unit(i: int, j: int, m0: int = 0, m1: int = 0,
                     coeff: Rational = 1) -> "GlqElement":
         return GlqElement({mat_key(i, j, m0, m1): coeff})
@@ -54,9 +66,6 @@ class GlqElement(SparseVector):
     @staticmethod
     def k1(coeff: Rational = 1) -> "GlqElement":
         return GlqElement({K1: coeff})
-
-    def __repr__(self):
-        return f"GlqElement({format_element(self)!r})"
 
 
 def is_in_sl(x: GlqElement, N: int) -> bool:
@@ -112,11 +121,10 @@ def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
 TORAL_WINDOW = 3
 
 
-def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
+def h_gen(i: int, n: int, N: int, q: Rational) -> GlqElement:
     """The toral generator h_{i,n} (three defining cases, as terms; N >= 2).
 
-    The i = N, n != 0 case carries the coefficient -q^n, so it needs the
-    specialized q.
+    The i = N, n != 0 case carries the coefficient -q^n.
     """
     if not 1 <= i <= N:
         raise ValueError("need 1 <= i <= N")
@@ -124,43 +132,10 @@ def h_gen(i: int, n: int, N: int, q: Rational = None) -> GlqElement:
         return GlqElement._of({(i, i, 0, n): ONE, (i + 1, i + 1, 0, n): NEG_ONE})
     if n == 0:
         return GlqElement._of({K0: ONE, (1, 1, 0, 0): NEG_ONE, (N, N, 0, 0): ONE})
-    if q is None:
-        raise ValueError("h_{N,n} with n != 0 depends on q")
     return GlqElement._of({(1, 1, 0, n): -qpow(as_scalar(q), n), (N, N, 0, n): ONE})
 
 
-def grade(x: GlqElement) -> Dict[int, GlqElement]:
-    """Split into homogeneous parts: E t0^m0 t1^m1 sits in degree -m0."""
-    parts: Dict[int, Dict[Key, Fraction]] = {}
-    for k, c in x.items():
-        d = -k[2] if isinstance(k, tuple) else 0
-        parts.setdefault(d, {})[k] = c
-    return {d: GlqElement._of(t) for d, t in sorted(parts.items())}
-
-
-# -- text form -------------------------------------------------------------
-
-
-def format_element(x: GlqElement) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for k, c in x.items():
-        if k == K0:
-            mono = "k0"
-        elif k == K1:
-            mono = "k1"
-        else:
-            i, j, m0, m1 = k
-            mono = f"E[{i},{j}]"
-            if m0:
-                mono += f"*t0^{m0}"
-            if m1:
-                mono += f"*t1^{m1}"
-        if c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+def degrees(x: GlqElement) -> Set[int]:
+    """The degrees of x's terms: E t0^m0 t1^m1 sits in degree -m0, and
+    k0, k1 in degree 0."""
+    return {-k[2] if isinstance(k, tuple) else 0 for k in x._terms}

@@ -49,14 +49,16 @@ class SparseVector:
     """Immutable finite rational combination of hashable basis keys.
 
     ``_terms`` maps each key to its nonzero `Fraction` coefficient.
-    Subclasses name the basis: they add constructors, a ``__repr__`` and
-    ``_order``, the sort key on items (None for the keys' natural order).
+    Subclasses name the basis: they add constructors, ``_order``, the sort
+    key on items (None for the keys' natural order), and ``_name``, the
+    text of one key (None for a subclass with its own ``__repr__``).
     Vectors of different subclasses are never equal, and adding or
     subtracting them raises `TypeError`.
     """
 
     __slots__ = ("_terms",)
     _order: Optional[Callable] = None
+    _name: Optional[Callable] = None
 
     def __init__(self, terms: Optional[Dict[Hashable, Rational]] = None):
         clean = {}
@@ -84,6 +86,20 @@ class SparseVector:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def text(self) -> str:
+        """The terms in order as "key", "-key" or "c*key", joined by " + "
+        with "+ -" written "- "; "0" for the zero vector."""
+        if not self._terms:
+            return "0"
+        parts = []
+        for k, c in self.items():
+            name = self._name(k)
+            parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.text()!r})"
 
     def __add__(self, other: "SparseVector"):
         if type(other) is not type(self):

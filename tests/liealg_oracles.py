@@ -10,7 +10,9 @@ matrix units, sums the affine bracket over every shift g in a window that
 holds the contributing ones, and maps the result back to canonical
 coordinates with its own shift rule.  It shares no code with
 `cov_bracket`, whose orbit sum visits only the two shifts that can
-contribute.
+contribute, and it represents e_{i,i}(m0, 0) otherwise: by the trace-zero
+(1 - q^{-m0})^{-1} (E_{i,i} - E_{N+i,N+i}) t^m0, where `cov_bracket` takes
+the single unit E_{i,i} t^m0 of the same class.
 """
 from fractions import Fraction
 from typing import Dict, Tuple

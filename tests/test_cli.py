@@ -184,6 +184,10 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
      "--xi", "(1,0,0)", "--mu", "(0)"],
     # the square vanishes at level one only
     ["verify-nilpotency", "--ell", "2", "--a", "3,5", "--q", "2", "--deg-max", "0"],
+    # a --J block holds at most one --I block on each side of the split
+    ["branch", "--mode", "levi", "--I", "[[1],[2],[3]]", "--xi", "(2,1,0)",
+     "--mu", "(0)"],
+    ["branch", "--mode", "levi", "--I", "[[1],[2]]", "--xi", "(2,0)", "--mu", "()"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     # excluded parameters and malformed values: exit 2, never a traceback

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,12 +9,11 @@ from torusrep.covariant import (
     CovElement,
     K,
     KPRIME,
+    _canonicalize_raw,
     canonicalize,
-    canonicalize_diag_diff,
     cov_basis_keys,
     cov_bracket,
     ekey,
-    format_cov,
     hkey,
     theta,
     theta_inv,
@@ -36,7 +36,8 @@ def test_canonicalize_examples():
     coeff, key = canonicalize(1, 2, 0, 2, q)
     assert (coeff, key) == (1, ekey(1, 2, 0, 0))
 
-    d = canonicalize_diag_diff(3, 1, 0, 2, q)
+    # E_{3,3} - E_{1,1} at N=2: the shifted unit E_{3,3} is E_{1,1} - kprime
+    d = _canonicalize_raw({(3, 3, 0): Fraction(1), (1, 1, 0): Fraction(-1)}, 2, q)
     assert d == CovElement.basis(KPRIME, -1)
 
     with pytest.raises(NotInSlInfinity):
@@ -77,9 +78,37 @@ def test_cov_bracket_worked_instance():
             + CovElement.basis(KPRIME, Fraction(-1, 2))
             + CovElement.basis(K, Fraction(1, 2)))
     assert got == want
-    # and directly via the diagonal canonicalizer
-    assert canonicalize_diag_diff(1, 0, 0, N, q) == (
+    # and directly via the raw canonicalizer
+    raw = {(1, 1, 0): Fraction(1), (0, 0, 0): Fraction(-1)}
+    assert _canonicalize_raw(raw, N, q) == (
         CovElement.basis(hkey(1)) - CovElement.basis(KPRIME))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("q", [Fraction(5, 2), Fraction(-3)])
+def test_diagonal_classes_match_orbit_oracle(N, q):
+    # the route takes e_{i,i}(m0, 0) as the single unit E_{i,i} t^m0, the
+    # oracle as the two-unit representative
+    keys = list(cov_basis_keys(N, 2))
+    for i in range(1, N + 1):
+        for m0 in (-3, -2, -1, 1, 2, 3):
+            u = CovElement.basis(ekey(i, i, m0, 0))
+            for key in keys:
+                v = CovElement.basis(key)
+                assert cov_bracket(u, v, N, q) == cov_bracket_orbit_oracle(u, v, N, q)
+
+
+@pytest.mark.parametrize("q", [Fraction(5, 2), Fraction(-3)])
+def test_diagonal_outputs_match_orbit_oracle(q):
+    # [e_{i,j}(m0, m1), e_{j,i}(n0, n1)] has diagonal raw units at every
+    # degree and row shift, at t = 0 too
+    N = 3
+    window = range(-1, 2)
+    for i, j in itertools.permutations(range(1, N + 1), 2):
+        for m0, m1, n0, n1 in itertools.product(window, repeat=4):
+            u = CovElement.basis(ekey(i, j, m0, m1))
+            v = CovElement.basis(ekey(j, i, n0, n1))
+            assert cov_bracket(u, v, N, q) == cov_bracket_orbit_oracle(u, v, N, q)
 
 
 def test_cov_bracket_small_cases():
@@ -218,6 +247,6 @@ def test_gsum_support_is_small():
 
 def test_format_cov():
     u = CovElement.basis(ekey(1, 2, 0, -1), Fraction(-1, 2)) + CovElement.basis(K)
-    s = format_cov(u)
+    s = u.text()
     assert "e[1,2](0,-1)" in s and "k" in s
-    assert format_cov(CovElement.zero()) == "0"
+    assert CovElement.zero().text() == "0"

@@ -241,6 +241,10 @@ def test_levi_branch_D_incompatible():
     xi = DominantWeight.of((1, 0), merged)
     with pytest.raises(IncompatiblePartitions):
         levi_branch_D(xi, SetPartition.full(2), SetPartition.of([]))
+    # one merged block restricts to one block on each side, not two
+    xi = DominantWeight.of((2, 1, 0), SetPartition.full(3))
+    with pytest.raises(IncompatiblePartitions):
+        levi_branch_D(xi, SetPartition.full(1), SetPartition.of([[1], [2]]))
 
 
 def test_tensor_mult_C_examples():
