@@ -14,16 +14,17 @@ its fixed dimension depends only on the weight and its ``component_type``
 (per occupied site, the kind and the per-block counts).  ``fixed_dim``
 eliminates each (weight, type) once, on the first component met, in a memo
 that the suite call owns: one per partition, shared across the ranks of the
-Levi suite.  In the joint highest-weight check the toral generators
-h_{i,n} (m0 = 0, i = j) act diagonally on monomials, so the kernel of every
-h - eta(h) is spanned by the monomials whose eigenvalues all match eta:
-``joint_hw_dim`` keeps only those, which leaves the joint kernel as it is,
-since the order in which the conditions are imposed does not matter.  The
-torus-side raising conditions are then imposed through the block-triangular
-doubly-infinite operators, which span the same constraints as the raising
-half of the torus algebra on any bounded-degree slice once the parameters
-are generic (the block values b_r q^{-k} are then distinct, so the
-exponential sums separate).
+Levi suite.  The elimination layer (``fixed_space``, ``fixed_dim``) takes no
+rank: the flavor and doubly-infinite actions read only flat indices.  In the
+joint highest-weight check the toral generators h_{i,n} (m0 = 0, i = j) act
+diagonally on monomials, so the kernel of every h - eta(h) is spanned by the
+monomials whose eigenvalues all match eta: ``joint_hw_dim`` keeps only
+those, which leaves the joint kernel as it is, since the order in which the
+conditions are imposed does not matter.  The torus-side raising conditions
+are then imposed through the block-triangular doubly-infinite operators,
+which span the same constraints as the raising half of the torus algebra on
+any bounded-degree slice once the parameters are generic (the block values
+b_r q^{-k} are then distinct, so the exponential sums separate).
 """
 from __future__ import annotations
 
@@ -147,8 +148,7 @@ def _image_rows(images: Sequence[FockVector]) -> List[Dict[int, Fraction]]:
     return list(rows.values())
 
 
-def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
-                N: int) -> List[FockVector]:
+def fixed_space(partition: SetPartition, monos: Sequence[Monomial]) -> List[FockVector]:
     """Exact basis of the raising-fixed subspace of one weight slice, given
     by its monomials (one value of ``weight_spaces``)."""
     basis = [FockVector._of({m: ONE}) for m in monos]
@@ -157,7 +157,7 @@ def fixed_space(partition: SetPartition, monos: Sequence[Monomial],
         return basis
     rows: List[Dict[int, Fraction]] = []
     for (r, s) in ops:
-        rows.extend(_image_rows([gl_ell_action(r, s, v, N) for v in basis]))
+        rows.extend(_image_rows([gl_ell_action(r, s, v) for v in basis]))
     return [FockVector._of({monos[c]: x for c, x in vec.items()})
             for vec in nullspace(rows, len(monos))]
 
@@ -172,12 +172,11 @@ def component_type(profile: Sequence[Tuple[int, int, int]]) -> Tuple[Tuple[int, 
     return tuple(sorted(sites.values()))
 
 
-def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], N: int,
-              memo: Dict) -> int:
+def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], memo: Dict) -> int:
     """Dimension of the raising-fixed subspace of one weight slice, summed
     over its site-occupation components.  ``memo`` maps (weight, component
     type) to the dimension found on the first such component; it serves one
-    partition, at any rank N."""
+    partition, at any rank."""
     if not monos or not raising_pairs(partition):
         return len(monos)
     w = monomial_weight(monos[0], partition.ell)
@@ -190,20 +189,20 @@ def fixed_dim(partition: SetPartition, monos: Sequence[Monomial], N: int,
     for profile, comp in components.items():
         key = (w, component_type(profile))
         if key not in memo:
-            memo[key] = len(fixed_space(partition, comp, N))
+            memo[key] = len(fixed_space(partition, comp))
         total += memo[key]
     return total
 
 
 def _dominant_fixed_dims(partition: SetPartition,
                         spaces: Dict[Tuple[int, ...], List[Monomial]],
-                        N: int, memo: Dict) -> Dict[Tuple[int, ...], int]:
+                        memo: Dict) -> Dict[Tuple[int, ...], int]:
     """The nonzero fixed dimensions of the dominant weight slices of one
     degree, in increasing weight order."""
     out = {}
     for w in sorted(spaces):
         if is_dominant(w, partition):
-            m = fixed_dim(partition, spaces[w], N, memo)
+            m = fixed_dim(partition, spaces[w], memo)
             if m:
                 out[w] = m
     return out
@@ -242,7 +241,6 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
     mismatch; the raising pairs and upper operators are eliminated on the
     kept ones.  A toral image off its monomial's line raises `OffDiagonal`."""
     partition = validate_spectrum(params.a, params.q)
-    N = params.N
     toral = toral_table(mu, params)
     basis = []
     for m in monos:
@@ -257,9 +255,9 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
             basis.append(v)
     rows: List[Dict[int, Fraction]] = []
     for (r, s) in raising_pairs(partition):
-        rows.extend(_image_rows([gl_ell_action(r, s, v, N) for v in basis]))
-    for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), N):
-        rows.extend(_image_rows([glbar_action(A, B, v, N, flavors) for v in basis]))
+        rows.extend(_image_rows([gl_ell_action(r, s, v) for v in basis]))
+    for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), params.N):
+        rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in basis]))
     return len(nullspace(rows, len(basis)))
 
 
@@ -281,7 +279,7 @@ def verify_skew_duality(N: int, a: Sequence, q, n_max: int,
         table = {}
         lhs = 0
         spaces = weight_spaces(n, tables, lambda w: is_dominant(w, partition))
-        fdims = _dominant_fixed_dims(partition, spaces, N, memo)
+        fdims = _dominant_fixed_dims(partition, spaces, memo)
         for w, m in fdims.items():
             d = levi_dim(w, partition)
             table[weight_key(w)] = [m, d]
@@ -331,7 +329,7 @@ def verify_tensor_branching(N: int, a: Sequence, b: Sequence, q,
         # pairs Levi-dominant weights: no other slice is read
         spaces = weight_spaces(n, tables, lambda w: is_dominant(w, prod_part))
         # merged-side data
-        fdim = _dominant_fixed_dims(merged, spaces, N, merged_memo)
+        fdim = _dominant_fixed_dims(merged, spaces, merged_memo)
         dmaps = {w: levi_branch_D(DominantWeight.of(w, merged), part_a, part_b)
                  for w in fdim}
         # product-side comparison per pair weight
@@ -340,7 +338,7 @@ def verify_tensor_branching(N: int, a: Sequence, b: Sequence, q,
             pair_weights.update(mu + nu for (mu, nu) in dmap)
         table = {}
         for w in sorted(pair_weights):
-            lhs = fixed_dim(prod_part, spaces.get(w, []), N, prod_memo)
+            lhs = fixed_dim(prod_part, spaces.get(w, []), prod_memo)
             mu, nu = w[:ell], w[ell:]
             rhs = 0
             for xi, m in fdim.items():
@@ -379,7 +377,7 @@ def verify_levi_branching(bfN: Sequence[int], a: Sequence, q,
 
     def dominant_dims(n: int, Nr: int) -> Dict[Tuple[int, ...], int]:
         spaces = weight_spaces(n, by_rank[Nr], lambda w: is_dominant(w, partition))
-        return _dominant_fixed_dims(partition, spaces, Nr, memo)
+        return _dominant_fixed_dims(partition, spaces, memo)
 
     # per factor rank and degree: {weight: fixed dim}; equal factors share
     fdim_r = {Nr: [dominant_dims(n, Nr) for n in range(n_max + 1)]
@@ -533,9 +531,9 @@ def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
                     runs += 1
                     big = FockVector.zero()
                     for k in range(M0):
-                        big = big + gl_ell_action(k * ell + p, k * ell + pp, w, N)
+                        big = big + gl_ell_action(k * ell + p, k * ell + pp, w)
                     lhs = phi_vector(big, ell, M0, N)
-                    rhs = gl_ell_action(p, pp, phi_vector(w, ell, M0, N), N)
+                    rhs = gl_ell_action(p, pp, phi_vector(w, ell, M0, N))
                     if lhs == rhs:
                         ok += 1
                     else:

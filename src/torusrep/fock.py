@@ -13,9 +13,19 @@ and the product A(mu) of the highest-weight construction is already sorted.
 All signs are transposition counts against the global (p, kind, idx) order.
 
 `_gen_on_monomial` is the one Clifford kernel: it inserts a creator, or
-removes an annihilator's `partner`, with its sign.  A bilinear is two of
-its steps, each of the three actions accumulates bilinear images monomial
-by monomial, and the refolding re-sorts a monomial by inserting creators.
+removes an annihilator's `partner`, with its sign.  A bilinear
+:psi^p[a] psibar^pb[b]: is two of its steps: an annihilating psi (a >= 0)
+acts first, with sign -1; otherwise psibar acts first, with sign +1.  The
+three actions accumulate bilinear images monomial by monomial:
+
+- E_{i,j} t0^m0 t1^m1 = sum over k, p of (a_p q^{-k})^{m1}
+  :psi^p[(m0 - k)N - i] psibar^p[kN + j - 1]:, plus a diagonal scalar;
+- the flavor unit E_{r,s} = sum over b of :psi^r[-b-1] psibar^s[b]:;
+- the doubly-infinite unit E_{A,B} = :psi^p[-A] psibar^p[B-1]:, summed
+  over the flavors p of a block.
+
+Only the torus action reads the rank N.  The refolding re-sorts a monomial
+by inserting creators.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InvalidParams
 from .liealg import GlqElement, K0, K1
 from .scalars import (
-    NEG_ONE, ONE, ParameterSet, Rational, SparseVector, accumulate, qpow, split_index)
+    NEG_ONE, ONE, ParameterSet, Rational, SparseVector, accumulate, qpow)
 
 PSI = 0
 PSIBAR = 1
@@ -107,17 +117,16 @@ def _gen_on_monomial(g: Gen, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
     return (-1 if pos & 1 else 1, mono[:pos] + mono[pos + 1:])
 
 
-def bilinear_on_monomial(i: int, p: int, m: int, j: int, pb: int, n: int,
-                         mono: Monomial, N: int) -> Optional[Tuple[int, Monomial]]:
-    """:psi_i^p(m) psibar_j^pb(n): on one monomial; at most one term.
+def bilinear_on_monomial(a: Gen, b: Gen, mono: Monomial
+                         ) -> Optional[Tuple[int, Monomial]]:
+    """:a b: on one monomial, for a psi generator a and a psibar generator
+    b; at most one term.
 
-    The normal order keeps psi(m) psibar(n) when m <= n and writes
-    -psibar(n) psi(m) otherwise; the right factor acts first."""
-    a, b = psi(i, p, m, N), psibar(j, pb, n, N)
-    if m <= n:
-        first, second, sign = b, a, 1
-    else:
-        first, second, sign = a, b, -1
+    The normal order writes -b a when a annihilates (a[2] >= 0), so a acts
+    first, and a b otherwise, so b acts first.  It equals ordering by modes
+    (psi(m) psibar(n) when m <= n): the two orders differ only on partner
+    pairs, and there both let the annihilator act first."""
+    first, second, sign = (a, b, -1) if a[2] >= 0 else (b, a, 1)
     step = _gen_on_monomial(first, mono)
     if step is None:
         return None
@@ -170,7 +179,7 @@ def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
                 or (pauli and ((a < 0 and (p, PSI, a) in mono)
                                or (b < 0 and (p, PSIBAR, b) in mono)))):
             continue
-        sign, mono2 = bilinear_on_monomial(i, p, m0 - k, j, p, k, mono, N)
+        sign, mono2 = bilinear_on_monomial((p, PSI, a), (p, PSIBAR, b), mono)
         table.append((mono2, sign, p, k))
     return tuple(table)
 
@@ -236,31 +245,26 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVect
     return FockVector._of(acc)
 
 
-def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
-    """The commuting finite general-linear action E_{r,s}: the sum over
-    labels i and modes n of :psi_i^r(-n) psibar_i^s(n):.
+def gl_ell_action(r: int, s: int, vec: FockVector) -> FockVector:
+    """The commuting finite general-linear action E_{r,s}: the sum over flat
+    indices b of :psi^r[-b-1] psibar^s[b]:.
 
-    psi_i^r(-n) and psibar_i^s(n) never both create, and the annihilating
-    factor acts first, so a term survives only if it contracts with a
-    generator of the monomial.  Each psi generator of flavor s therefore
-    gives exactly one candidate (i, n), the one where psibar_i^s(n) is its
-    partner, and each psibar generator of flavor r gives the one where
-    psi_i^r(-n) is its partner.  Candidates are visited in ascending (i, n)
-    order.
-    """
+    The two factors never both create, and the annihilating one acts first,
+    so a term survives only if it contracts with a generator of the
+    monomial: a flavor-s psi at idx (b = -idx - 1), which moves to flavor r,
+    or a flavor-r psibar at idx (b = idx), which moves to flavor s, at the
+    same site.  Candidates are visited in ascending b."""
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         candidates = []
         for p, kind, idx in mono:
             if kind == PSI:
                 if p == s:
-                    n = (-idx - 1) // N
-                    candidates.append((-idx - n * N, n))
+                    candidates.append(-idx - 1)
             elif p == r:
-                n = idx // N
-                candidates.append((idx - n * N + 1, n))
-        for i, n in sorted(candidates):
-            step = bilinear_on_monomial(i, r, -n, i, s, n, mono, N)
+                candidates.append(idx)
+        for b in sorted(candidates):
+            step = bilinear_on_monomial((r, PSI, -b - 1), (s, PSIBAR, b), mono)
             if step is None:
                 continue
             sign, mono2 = step
@@ -268,22 +272,19 @@ def gl_ell_action(r: int, s: int, vec: FockVector, N: int) -> FockVector:
     return FockVector._of(acc)
 
 
-def glbar_action(mrow: int, ncol: int, vec: FockVector, N: int,
-                 flavors: Sequence[int]) -> FockVector:
+def glbar_action(A: int, B: int, vec: FockVector, flavors: Sequence[int]) -> FockVector:
     """Action of the centrally extended doubly-infinite matrix unit
-    E_{mrow,ncol}, summed over the given flavors (a block, or 1..ell).
-    As in `gl_ell_action`, a term survives only if the partner of each
-    annihilating factor, a creator (negative index), is in the monomial."""
-    m, i = split_index(mrow, N)
-    n, j = split_index(ncol, N)
-    partners = [(kind, idx) for kind, idx in ((PSIBAR, m * N + i - 1), (PSI, -n * N - j))
-                if idx < 0]
+    E_{A,B} = :psi[-A] psibar[B-1]:, summed over the given flavors (a block,
+    or 1..ell).  As in `gl_ell_action`, a term survives only if the partner
+    of each annihilating factor, a creator (negative index), is in the
+    monomial."""
+    partners = [(kind, idx) for kind, idx in ((PSIBAR, A - 1), (PSI, -B)) if idx < 0]
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         for p in flavors:
             if any((p, kind, idx) not in mono for kind, idx in partners):
                 continue
-            step = bilinear_on_monomial(i, p, -m, j, p, n, mono, N)
+            step = bilinear_on_monomial((p, PSI, -A), (p, PSIBAR, B - 1), mono)
             if step is None:
                 continue
             sign, mono2 = step
@@ -327,10 +328,8 @@ def graded_dim(n: int, N: int, ell: int) -> int:
 def creators_of_degree(d: int, N: int, ell: int) -> List[Gen]:
     out: List[Gen] = []
     for p in range(1, ell + 1):
-        if d == 0:
-            out.extend(psi(i, p, 0, N) for i in range(1, N + 1))
-        else:
-            out.extend(psi(i, p, -d, N) for i in range(1, N + 1))
+        out.extend(psi(i, p, -d, N) for i in range(1, N + 1))
+        if d:
             out.extend(psibar(i, p, -d, N) for i in range(1, N + 1))
     return sorted(out)
 

@@ -192,6 +192,8 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
             ok += 1
         else:
             report.fail({"trial": t, "law": "central-instance", "x": x.text()})
+    if not runs:
+        raise InvalidParams("no central-instance pair drawn; raise --trials")
     report.add_case("central-instances", {"pairs": [ok, runs]}, ok, runs)
 
     ok = runs = 0
@@ -277,7 +279,7 @@ def verify_highest_weight(N: int, a: Sequence, q,
                              "h": f"h[{i},{n}]"})
                 good = False
         for (r, s) in raising_pairs(partition):
-            if not gl_ell_action(r, s, v, N).is_zero():
+            if not gl_ell_action(r, s, v).is_zero():
                 report.fail({"mu": weight_key(mu), "law": "flavor-fixed",
                              "op": f"E[{r},{s}]"})
                 good = False

@@ -201,12 +201,12 @@ def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
     generators acting diagonally."""
     partition = validate_spectrum(params.a, params.q)
     N = params.N
-    base = fixed_space(partition, monos, N)
+    base = fixed_space(partition, monos)
     if not base:
         return 0
     rows = []
     for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), N):
-        rows.extend(_image_rows([glbar_action(A, B, v, N, flavors) for v in base]))
+        rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in base]))
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):

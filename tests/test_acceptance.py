@@ -128,8 +128,8 @@ def test_A7_tensor_branching():
         assert D20[((1,), (1,))] == 1 and D11[((1,), (1,))] == 1
         from torusrep.duality import FlavorTables, fixed_dim, weight_spaces
         spaces = weight_spaces(0, FlavorTables(2, 2))
-        assert fixed_dim(merged, spaces[(2, 0)], 2, {}) == 1
-        assert fixed_dim(merged, spaces[(1, 1)], 2, {}) == 3
+        assert fixed_dim(merged, spaces[(2, 0)], {}) == 1
+        assert fixed_dim(merged, spaces[(1, 1)], {}) == 3
         rep = verify_tensor_branching(2, [3], [5], 2, 1)
         assert rep.passed, rep.witness
 

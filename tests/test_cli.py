@@ -87,7 +87,7 @@ def _subparsers():
 # Small bounds for a fast run of every verify-* subcommand.
 QUICK = {
     "verify-bracket": ["--trials", "1"],
-    "verify-theta": ["--trials", "1"],
+    "verify-theta": ["--trials", "2"],
     "verify-module": ["--trials", "1", "--deg-max", "0"],
     "verify-hw": ["--mu-bound", "0"],
     "verify-nilpotency": ["--deg-max", "0"],
@@ -140,6 +140,43 @@ def test_empty_check_bound_is_usage_error(command, flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theta", "--trials", "1"],
+    ["verify-theta", "--N", "2", "--q", "2", "--trials", "2", "--seed", "88"],
+], ids=" ".join)
+def test_empty_central_instance_check_is_usage_error(argv, capsys):
+    # the central-instance loop makes trials // 2 draws and skips the draws
+    # with (i - j, m0, m1) = 0: here it checks no pair at all
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no central-instance pair" in captured.err
+
+
+# The smallest value each bound accepts.
+SMALLEST = {"trials": "1", "n_max": "0", "deg_max": "0", "mu_bound": "0",
+            "max_exp": "0"}
+
+
+@pytest.mark.parametrize("command", sorted(c for c in _subparsers()
+                                            if c.startswith("verify-")))
+def test_smallest_bounds_leave_no_case_empty(command, capsys):
+    # at its smallest accepted bounds a suite refuses the run (exit 2) or
+    # passes with a nonzero total in every case: no passing report holds an
+    # empty check
+    dests = {a.dest for a in _subparsers()[command]._actions}
+    argv = [command]
+    for dest, value in SMALLEST.items():
+        if dest in dests:
+            argv += ["--" + dest.replace("_", "-"), value]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2), argv
+    if code == 0:
+        cases = json.loads(out)["degrees"]
+        assert cases and all(case["rhs"] for case in cases), argv
 
 
 @pytest.mark.parametrize("argv", [

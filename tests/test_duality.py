@@ -44,18 +44,16 @@ from torusrep.scalars import ParameterSet, SetPartition, validate_spectrum
 
 
 def test_fixed_space_examples():
-    params = ParameterSet.of(2, [3], 2)
     part = SetPartition.of([[1]])
-    got = fixed_space(part, weight_spaces(0, FlavorTables(2, 1))[(1,)], params.N)
+    got = fixed_space(part, weight_spaces(0, FlavorTables(2, 1))[(1,)])
     assert len(got) == 2
     assert {v.support()[0] for v in got} == {
         (psi(1, 1, 0, 2),), (psi(2, 1, 0, 2),)}
 
-    assert len(fixed_space(part, weight_spaces(0, FlavorTables(2, 1))[(0,)], params.N)) == 1
+    assert len(fixed_space(part, weight_spaces(0, FlavorTables(2, 1))[(0,)])) == 1
 
-    params2 = ParameterSet.of(2, [3, 3], 2)
     part2 = SetPartition.full(2)
-    got = fixed_space(part2, weight_spaces(0, FlavorTables(2, 2))[(1, 1)], params2.N)
+    got = fixed_space(part2, weight_spaces(0, FlavorTables(2, 2))[(1, 1)])
     assert len(got) == 3
     # the kernel relation: the two mixed-label coefficients must agree
     for v in got:
@@ -122,23 +120,21 @@ def test_weight_spaces_match_grouping_oracle(N, ell):
 
 def test_fixed_space_killed_and_weighted():
     # re-verify the defining properties by direct application
-    params = ParameterSet.of(2, [3, 3], 2)
     part = SetPartition.full(2)
     for deg in (0, 1):
         spaces = weight_spaces(deg, FlavorTables(2, 2))
         for w in sorted(spaces):
-            vecs = fixed_space(part, spaces[w], params.N)
+            vecs = fixed_space(part, spaces[w])
             for v in vecs:
                 for (r, s) in [(1, 2)]:
-                    assert gl_ell_action(r, s, v, 2).is_zero()
+                    assert gl_ell_action(r, s, v).is_zero()
                 for p in (1, 2):
-                    ev = gl_ell_action(p, p, v, 2)
+                    ev = gl_ell_action(p, p, v)
                     assert ev == v.scale(w[p - 1])
 
 
 def test_fixed_space_dimension_identity_small():
     # complete reducibility bookkeeping at one degree
-    params = ParameterSet.of(2, [3, 3], 2)
     part = SetPartition.full(2)
     from torusrep.glrep import is_dominant, levi_dim
     memo = {}
@@ -148,7 +144,7 @@ def test_fixed_space_dimension_identity_small():
         for w in sorted(spaces):
             if not is_dominant(w, part):
                 continue
-            total += fixed_dim(part, spaces[w], params.N, memo) * levi_dim(w, part)
+            total += fixed_dim(part, spaces[w], memo) * levi_dim(w, part)
         assert total == graded_dim(n, 2, 2)
 
 
@@ -156,7 +152,6 @@ def test_fixed_dim_matches_weight_count_oracle():
     # for a single rank-two block the highest-weight multiplicity is the
     # difference of two plain weight-space dimensions; no elimination at all
     for N, ell in [(2, 2), (3, 2)]:
-        params = ParameterSet.of(2, [3, 3], N)
         part = SetPartition.full(2)
         memo = {}
         for n in (0, 1, 2):
@@ -166,7 +161,7 @@ def test_fixed_dim_matches_weight_count_oracle():
                     continue
                 raised = (w[0] + 1, w[1] - 1)
                 oracle = len(spaces.get(w, [])) - len(spaces.get(raised, []))
-                assert fixed_dim(part, spaces[w], params.N, memo) == oracle
+                assert fixed_dim(part, spaces[w], memo) == oracle
 
 
 def memo_route(N, partition, n_max, keep=None):
@@ -180,7 +175,7 @@ def memo_route(N, partition, n_max, keep=None):
         spaces = weight_spaces(n, tables, lambda w: is_dominant(w, keep))
         for w, monos in spaces.items():
             if is_dominant(w, partition):
-                out.append((n, w, monos, fixed_dim(partition, monos, N, memo)))
+                out.append((n, w, monos, fixed_dim(partition, monos, memo)))
     return out, memo
 
 
@@ -196,7 +191,7 @@ def test_memoised_count_matches_whole_slice_elimination(N, a, n_max):
     slices, memo = memo_route(N, partition, n_max)
     assert memo
     for n, w, monos, count in slices:
-        assert count == len(fixed_space(partition, monos, N)), (n, w)
+        assert count == len(fixed_space(partition, monos)), (n, w)
 
 
 def test_memoised_count_matches_on_tensor_branching_slices():
@@ -208,7 +203,7 @@ def test_memoised_count_matches_on_tensor_branching_slices():
     for partition in (merged, prod):
         slices, _ = memo_route(2, partition, 3, keep=prod)
         for n, w, monos, count in slices:
-            assert count == len(fixed_space(partition, monos, 2)), (n, w)
+            assert count == len(fixed_space(partition, monos)), (n, w)
 
 
 @pytest.mark.parametrize("N,a,n_max", [(2, [3, 3], 6), (3, [3, 3], 4),
@@ -246,7 +241,7 @@ def test_a_coarser_type_key_is_caught(monkeypatch, coarser, a):
                         lambda profile: coarser(component_type(profile)))
     partition = validate_spectrum(a, 2)
     slices, _ = memo_route(2, partition, 4)
-    assert any(count != len(fixed_space(partition, monos, 2))
+    assert any(count != len(fixed_space(partition, monos))
                for _, _, monos, count in slices)
     assert not verify_skew_duality(2, a, 2, 4, check_hw=False).passed
 

@@ -84,4 +84,4 @@ def test_equivalent_data_share_graded_dimensions(mu, a, nu, b):
     for t in range(4):
         slice_a = weight_spaces(da + t, ta).get(mu, [])
         slice_b = weight_spaces(db + t, tb).get(nu, [])
-        assert fixed_dim(Ia, slice_a, N, {}) == fixed_dim(Ib, slice_b, N, {})
+        assert fixed_dim(Ia, slice_a, {}) == fixed_dim(Ib, slice_b, {})

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrep.liealg import TORAL_WINDOW, GlqElement, bracket, h_gen
+from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, bracket, h_gen
 from torusrep.scalars import ParameterSet, qpow
 from torusrep.fock import (
     PSI,
@@ -114,28 +115,38 @@ def test_clifford_relations_on_states():
         assert anti == expected
 
 
+def labelled_bilinear(i, p, m, j, pb, n, mono, N):
+    """The flat kernel :psi_i^p(m) psibar_j^pb(n):, reached through the
+    paper's labels and modes."""
+    return bilinear_on_monomial(psi(i, p, m, N), psibar(j, pb, n, N), mono)
+
+
 def test_normal_order_rules_agree():
-    # the two orders may differ only where the anticommutator vanishes, so
-    # as operators they agree everywhere, including m + n == 0
-    N, ell = 2, 1
+    # the flat rule (an annihilating psi acts first) and the mode criterion
+    # may differ only where the anticommutator vanishes, so as operators
+    # they agree everywhere, including m + n == 0; both flavor pairs p, pb
+    # are covered, the cross-flavor ones (p != pb) as in the flavor action
+    N, ell = 2, 2
     monos = basis_monomials(0, N, ell) + basis_monomials(1, N, ell)
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            for i in range(1, N + 1):
-                for j in range(1, N + 1):
-                    for mono in monos:
-                        x = bilinear_on_monomial(i, 1, m, j, 1, n, mono, N)
-                        y = bilinear_mode_criterion(i, 1, m, j, 1, n, mono, N)
-                        assert x == y
+    hits = set()
+    for m, n in itertools.product(range(-2, 3), repeat=2):
+        for i, j, p, pb in itertools.product(range(1, N + 1), repeat=4):
+            for mono in monos:
+                x = labelled_bilinear(i, p, m, j, pb, n, mono, N)
+                y = bilinear_mode_criterion(i, p, m, j, pb, n, mono, N)
+                assert x == y, (i, p, m, j, pb, n, mono)
+                if x is not None:
+                    hits.add((p != pb, x[0]))
+    assert hits == {(False, 1), (False, -1), (True, 1), (True, -1)}
 
 
 # -- full-window oracles of the two Fock actions -------------------------------
 
 def rho_mat_window_oracle(i, j, m0, m1, params, mono,
-                          bilinear=bilinear_on_monomial):
+                          bilinear=labelled_bilinear):
     """rho_mat_on_monomial by a scan of the whole mode window [m0 - d, d]
     (d the monomial degree), outside which both orderings kill the monomial;
-    each bilinear term comes from ``bilinear`` (the production one, or
+    each bilinear term comes from ``bilinear`` (the production kernel, or
     the mode-criterion oracle)."""
     N, ell, q, a = params.N, params.ell, params.q, params.a
     out = {}
@@ -171,13 +182,15 @@ def rho_mat_window_oracle(i, j, m0, m1, params, mono,
 
 
 def gl_ell_window_oracle(r, s, vec, N):
-    """gl_ell_action by a scan of every label and the mode window [-d, d]."""
+    """gl_ell_action by a scan of the mode window [-d, d] and every label,
+    mode outer, so the flat index of psibar_i^s(n) ascends; each term comes
+    from the mode-criterion oracle."""
     acc = {}
     for mono, c in vec._terms.items():
         d = monomial_degree(mono, N)
-        for i in range(1, N + 1):
-            for n in range(-d, d + 1):
-                step = bilinear_on_monomial(i, r, -n, i, s, n, mono, N)
+        for n in range(-d, d + 1):
+            for i in range(1, N + 1):
+                step = bilinear_mode_criterion(i, r, -n, i, s, n, mono, N)
                 if step is None:
                     continue
                 sign, mono2 = step
@@ -220,7 +233,7 @@ def test_rho_mat_on_monomial_matches_window_oracle(data):
     params = ParameterSet.of(q, a, N)
     mono = data.draw(monomials(N, ell))
     m0, m1 = data.draw(st.integers(-5, 5)), data.draw(st.integers(-3, 3))
-    for bilinear in (bilinear_on_monomial, bilinear_mode_criterion):
+    for bilinear in (labelled_bilinear, bilinear_mode_criterion):
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 got = rho_mat_on_monomial(i, j, m0, m1, params, mono)
@@ -316,17 +329,19 @@ def test_sign_table_calls_the_bilinear_only_on_hits(monkeypatch):
 
 @pytest.mark.parametrize("N,ell", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_toral_generators_act_diagonally(N, ell):
-    # h_{i,n} lies in the Cartan part (m0 = 0, i = j), so it maps every
-    # monomial to a multiple of itself; the joint highest-weight check reads
-    # the eigenvalues off these images
+    # each h_{i,n} combines k0, k1 and the diagonal units E_{i,i} t1^n with
+    # |n| <= TORAL_WINDOW (m0 = 0), and each such unit maps every monomial
+    # to a multiple of itself; the joint highest-weight check reads the
+    # eigenvalues off these images
     params = ParameterSet.of(2, [3, 5][:ell], N)
-    hs = [h_gen(i, n, N, params.q) for i in range(1, N + 1)
-          for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
+    window = range(-TORAL_WINDOW, TORAL_WINDOW + 1)
+    units = {(i, i, 0, n) for i in range(1, N + 1) for n in window}
+    for i, n in itertools.product(range(1, N + 1), window):
+        assert set(h_gen(i, n, N, params.q)._terms) <= units | {K0, K1}
     for d in range(4):
         for m in basis_monomials(d, N, ell):
-            v = FockVector.monomial(m)
-            for h in hs:
-                assert set(rho_action(h, params, v)._terms) <= {m}, (h, m)
+            for (i, _, _, n) in sorted(units):
+                assert set(rho_mat_on_monomial(i, i, 0, n, params, m)) <= {m}, (i, n, m)
 
 
 def test_actions_keep_fraction_coefficients():
@@ -358,7 +373,7 @@ def test_gl_ell_action_matches_window_oracle(data):
     vec = FockVector(dict(zip(monos, coeffs)))
     for r in range(1, ell + 1):
         for s in range(1, ell + 1):
-            got = gl_ell_action(r, s, vec, N)
+            got = gl_ell_action(r, s, vec)
             want = gl_ell_window_oracle(r, s, vec, N)
             assert list(got._terms.items()) == list(want.items())
 
@@ -380,21 +395,21 @@ def test_rho_examples():
 def test_gl_ell_examples():
     N, ell = 2, 2
     v = FockVector.monomial((psi(1, 2, 0, N),))
-    got = gl_ell_action(1, 2, v, N)
+    got = gl_ell_action(1, 2, v)
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
-    assert gl_ell_action(1, 2, vacuum(), N).is_zero()
+    assert gl_ell_action(1, 2, vacuum()).is_zero()
     w = FockVector.monomial((psi(1, 1, 0, N),))
-    assert gl_ell_action(1, 1, w, N) == w
+    assert gl_ell_action(1, 1, w) == w
 
 
 def test_glbar_examples():
     N = 2
     v = FockVector.monomial((psi(2, 1, 0, N),))
-    got = glbar_action(1, 2, v, N, [1])
+    got = glbar_action(1, 2, v, [1])
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
     # vacuum killed by strictly-upper units acting at positive rows
     for row, col in [(3, 1), (3, 4), (5, 2)]:
-        assert glbar_action(row, col, vacuum(), N, [1]).is_zero() or row <= col
+        assert glbar_action(row, col, vacuum(), [1]).is_zero() or row <= col
 
 
 def test_glbar_level():
@@ -410,10 +425,9 @@ def test_glbar_level():
     for S in blocks:
         for (A, B) in [(-1, 1), (0, 2), (1, 2), (-2, -1), (1, 4)]:
             for v in vs:
-                comm = (glbar_action(A, B, glbar_action(B, A, v, N, S), N, S)
-                        - glbar_action(B, A, glbar_action(A, B, v, N, S), N, S))
-                want = (glbar_action(A, A, v, N, S)
-                        - glbar_action(B, B, v, N, S))
+                comm = (glbar_action(A, B, glbar_action(B, A, v, S), S)
+                        - glbar_action(B, A, glbar_action(A, B, v, S), S))
+                want = glbar_action(A, A, v, S) - glbar_action(B, B, v, S)
                 if A <= 0 < B:
                     want = want + v.scale(len(S))
                 assert comm == want
@@ -422,7 +436,7 @@ def test_glbar_level():
 def test_glbar_diagonal_counts():
     N = 2
     v = FockVector.monomial((psi(1, 1, 0, N), psi(1, 2, 0, N)))
-    got = glbar_action(1, 1, v, N, flavors=[1])
+    got = glbar_action(1, 1, v, flavors=[1])
     assert got == v
 
 
@@ -504,11 +518,11 @@ def test_gl_ell_preserves_degree_and_commutes_with_rho():
         n = rng.randrange(0, 3)
         v = FockVector.monomial(rng.choice(basis_monomials(n, N, ell)))
         r, s = rng.randrange(1, ell + 1), rng.randrange(1, ell + 1)
-        g = gl_ell_action(r, s, v, N)
+        g = gl_ell_action(r, s, v)
         for mono, _ in g.items():
             assert monomial_degree(mono, N) == n
         a = rho_action(x, params, g)
-        b = gl_ell_action(r, s, rho_action(x, params, v), N)
+        b = gl_ell_action(r, s, rho_action(x, params, v))
         assert a == b
 
 
@@ -521,8 +535,8 @@ def test_gl_ell_block_commutation_split_blocks():
         n = rng.randrange(0, 2)
         v = FockVector.monomial(rng.choice(basis_monomials(n, N, ell)))
         for r in (1, 2):
-            a = rho_action(x, params, gl_ell_action(r, r, v, N))
-            b = gl_ell_action(r, r, rho_action(x, params, v), N)
+            a = rho_action(x, params, gl_ell_action(r, r, v))
+            b = gl_ell_action(r, r, rho_action(x, params, v))
             assert a == b
 
 
@@ -537,8 +551,8 @@ def test_gl_ell_commutes_with_glbar():
         if row == 0 or col == 0:
             continue
         flavors = range(1, ell + 1)
-        a = gl_ell_action(r, s, glbar_action(row, col, v, N, flavors), N)
-        b = glbar_action(row, col, gl_ell_action(r, s, v, N), N, flavors)
+        a = gl_ell_action(r, s, glbar_action(row, col, v, flavors))
+        b = glbar_action(row, col, gl_ell_action(r, s, v), flavors)
         assert a == b
 
 
@@ -586,7 +600,7 @@ def test_diagonal_bilinears_count_mode_sets():
             for p in range(1, ell + 1):
                 for i in range(1, N + 1):
                     for k in range(-4, 5):
-                        got = bilinear_on_monomial(i, p, -k, i, p, k, mono, N)
+                        got = bilinear_on_monomial(psi(i, p, -k, N), psibar(i, p, k, N), mono)
                         mp = mu[p - 1]
                         if mp > 0:
                             expect = 1 if (k >= 0 and k * N + i <= mp) else 0
