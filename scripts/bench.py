@@ -13,14 +13,16 @@ which side goes first:
   removed before every run; per metric it records the medians of the
   speed-scaled run values, the parent's quartiles, and in how many pairs
   the change was better;
-- the deep-degree probes, ``torusrep.cli.main`` on each argv of PROBES
-  (argvs both sides accept: without the highest-weight checks, two
-  flavours at n_max 6, 8 and 10 and three flavours at n_max 5; with them,
-  rank 3 and two flavours at n_max 5), PROBE_RUNS (3) runs per side: the
-  call's wall time, the peak RSS of the process and the sha256 of the
-  report the call writes to stdout.  Each run is a child process whose
-  address space is limited to PROBE_AS_BYTES (2 GiB) and whose time to
-  PROBE_TIMEOUT_S; a run that exceeds either is recorded as not completed;
+- the probes, ``torusrep.cli.main`` on each argv of PROBES (argvs both
+  sides accept: the deep-degree duality runs, without the highest-weight
+  checks two flavours at n_max 6, 8 and 10 and three flavours at n_max 5,
+  with them rank 3 and two flavours at n_max 5; and the level-one
+  nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1),
+  PROBE_RUNS (3) runs per side: the call's wall time, the peak RSS of the
+  process and the sha256 of the report the call writes to stdout.  Each
+  run is a child process whose address space is limited to PROBE_AS_BYTES
+  (2 GiB) and whose time to PROBE_TIMEOUT_S; a run that exceeds either is
+  recorded as not completed;
 - the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
   (3) runs per side: the process's wall time, each job's time as the
   script prints it, and the sha256 of each report, which must agree
@@ -53,6 +55,8 @@ PROBES = {
     for n in (6, 8, 10)}
 PROBES["ell_3_n_max_5"] = "verify-duality --N 2 --ell 3 --a 3,3,3 --n-max 5 --skip-hw"
 PROBES["hw_N_3_n_max_5"] = "verify-duality --N 3 --ell 2 --a 3,3 --n-max 5"
+PROBES["nilpotency_N_2_deg_2"] = "verify-nilpotency --N 2 --ell 1 --a 3 --deg-max 2"
+PROBES["nilpotency_N_3_deg_1"] = "verify-nilpotency --N 3 --ell 1 --a 3 --deg-max 1"
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10
@@ -257,7 +261,7 @@ def main() -> int:
         "parent_commit": parent_commit,
         "env": environment(),
         "src_sha256": {side: src_sha256(root) for side, root in sides.items()},
-        "deep_degree_probe": {
+        "probes": {
             "command": "PYTHONPATH=src python3 -c " + json.dumps(PROBE.format(argv="ARGV")),
             "note": "ARGV = each probe's argv; one fresh interpreter per run, parent "
                     "and change alternated, each under RLIMIT_AS = "

@@ -184,6 +184,17 @@ def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
     return tuple(table)
 
 
+def cached_sign_table(i: int, j: int, m0: int, mono: Monomial,
+                      params: ParameterSet) -> Tuple[Tuple[Monomial, int, int, int], ...]:
+    """The `sign_table` of (i, j, m0) on one monomial, kept in
+    ``params.signs`` on (i, j, m0, mono)."""
+    key = (i, j, m0, mono)
+    table = params.signs.get(key)
+    if table is None:
+        table = params.signs[key] = sign_table(i, j, m0, mono, params.N, params.ell)
+    return table
+
+
 def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
                         params: ParameterSet, mono: Monomial) -> Dict[Monomial, Fraction]:
     """One matrix-unit torus generator E_{i,j} t0^m0 t1^m1 on one monomial.
@@ -192,18 +203,14 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
     (a_p q^{-k})^{m1} :psi_i^p(m0 - k) psibar_j^p(k):, plus the diagonal
     scalar sum_p a_p^{m1} q^{m1} / (1 - q^{m1}) when m0 = 0, i = j,
     m1 != 0.  The terms and their signs do not depend on m1: the
-    `sign_table` is kept in ``params.signs`` on (i, j, m0, mono) and serves
-    every m1, and the scalars are kept in ``params.powers``.  Terms are
-    accumulated in the table's (k, p) order; at m1 = 0 the coefficients
-    are the constants ONE and NEG_ONE.
+    `cached_sign_table` serves every m1, and the scalars are kept in
+    ``params.powers``.  Terms are accumulated in the table's (k, p) order;
+    at m1 = 0 the coefficients are the constants ONE and NEG_ONE.
     """
     N = params.N
     if i > N or j > N:
         raise InvalidParams(f"matrix index out of range for N={N}")
-    key = (i, j, m0, mono)
-    table = params.signs.get(key)
-    if table is None:
-        table = params.signs[key] = sign_table(i, j, m0, mono, N, params.ell)
+    table = cached_sign_table(i, j, m0, mono, params)
     out: Dict[Monomial, Fraction] = {}
     if not m1:
         for mono2, sign, _, _ in table:
@@ -253,21 +260,20 @@ def gl_ell_action(r: int, s: int, vec: FockVector) -> FockVector:
     so a term survives only if it contracts with a generator of the
     monomial: a flavor-s psi at idx (b = -idx - 1), which moves to flavor r,
     or a flavor-r psibar at idx (b = idx), which moves to flavor s, at the
-    same site.  Candidates are visited in ascending b."""
+    same site.  When r != s a candidate whose moved generator already sits
+    at that site in the target flavor is dropped (Pauli exclusion); every
+    candidate left gives a term.  Candidates are visited in ascending b."""
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         candidates = []
         for p, kind, idx in mono:
             if kind == PSI:
-                if p == s:
+                if p == s and (r == s or (r, PSI, idx) not in mono):
                     candidates.append(-idx - 1)
-            elif p == r:
+            elif p == r and (r == s or (s, PSIBAR, idx) not in mono):
                 candidates.append(idx)
         for b in sorted(candidates):
-            step = bilinear_on_monomial((r, PSI, -b - 1), (s, PSIBAR, b), mono)
-            if step is None:
-                continue
-            sign, mono2 = step
+            sign, mono2 = bilinear_on_monomial((r, PSI, -b - 1), (s, PSIBAR, b), mono)
             accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
     return FockVector._of(acc)
 
@@ -275,19 +281,20 @@ def gl_ell_action(r: int, s: int, vec: FockVector) -> FockVector:
 def glbar_action(A: int, B: int, vec: FockVector, flavors: Sequence[int]) -> FockVector:
     """Action of the centrally extended doubly-infinite matrix unit
     E_{A,B} = :psi[-A] psibar[B-1]:, summed over the given flavors (a block,
-    or 1..ell).  As in `gl_ell_action`, a term survives only if the partner
-    of each annihilating factor, a creator (negative index), is in the
-    monomial."""
+    or 1..ell).  A term survives only if the partner of each annihilating
+    factor, a creator (negative index), is in the monomial, and, unless the
+    two factors are partners (A = B), no creating factor is in it already
+    (Pauli exclusion); every flavor left gives a term."""
     partners = [(kind, idx) for kind, idx in ((PSIBAR, A - 1), (PSI, -B)) if idx < 0]
+    creators = [] if A == B else [
+        (kind, idx) for kind, idx in ((PSI, -A), (PSIBAR, B - 1)) if idx < 0]
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         for p in flavors:
-            if any((p, kind, idx) not in mono for kind, idx in partners):
+            if (any((p, kind, idx) not in mono for kind, idx in partners)
+                    or any((p, kind, idx) in mono for kind, idx in creators)):
                 continue
-            step = bilinear_on_monomial((p, PSI, -A), (p, PSIBAR, B - 1), mono)
-            if step is None:
-                continue
-            sign, mono2 = step
+            sign, mono2 = bilinear_on_monomial((p, PSI, -A), (p, PSIBAR, B - 1), mono)
             accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
     return FockVector._of(acc)
 

@@ -205,10 +205,11 @@ class SetPartition:
 class ParameterSet:
     """The specialization data (q, a_1..a_ell) for a fixed N >= 2.
 
-    ``signs`` and ``powers`` are the tables of `fock.rho_mat_on_monomial`,
-    filled on first use: ``signs`` maps (i, j, m0, monomial) to its sign
-    table, ``powers`` maps (p, k, m1) to (a_p q^{-k})^{m1} and m1 to the
-    diagonal scalar.  They take no part in equality or hashing, so each
+    ``signs`` and ``powers`` are tables filled on first use: ``signs``
+    maps (i, j, m0, monomial) to its sign table (`fock.cached_sign_table`,
+    read by the torus action and the nilpotency suite), ``powers`` maps
+    (p, k, m1) to (a_p q^{-k})^{m1} and m1 to the diagonal scalar of
+    `fock.rho_mat_on_monomial`.  They take no part in equality or hashing, so each
     suite, which builds its own instance, starts with empty tables."""
 
     q: Fraction

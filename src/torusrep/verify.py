@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .covariant import (
     CovElement,
@@ -24,6 +24,7 @@ from .fock import (
     FockVector,
     Monomial,
     basis_monomials,
+    cached_sign_table,
     gl_ell_action,
     hw_vector,
     monomial_weight,
@@ -41,7 +42,8 @@ from .liealg import (
 )
 from .errors import InvalidParams
 from .reports import DecompositionReport, weight_key
-from .scalars import NEG_ONE, ONE, ParameterSet, accumulate, check_q, validate_spectrum
+from .scalars import (
+    NEG_ONE, ONE, ParameterSet, accumulate, check_q, qpow, validate_spectrum)
 
 # Fixed windows, printed in the report configs: the t0 exponents of the
 # raising generators the highest-weight suite applies, the t1 exponents
@@ -292,6 +294,46 @@ def verify_highest_weight(N: int, a: Sequence, q,
     return report
 
 
+def nilpotency_sums(i: int, j: int, mono: Monomial, d: int,
+                    params: ParameterSet) -> List[Tuple[int, Dict]]:
+    """The keyed integer sums of the square of the bilinear field on one
+    monomial, for each total mode K of the window with a nonzero key.
+
+    The composite E_{i,j} t0^{k1} t1^{m1} E_{i,j} t0^{k2} t1^{m1},
+    summed over k1 + k2 = K with k2 in [-K_WINDOW - 2d, 2d] and
+    k1 <= 2d + 2, has one term per pair of sign-table terms (mono2, s, p, k)
+    and (mono3, s', p', k'), with coefficient s s' (a_p a_p' q^{-k-k'})^{m1}.
+    The sums of s s' are kept on (mono3, sorted (p, p'), k + k'), so they
+    do not depend on m1.
+    """
+    inner = [(k2, table) for k2 in range(-K_WINDOW - 2 * d, 2 * d + 1)
+             if (table := cached_sign_table(i, j, k2, mono, params))]
+    out = []
+    for K in range(-K_WINDOW, K_WINDOW + 1):
+        sums: Dict = {}
+        for k2, table in inner:
+            k1 = K - k2
+            if k1 > 2 * d + 2:
+                continue
+            for mono2, s2, p2, kk2 in table:
+                for mono3, s1, p1, kk1 in cached_sign_table(i, j, k1, mono2, params):
+                    key = (mono3, (p1, p2) if p1 <= p2 else (p2, p1), kk1 + kk2)
+                    sums[key] = sums.get(key, 0) + s1 * s2
+        sums = {key: c for key, c in sums.items() if c}
+        if sums:
+            out.append((K, sums))
+    return out
+
+
+def evaluate_sums(sums: Dict, m1: int, params: ParameterSet) -> Dict[Monomial, Fraction]:
+    """The keyed sums at one m1: the coefficient of each monomial."""
+    a, q = params.a, params.q
+    out: Dict[Monomial, Fraction] = {}
+    for (mono3, (p1, p2), k), c in sums.items():
+        accumulate(out, mono3, c * qpow(a[p1 - 1] * a[p2 - 1] * qpow(q, -k), m1))
+    return out
+
+
 def verify_nilpotency(a: Sequence, q, N: int = 2,
                       deg_max: int = 2) -> DecompositionReport:
     """Level-one square-vanishing: the quadratic mode sums of the bilinear
@@ -301,48 +343,53 @@ def verify_nilpotency(a: Sequence, q, N: int = 2,
     target state, so both factors' mode sums truncate to [K - 2d, 2d] on a
     degree-d state; outside the reported K window every composite term is
     zero for the same reason.
+
+    Each (i, j) takes one pass over the m1-free sign tables
+    (`nilpotency_sums`): every term of the square carries the Laurent
+    monomial (a_p a_p' q^{-k-k'})^{m1}, so its integer signs are summed on
+    (monomial, sorted flavors, k + k').  For generic (a, q), distinct keys
+    are distinct exponentials in m1 (at level one for every admitted q, as
+    all keys share the flavors (1, 1) and q is not 0 or +-1), so every key
+    vanishes exactly when the square vanishes at every m1, which implies
+    each of the
+    N(N-1)(2 M1_WINDOW + 1) families (i, j, m1) the report counts.  When
+    some key of (i, j) is nonzero, the sums are evaluated at each m1 of the
+    window in the order m1, vector, K, so the report (the first failing
+    family's witness and the count of passing families) is the one a
+    family-by-family evaluation writes.  A nonzero key whose sums cancel at
+    every windowed m1 still fails the suite: it names the key, and is the
+    witness only when no family fails.
     """
     if len(a) != 1:
         raise InvalidParams(f"the nilpotency check needs one parameter (ell 1), got {len(a)}")
     params = ParameterSet.of(q, a, N)
-    act = CachedAction(params)
     report = DecompositionReport(config={
         "suite": "nilpotency", "N": N, "ell": params.ell, "q": str(params.q),
         "a": [str(x) for x in params.a], "deg_max": deg_max,
         "m1_window": M1_WINDOW, "K_window": K_WINDOW,
     })
-    basis = [FockVector.monomial(m)
-             for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
+    monos = [m for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
+    window = range(-M1_WINDOW, M1_WINDOW + 1)
     ok = runs = 0
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == j:
-                continue
-            for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
-                runs += 1
-                good = True
-                for v in basis:
-                    d = deg_max
-                    inner = {k2: act(GlqElement.matrix_unit(i, j, k2, m1), v)
-                             for k2 in range(-K_WINDOW - 2 * d, 2 * d + 1)}
-                    for Ktot in range(-K_WINDOW, K_WINDOW + 1):
-                        acc: Dict[Monomial, Fraction] = {}
-                        for k2, w in inner.items():
-                            if w.is_zero():
-                                continue
-                            k1 = Ktot - k2
-                            if k1 > 2 * d + 2:
-                                continue
-                            y = GlqElement.matrix_unit(i, j, k1, m1)
-                            for m, c in act(y, w)._terms.items():
-                                accumulate(acc, m, c)
-                        if acc:
-                            report.fail({"i": i, "j": j, "m1": m1, "K": Ktot,
-                                         "vector": str(v.support()[0])})
-                            good = False
-                            break
-                    if not good:
-                        break
-                ok += good
+    key_witness = None
+    for i, j in itertools.permutations(range(1, N + 1), 2):
+        # (vector, K, nonzero keyed sums, the windowed m1 where they do not cancel)
+        entries = [(mono, K, sums, {m1 for m1 in window if evaluate_sums(sums, m1, params)})
+                   for mono in monos
+                   for K, sums in nilpotency_sums(i, j, mono, deg_max, params)]
+        runs += len(window)
+        for m1 in window:
+            bad = next(((mono, K) for mono, K, _, fails in entries if m1 in fails), None)
+            if bad is None:
+                ok += 1
+            else:
+                report.fail({"i": i, "j": j, "m1": m1, "K": bad[1], "vector": str(bad[0])})
+        for mono, K, sums, fails in entries:
+            if not fails and key_witness is None:
+                (mono3, flavors, k), c = next(iter(sums.items()))
+                key_witness = {"i": i, "j": j, "K": K, "vector": str(mono),
+                               "key": [str(mono3), list(flavors), k], "sum": c}
+    if key_witness is not None:
+        report.fail(key_witness)
     report.add_case("nilpotency", {"families": [ok, runs]}, ok, runs)
     return report

@@ -4,11 +4,13 @@ form of the torus action, generator words, the vacuum and coefficient
 lookup of sparse vectors, the text form of Fock vectors, the weight
 slices of a degree grouped from the full monomial list, the Pieri / LR
 count of a component type's fixed dimension, the whole-slice route of the
-joint highest-weight dimension, and the insertion-sort refolding."""
+joint highest-weight dimension, the insertion-sort refolding, and the
+family-by-family route of the nilpotency suite."""
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from torusrep.duality import _block_upper_ops, _image_rows, fixed_space, phi_gen
+from torusrep.errors import InvalidParams
 from torusrep.fock import (
     PSI,
     FockVector,
@@ -28,6 +30,7 @@ from torusrep.fock import (
 from torusrep.glrep import EtaFunctional, eta_eval, lr_coeff, trim
 from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, h_gen
 from torusrep.linalg import nullspace
+from torusrep.reports import DecompositionReport
 from torusrep.scalars import (
     ParameterSet,
     SetPartition,
@@ -36,6 +39,7 @@ from torusrep.scalars import (
     qpow,
     validate_spectrum,
 )
+from torusrep.verify import K_WINDOW, M1_WINDOW, CachedAction
 
 from glrep_oracles import partitions_with_bound
 
@@ -234,3 +238,54 @@ def phi_vector_oracle(vec: FockVector, ell: int, M0: int, N: int) -> FockVector:
         assert all(arr[t] < arr[t + 1] for t in range(len(arr) - 1))
         accumulate(out, tuple(arr), c * sign)
     return FockVector._of(out)
+
+
+def nilpotency_oracle(a: Sequence, q, N: int, deg_max: int) -> DecompositionReport:
+    """`torusrep.verify.verify_nilpotency` family by family: for each
+    (i, j, m1), vector and K, the square of the bilinear field is summed in
+    exact arithmetic through the memoised action and must vanish.  The same
+    mode windows and truncation; no keying by Laurent exponents."""
+    if len(a) != 1:
+        raise InvalidParams(f"the nilpotency check needs one parameter (ell 1), got {len(a)}")
+    params = ParameterSet.of(q, a, N)
+    act = CachedAction(params)
+    report = DecompositionReport(config={
+        "suite": "nilpotency", "N": N, "ell": params.ell, "q": str(params.q),
+        "a": [str(x) for x in params.a], "deg_max": deg_max,
+        "m1_window": M1_WINDOW, "K_window": K_WINDOW,
+    })
+    basis = [FockVector.monomial(m)
+             for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
+    ok = runs = 0
+    d = deg_max
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j:
+                continue
+            for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
+                runs += 1
+                good = True
+                for v in basis:
+                    inner = {k2: act(GlqElement.matrix_unit(i, j, k2, m1), v)
+                             for k2 in range(-K_WINDOW - 2 * d, 2 * d + 1)}
+                    for Ktot in range(-K_WINDOW, K_WINDOW + 1):
+                        acc: Dict[Monomial, Fraction] = {}
+                        for k2, w in inner.items():
+                            if w.is_zero():
+                                continue
+                            k1 = Ktot - k2
+                            if k1 > 2 * d + 2:
+                                continue
+                            y = GlqElement.matrix_unit(i, j, k1, m1)
+                            for m, c in act(y, w)._terms.items():
+                                accumulate(acc, m, c)
+                        if acc:
+                            report.fail({"i": i, "j": j, "m1": m1, "K": Ktot,
+                                         "vector": str(v.support()[0])})
+                            good = False
+                            break
+                    if not good:
+                        break
+                ok += good
+    report.add_case("nilpotency", {"families": [ok, runs]}, ok, runs)
+    return report

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, bracket, h_gen
 from torusrep.scalars import ParameterSet, qpow
+from torusrep.verify import K_WINDOW, M1_WINDOW, verify_nilpotency
 from torusrep.fock import (
     PSI,
     PSIBAR,
@@ -36,6 +38,7 @@ from fock_oracles import (
     apply_word,
     bilinear_mode_criterion,
     format_monomial,
+    nilpotency_oracle,
     rho_action_tensor_oracle,
     vacuum,
     vector_to_json,
@@ -308,7 +311,8 @@ def test_action_tables_are_suite_scoped(monkeypatch):
 def test_sign_table_calls_the_bilinear_only_on_hits(monkeypatch):
     # every candidate that reaches bilinear_on_monomial gives a term: one
     # whose annihilating factor has no partner, or whose creating factor is
-    # already in the monomial, is ruled out before the call
+    # already in the monomial, is ruled out before the call; this holds for
+    # the torus sign tables and for both flavor actions
     from torusrep import fock
 
     results = []
@@ -318,13 +322,30 @@ def test_sign_table_calls_the_bilinear_only_on_hits(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(fock, "bilinear_on_monomial", recording)
+    callers = {}
     for N, ell in [(2, 1), (2, 2), (3, 1)]:
-        for mono in [m for d in range(3) for m in basis_monomials(d, N, ell)]:
+        monos = [m for d in range(3) for m in basis_monomials(d, N, ell)]
+        flavors = range(1, ell + 1)
+        for mono in monos:
+            v = FockVector.monomial(mono)
+            start = len(results)
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
                     for m0 in range(-2, 3):
                         sign_table(i, j, m0, mono, N, ell)
-    assert results and None not in results
+            callers["sign_table"] = callers.get("sign_table", 0) + len(results) - start
+            start = len(results)
+            for r in flavors:
+                for s in flavors:
+                    gl_ell_action(r, s, v)
+            callers["gl_ell"] = callers.get("gl_ell", 0) + len(results) - start
+            start = len(results)
+            for A in range(-2 * N, 2 * N + 2):
+                for B in range(-2 * N, 2 * N + 2):
+                    glbar_action(A, B, v, flavors)
+            callers["glbar"] = callers.get("glbar", 0) + len(results) - start
+    assert all(callers.values()), callers
+    assert None not in results
 
 
 @pytest.mark.parametrize("N,ell", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -584,6 +605,111 @@ def test_nilpotency_squared_field_level_one():
                 inner = rho_action(E(i, j, k2, m1), params, v)
                 acc = acc + rho_action(E(i, j, k1, m1), params, inner)
             assert acc.is_zero()
+
+
+@pytest.mark.parametrize("N,deg_max", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_keyed_nilpotency_matches_family_oracle(N, deg_max):
+    got = verify_nilpotency([3], 2, N=N, deg_max=deg_max)
+    assert got.passed
+    assert got.to_json() == nilpotency_oracle([3], 2, N, deg_max).to_json()
+
+
+def flip_k1_signs_on_degree_two(monkeypatch):
+    """Flip the sign of the k = 1 terms of every sign table on a degree-2
+    monomial; every route reads the tables through fock.sign_table."""
+    from torusrep import fock
+
+    real = fock.sign_table
+
+    def flipped(i, j, m0, mono, N, ell):
+        table = real(i, j, m0, mono, N, ell)
+        if monomial_degree(mono, N) != 2:
+            return table
+        return tuple((m2, -s if k == 1 else s, p, k) for m2, s, p, k in table)
+
+    monkeypatch.setattr(fock, "sign_table", flipped)
+
+
+def test_keyed_sums_evaluate_to_the_square(monkeypatch):
+    # with a flipped sign the square no longer vanishes; at every windowed
+    # m1 the keyed sums of each (i, j, vector, K) must still evaluate to the
+    # square summed in exact arithmetic through the action
+    from torusrep import verify
+
+    flip_k1_signs_on_degree_two(monkeypatch)
+    N, d = 2, 1
+    params = ParameterSet.of(2, [3], N)
+    act = verify.CachedAction(ParameterSet.of(2, [3], N))
+    nonzero = 0
+    for i, j in [(1, 2), (2, 1)]:
+        for mono in [m for n in range(d + 1) for m in basis_monomials(n, N, 1)]:
+            v = FockVector.monomial(mono)
+            keyed = dict(verify.nilpotency_sums(i, j, mono, d, params))
+            nonzero += len(keyed)
+            for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
+                inner = {k2: act(E(i, j, k2, m1), v)
+                         for k2 in range(-K_WINDOW - 2 * d, 2 * d + 1)}
+                for K in range(-K_WINDOW, K_WINDOW + 1):
+                    square = FockVector.zero()
+                    for k2, w in inner.items():
+                        if K - k2 <= 2 * d + 2:
+                            square = square + act(E(i, j, K - k2, m1), w)
+                    got = verify.evaluate_sums(keyed.get(K, {}), m1, params)
+                    assert got == square._terms, (i, j, mono, m1, K)
+    assert nonzero
+
+
+def test_nilpotency_routes_catch_a_flipped_sign(monkeypatch):
+    flip_k1_signs_on_degree_two(monkeypatch)
+    for deg_max in (1, 2):
+        keyed = verify_nilpotency([3], 2, N=2, deg_max=deg_max)
+        oracle = nilpotency_oracle([3], 2, 2, deg_max)
+        assert keyed.verdict == oracle.verdict == "fail"
+        assert keyed.witness == oracle.witness
+        assert keyed.to_json() == oracle.to_json()
+
+
+def test_nilpotency_fails_on_a_key_that_cancels_in_the_window(monkeypatch, capsys):
+    # Add to one vector's keyed sums the integer coefficients c_s of
+    # P(z) = prod over the windowed m1 of (z - q^{-m1}), keyed on the
+    # exponent s: at m1 the sum is a^{2 m1} P(q^{-m1}) = 0, so every
+    # windowed family cancels, yet the keys are nonzero and the suite fails
+    # with the key as its witness.
+    from torusrep import cli, verify
+
+    q = Fraction(2)
+    poly = [Fraction(1)]
+    for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
+        root = q ** -m1
+        poly = [(poly[s - 1] if s else 0) - root * (poly[s] if s < len(poly) else 0)
+                for s in range(len(poly) + 1)]
+    scale = math.lcm(*(c.denominator for c in poly))
+    coeffs = [int(c * scale) for c in poly]
+    extra = {((), (1, 1), s): c for s, c in enumerate(coeffs) if c}
+    assert len(extra) == 2 * M1_WINDOW + 2
+    params = ParameterSet.of(q, [3], 2)
+    assert all(not verify.evaluate_sums(extra, m1, params)
+               for m1 in range(-M1_WINDOW, M1_WINDOW + 1))
+    assert verify.evaluate_sums(extra, M1_WINDOW + 1, params)
+
+    real = verify.nilpotency_sums
+
+    def injected(i, j, mono, d, params):
+        out = real(i, j, mono, d, params)
+        if (i, j, mono) == (2, 1, ()):
+            out = out + [(K_WINDOW, extra)]
+        return out
+
+    monkeypatch.setattr(verify, "nilpotency_sums", injected)
+    rep = verify.verify_nilpotency([3], 2, N=2, deg_max=0)
+    assert rep.verdict == "fail"
+    assert rep.degrees[0]["table"] == {"families": [10, 10]}
+    (mono3, flavors, s), c = next(iter(extra.items()))
+    assert rep.witness == {"i": 2, "j": 1, "K": K_WINDOW, "vector": "()",
+                           "key": [str(mono3), list(flavors), s], "sum": c}
+    assert cli.main(["verify-nilpotency", "--N", "2", "--ell", "1", "--a", "3",
+                     "--q", "2", "--deg-max", "0"]) == 1
+    assert '"key"' in capsys.readouterr().out
 
 
 def test_diagonal_bilinears_count_mode_sets():
