@@ -274,7 +274,7 @@ def main() -> int:
             "command": "python3 scripts/run_verification.py OUTDIR",
             "note": "one fresh interpreter per run, parent and change alternated; "
                     "wall_s is the whole process, job_s_median the per-job times "
-                    "the script prints (0.1 s resolution)",
+                    "the script prints (0.001 s resolution)",
             "results": batteries,
         },
         "perfbench_trace0": {

@@ -52,12 +52,12 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     bad = 0
     for name, job in JOBS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = job()
         path = outdir / f"{name}.json"
         path.write_text(rep.to_json())
         status = "pass" if rep.passed else "FAIL"
-        print(f"{name:18s} {status}  ({time.time() - t0:5.1f}s)  -> {path}")
+        print(f"{name:18s} {status}  ({time.perf_counter() - t0:7.3f}s)  -> {path}")
         bad += not rep.passed
     return 1 if bad else 0
 

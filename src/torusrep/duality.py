@@ -210,12 +210,16 @@ def _dominant_fixed_dims(partition: SetPartition,
 
 def _block_upper_ops(partition: SetPartition, degree: int, N: int
                      ) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """The strictly-upper doubly-infinite units that can act on a degree
-    slice, per flavor block: (flavors, row, col) with row < col inside the
-    mode window of the slice, the flat indices 1 - degree*N .. (degree + 1)*N."""
+    """The simple upper doubly-infinite units that can act on a degree
+    slice, per flavor block: (flavors, A, A + 1) in the mode window of the
+    slice, the flat indices 1 - degree*N .. (degree + 1)*N.  Like the
+    consecutive pairs of `raising_pairs`, they generate every upper unit
+    (flavors, A, B), A < B, of the window, so they have its nullity:
+    [E_{A,B}, E_{B,C}] = E_{A,C} for A < B < C with no central term, the
+    flavors of a block commute, and a vector killed by generators is
+    killed by their brackets."""
     lo, hi = 1 - degree * N, (degree + 1) * N
-    return [(block, A, B) for block in partition.blocks
-            for A in range(lo, hi + 1) for B in range(A + 1, hi + 1)]
+    return [(block, A, A + 1) for block in partition.blocks for A in range(lo, hi)]
 
 
 class OffDiagonal(Exception):

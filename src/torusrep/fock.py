@@ -15,17 +15,18 @@ All signs are transposition counts against the global (p, kind, idx) order.
 `_gen_on_monomial` is the one Clifford kernel: it inserts a creator, or
 removes an annihilator's `partner`, with its sign.  A bilinear
 :psi^p[a] psibar^pb[b]: is two of its steps: an annihilating psi (a >= 0)
-acts first, with sign -1; otherwise psibar acts first, with sign +1.  The
-three actions accumulate bilinear images monomial by monomial:
+acts first, with sign -1; otherwise psibar acts first, with sign +1.
 
-- E_{i,j} t0^m0 t1^m1 = sum over k, p of (a_p q^{-k})^{m1}
-  :psi^p[(m0 - k)N - i] psibar^p[kN + j - 1]:, plus a diagonal scalar;
-- the flavor unit E_{r,s} = sum over b of :psi^r[-b-1] psibar^s[b]:;
-- the doubly-infinite unit E_{A,B} = :psi^p[-A] psibar^p[B-1]:, summed
-  over the flavors p of a block.
-
-Only the torus action reads the rank N.  The refolding re-sorts a monomial
-by inserting creators.
+`line_terms` is the one line kernel, for the bilinears
+:psi^(pb + dp)[a0 - t*step] psibar^pb[b0 + t*step]: of constant index sum.
+The torus unit E_{i,j} t0^m0 t1^m1 = sum over k, p of (a_p q^{-k})^{m1}
+:psi^p[(m0 - k)N - i] psibar^p[kN + j - 1]:, plus a diagonal scalar, is its
+step-N line over every flavor; the flavor unit E_{r,s} = sum over b of
+:psi^r[-b-1] psibar^s[b]: is its step-1 line from flavor s to r.  The
+doubly-infinite unit E_{A,B} = :psi^p[-A] psibar^p[B-1]:, summed over the
+flavors p of a block, is one point and checks its one term itself.  Only
+the torus action reads the rank N.  The refolding re-sorts a monomial by
+inserting creators.
 """
 from __future__ import annotations
 
@@ -138,50 +139,58 @@ def bilinear_on_monomial(a: Gen, b: Gen, mono: Monomial
     return (sign * s1 * s2, mono2)
 
 
+def line_terms(a0: int, b0: int, step: int, dp: int, flavors: Sequence[int],
+               mono: Monomial) -> Tuple[Tuple[Monomial, int, int, int], ...]:
+    """The nonzero terms of the line sum over t and flavors pb of
+    :psi^(pb + dp)[a0 - t*step] psibar^pb[b0 + t*step]: on one monomial, as
+    (monomial, sign, pb, t) in ascending (t, pb) order.
+
+    The annihilating factor acts first, so a term survives only if that
+    factor contracts a generator of the monomial, or if both factors
+    create.  Only those candidates are visited: b0 + t*step = -1 - idx,
+    pb = p for a psi generator (p, 0, idx); a0 - t*step = -1 - idx,
+    pb = p - dp for a psibar generator (p, 1, idx); and the both-create
+    window a0 < t*step < -b0, for every flavor.  A candidate is dropped if
+    an annihilating factor's partner is missing from the monomial, or if a
+    creating factor is already in it (Pauli exclusion) unless the two
+    factors are partners (dp = 0, a0 + b0 = -1): then the annihilating
+    factor removes that very generator first.  Every candidate left gives
+    a term.
+    """
+    partners = not dp and a0 + b0 == -1
+    candidates = set()
+    for t in range(a0 // step + 1, -(b0 // step)):
+        for p in flavors:
+            candidates.add((t, p))
+    for p, kind, idx in mono:
+        if kind == PSI:
+            x = -1 - b0 - idx
+        else:
+            x, p = a0 + 1 + idx, p - dp
+        if not x % step and p in flavors:
+            candidates.add((x // step, p))
+    if not candidates:
+        return ()
+    terms = []
+    for t, p in sorted(candidates):
+        a, b, pa = a0 - t * step, b0 + t * step, p + dp
+        if ((a >= 0 and (pa, PSIBAR, -1 - a) not in mono)
+                or (b >= 0 and (p, PSI, -1 - b) not in mono)
+                or (not partners and ((a < 0 and (pa, PSI, a) in mono)
+                                      or (b < 0 and (p, PSIBAR, b) in mono)))):
+            continue
+        sign, mono2 = bilinear_on_monomial((pa, PSI, a), (p, PSIBAR, b), mono)
+        terms.append((mono2, sign, p, t))
+    return tuple(terms)
+
+
 def sign_table(i: int, j: int, m0: int, mono: Monomial, N: int,
                ell: int) -> Tuple[Tuple[Monomial, int, int, int], ...]:
     """The nonzero terms of :psi_i^p(m0 - k) psibar_j^p(k): on one monomial,
     over all modes k and flavors p, as (monomial, sign, p, k) in ascending
-    (k, p) order.
-
-    Only candidate pairs (k, p) are visited.  In the normal order the
-    annihilating factor acts first, so a term survives only if that factor
-    contracts with a generator of the monomial, or if both factors create.
-    The candidates are therefore:
-
-    - for a psi generator (p, 0, idx): k = (-idx - j)/N where integral,
-      since psibar_j^p(k) contracts it;
-    - for a psibar generator (p, 1, idx): k = m0 - (i - idx - 1)/N where
-      integral, since psi_i^p(m0 - k) contracts it;
-    - the both-create window m0 <= k <= -1, for every flavor.
-
-    A candidate is dropped if an annihilating factor's partner is missing
-    from the monomial, or if a creating factor is already in it (Pauli
-    exclusion) unless m0 = 0 and i = j: there the flat indices of the two
-    factors sum to -1 at every (k, p), so the annihilating factor removes
-    that very generator first.  Every candidate left gives a term.
-    """
-    pauli = m0 or i != j
-    candidates = {(k, p) for k in range(m0, 0) for p in range(1, ell + 1)}
-    for p, kind, idx in mono:
-        if kind == PSI:
-            k, r = divmod(-idx - j, N)
-        else:
-            k, r = divmod(idx + 1 - i, N)
-            k += m0
-        if not r:
-            candidates.add((k, p))
-    table = []
-    for k, p in sorted(candidates):
-        a, b = (m0 - k) * N - i, k * N + j - 1
-        if ((a >= 0 and (p, PSIBAR, -a - 1) not in mono)
-                or (b >= 0 and (p, PSI, -b - 1) not in mono)
-                or (pauli and ((a < 0 and (p, PSI, a) in mono)
-                               or (b < 0 and (p, PSIBAR, b) in mono)))):
-            continue
-        sign, mono2 = bilinear_on_monomial((p, PSI, a), (p, PSIBAR, b), mono)
-        table.append((mono2, sign, p, k))
-    return tuple(table)
+    (k, p) order: the flavor-diagonal step-N line a0 = m0*N - i, b0 = j - 1,
+    t = k.  Its factors are partners exactly when m0 = 0 and i = j."""
+    return line_terms(m0 * N - i, j - 1, N, 0, range(1, ell + 1), mono)
 
 
 def cached_sign_table(i: int, j: int, m0: int, mono: Monomial,
@@ -254,26 +263,12 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVect
 
 def gl_ell_action(r: int, s: int, vec: FockVector) -> FockVector:
     """The commuting finite general-linear action E_{r,s}: the sum over flat
-    indices b of :psi^r[-b-1] psibar^s[b]:.
-
-    The two factors never both create, and the annihilating one acts first,
-    so a term survives only if it contracts with a generator of the
-    monomial: a flavor-s psi at idx (b = -idx - 1), which moves to flavor r,
-    or a flavor-r psibar at idx (b = idx), which moves to flavor s, at the
-    same site.  When r != s a candidate whose moved generator already sits
-    at that site in the target flavor is dropped (Pauli exclusion); every
-    candidate left gives a term.  Candidates are visited in ascending b."""
+    indices b of :psi^r[-b-1] psibar^s[b]:, the step-1 line from flavor s
+    to r (a0 = -1, b0 = 0, t = b).  Its two factors never both create, and
+    are partners exactly when r = s.  Terms accumulate in ascending b."""
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
-        candidates = []
-        for p, kind, idx in mono:
-            if kind == PSI:
-                if p == s and (r == s or (r, PSI, idx) not in mono):
-                    candidates.append(-idx - 1)
-            elif p == r and (r == s or (s, PSIBAR, idx) not in mono):
-                candidates.append(idx)
-        for b in sorted(candidates):
-            sign, mono2 = bilinear_on_monomial((r, PSI, -b - 1), (s, PSIBAR, b), mono)
+        for mono2, sign, _, _ in line_terms(-1, 0, 1, r - s, (s,), mono):
             accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
     return FockVector._of(acc)
 
@@ -281,20 +276,20 @@ def gl_ell_action(r: int, s: int, vec: FockVector) -> FockVector:
 def glbar_action(A: int, B: int, vec: FockVector, flavors: Sequence[int]) -> FockVector:
     """Action of the centrally extended doubly-infinite matrix unit
     E_{A,B} = :psi[-A] psibar[B-1]:, summed over the given flavors (a block,
-    or 1..ell).  A term survives only if the partner of each annihilating
-    factor, a creator (negative index), is in the monomial, and, unless the
+    or 1..ell).  A single point, not a line: a term survives only if the
+    partner of each annihilating factor is in the monomial, and, unless the
     two factors are partners (A = B), no creating factor is in it already
     (Pauli exclusion); every flavor left gives a term."""
-    partners = [(kind, idx) for kind, idx in ((PSIBAR, A - 1), (PSI, -B)) if idx < 0]
-    creators = [] if A == B else [
-        (kind, idx) for kind, idx in ((PSI, -A), (PSIBAR, B - 1)) if idx < 0]
+    a, b = -A, B - 1
     acc: Dict[Monomial, Fraction] = {}
     for mono, c in vec._terms.items():
         for p in flavors:
-            if (any((p, kind, idx) not in mono for kind, idx in partners)
-                    or any((p, kind, idx) in mono for kind, idx in creators)):
+            if ((a >= 0 and (p, PSIBAR, -1 - a) not in mono)
+                    or (b >= 0 and (p, PSI, -1 - b) not in mono)
+                    or (A != B and ((a < 0 and (p, PSI, a) in mono)
+                                    or (b < 0 and (p, PSIBAR, b) in mono)))):
                 continue
-            sign, mono2 = bilinear_on_monomial((p, PSI, -A), (p, PSIBAR, B - 1), mono)
+            sign, mono2 = bilinear_on_monomial((p, PSI, a), (p, PSIBAR, b), mono)
             accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
     return FockVector._of(acc)
 

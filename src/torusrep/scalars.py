@@ -203,7 +203,8 @@ class SetPartition:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """The specialization data (q, a_1..a_ell) for a fixed N >= 2.
+    """The specialization data (q, a_1..a_ell) for a fixed N >= 2; ``ell`` is
+    the number of parameters.
 
     ``signs`` and ``powers`` are tables filled on first use: ``signs``
     maps (i, j, m0, monomial) to its sign table (`fock.cached_sign_table`,
@@ -215,10 +216,12 @@ class ParameterSet:
     q: Fraction
     a: Tuple[Fraction, ...]
     N: int
+    ell: int = field(init=False, repr=False, compare=False)
     signs: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
     powers: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "ell", len(self.a))
         check_q(self.q)
         if self.N < 2:
             raise InvalidParams("N must be >= 2")
@@ -230,10 +233,6 @@ class ParameterSet:
     @staticmethod
     def of(q: Rational, a: Sequence[Rational], N: int) -> "ParameterSet":
         return ParameterSet(as_scalar(q), tuple(as_scalar(x) for x in a), N)
-
-    @property
-    def ell(self) -> int:
-        return len(self.a)
 
 
 def gamma_q_exponent(x: Rational, q: Rational) -> Optional[int]:

@@ -9,7 +9,7 @@ family-by-family route of the nilpotency suite."""
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from torusrep.duality import _block_upper_ops, _image_rows, fixed_space, phi_gen
+from torusrep.duality import _image_rows, fixed_space, phi_gen
 from torusrep.errors import InvalidParams
 from torusrep.fock import (
     PSI,
@@ -200,17 +200,23 @@ def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
                         params: ParameterSet) -> int:
     """`torusrep.duality.joint_hw_dim` by the whole-slice route: the
     raising-fixed basis of the slice (`fixed_space`), then one elimination
-    of the block upper images and of the images of every
-    h_{i,n} - eta(h_{i,n}) on that basis.  It makes no use of the toral
-    generators acting diagonally."""
+    of the images of every strictly-upper block unit E_{A,B}, A < B, of the
+    mode window 1 - d*N .. (d + 1)*N at the degree d = hw_degree(mu), and of
+    every h_{i,n} - eta(h_{i,n}), on that basis.  It makes no use of the
+    toral generators acting diagonally, nor of the upper units being
+    generated by the simple ones."""
     partition = validate_spectrum(params.a, params.q)
     N = params.N
     base = fixed_space(partition, monos)
     if not base:
         return 0
     rows = []
-    for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), N):
-        rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in base]))
+    d = hw_degree(mu, params)
+    lo, hi = 1 - d * N, (d + 1) * N
+    for flavors in partition.blocks:
+        for A in range(lo, hi + 1):
+            for B in range(A + 1, hi + 1):
+                rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in base]))
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):

@@ -14,6 +14,8 @@ from fock_oracles import (
 from torusrep.cli import main
 from torusrep.duality import (
     FlavorTables,
+    _block_upper_ops,
+    _image_rows,
     component_type,
     fixed_dim,
     fixed_space,
@@ -33,6 +35,7 @@ from torusrep.fock import (
     FockVector,
     basis_monomials,
     gl_ell_action,
+    glbar_action,
     graded_dim,
     hw_degree,
     hw_vector,
@@ -40,6 +43,7 @@ from torusrep.fock import (
     psibar,
 )
 from torusrep.glrep import is_dominant
+from torusrep.linalg import nullspace
 from torusrep.scalars import ParameterSet, SetPartition, validate_spectrum
 
 
@@ -287,6 +291,39 @@ def test_joint_hw_dim_matches_whole_slice_route(N, a, n_max, q):
                 assert got == joint_hw_dim_oracle(w, monos, params), (n, w)
                 answers.add((above, got))
     assert answers == {(0, 1), (1, 0)}
+
+
+def _upper_kernel(vectors, ops):
+    """Basis of the vectors of span(vectors) killed by every (flavors, A, B)
+    unit of ops."""
+    rows = []
+    for flavors, A, B in ops:
+        rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in vectors]))
+    return [sum((vectors[c].scale(x) for c, x in k.items()), FockVector.zero())
+            for k in nullspace(rows, len(vectors))]
+
+
+@pytest.mark.parametrize("N,a", [(2, [3, 3]), (3, [3, 3]), (2, [3, 5])])
+def test_simple_upper_roots_have_the_nullity_of_all_upper_pairs(N, a):
+    # the generation claim of _block_upper_ops apart from the toral filter
+    # of joint_hw_dim, on every dominant slice to degree 3: on the
+    # raising-fixed basis, every upper pair A < B of the window kills the
+    # kernel of the simple roots, so raising pairs with all upper pairs
+    # leave the nullity of raising pairs with the simple roots; the upper
+    # side binds on some slices
+    partition = validate_spectrum(a, 2)
+    tables = FlavorTables(N, len(a))
+    binds = 0
+    for n in range(4):
+        lo, hi = 1 - n * N, (n + 1) * N
+        upper = [(block, A, B) for block in partition.blocks
+                 for A in range(lo, hi + 1) for B in range(A + 1, hi + 1)]
+        for w, monos in weight_spaces(n, tables, lambda w: is_dominant(w, partition)).items():
+            base = fixed_space(partition, monos)
+            simple = _upper_kernel(base, _block_upper_ops(partition, n, N))
+            assert len(_upper_kernel(simple, upper)) == len(simple), (n, w)
+            binds += len(simple) < len(base)
+    assert binds
 
 
 def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):
