@@ -18,11 +18,14 @@ which side goes first:
   checks two flavours at n_max 6, 8 and 10 and three flavours at n_max 5,
   with them rank 3 and two flavours at n_max 5; and the level-one
   nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1),
-  PROBE_RUNS (3) runs per side: the call's wall time, the peak RSS of the
-  process and the sha256 of the report the call writes to stdout.  Each
-  run is a child process whose address space is limited to PROBE_AS_BYTES
-  (2 GiB) and whose time to PROBE_TIMEOUT_S; a run that exceeds either is
-  recorded as not completed;
+  PAIRS alternating pairs: the call's wall time and the CPU time of the
+  child process spent in it, the peak RSS of the process and the
+  sha256 of the report the call writes to stdout; per time it records the
+  medians, the parent's quartiles and in how many of the pairs where both
+  sides completed the change was faster.  Each run is a child process
+  whose address space is limited to PROBE_AS_BYTES (2 GiB) and whose time
+  to PROBE_TIMEOUT_S; a run that exceeds either is recorded as not
+  completed;
 - the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
   (3) runs per side: the process's wall time, each job's time as the
   script prints it, and the sha256 of each report, which must agree
@@ -61,19 +64,19 @@ PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10
 SECONDS = 20
-PROBE_RUNS = 3
 BATTERY_RUNS = 3
 PROBE = """\
 import contextlib, hashlib, io, json, resource, time
 from torusrep.cli import main
 argv = "{argv}".split()
 out = io.StringIO()
-t = time.perf_counter()
+t, c = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(out):
     code = main(argv)
-s = time.perf_counter() - t
+s, cpu = time.perf_counter() - t, time.process_time() - c
 print(json.dumps({{
     "wall_s": round(s, 3),
+    "cpu_s": round(cpu, 3),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "passed": code == 0,
     "report_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}}))
@@ -187,7 +190,7 @@ def main() -> int:
     probes = {}
     for name, argv in PROBES.items():
         runs = {"parent": [], "change": []}
-        for k in range(PROBE_RUNS):
+        for k in range(PAIRS):
             for side in order(k):
                 runs[side].append(probe(sides[side], argv))
                 print(f"probe {name} {side}: {runs[side][-1]}", file=sys.stderr)
@@ -197,11 +200,17 @@ def main() -> int:
             probes[name][side] = {
                 "completed": len(done), "runs": len(rs),
                 "wall_s": [r["wall_s"] for r in done],
+                "cpu_s": [r["cpu_s"] for r in done],
                 "peak_rss_mb": [r["peak_rss_mb"] for r in done],
-                "wall_s_median": statistics.median(r["wall_s"] for r in done) if done else None,
                 "peak_rss_mb_max": max((r["peak_rss_mb"] for r in done), default=None),
                 "passed": all(r["passed"] for r in done),
                 "report_sha256": sorted({r["report_sha256"] for r in done})}
+        pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+                 if p is not None and c is not None]
+        probes[name]["complete_pairs"] = len(pairs)
+        for key in ("wall_s", "cpu_s"):
+            probes[name][key] = summarize([p[key] for p, _ in pairs],
+                                          [c[key] for _, c in pairs], "lower") if pairs else None
 
     runs = {"parent": [], "change": []}
     for k in range(BATTERY_RUNS):
@@ -267,7 +276,9 @@ def main() -> int:
                     "and change alternated, each under RLIMIT_AS = "
                     f"{PROBE_AS_BYTES >> 20} MiB and a {PROBE_TIMEOUT_S} s timeout; "
                     "wall_s is the main() call alone (parsing, the suite and the JSON "
-                    "report), peak_rss_mb is ru_maxrss of the whole process",
+                    "report), cpu_s the process CPU time of that call, peak_rss_mb "
+                    "ru_maxrss of the whole process; wall_s and cpu_s summarize the "
+                    "pairs where both sides completed",
             "results": probes,
         },
         "battery": {

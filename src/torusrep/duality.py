@@ -15,9 +15,11 @@ its fixed dimension depends only on the weight and its ``component_type``
 eliminates each (weight, type) once, on the first component met, in a memo
 that the suite call owns: one per partition, shared across the ranks of the
 Levi suite.  The elimination layer (``fixed_space``, ``fixed_dim``) takes no
-rank: the flavor and doubly-infinite actions read only flat indices.  In the
-joint highest-weight check the toral generators h_{i,n} (m0 = 0, i = j) act
-diagonally on monomials, so the kernel of every h - eta(h) is spanned by the
+rank: the flavor and doubly-infinite actions read only flat indices and act
+on one monomial, and ``_term_rows`` builds the integer rows of their
+matrices straight from their terms.  In the joint highest-weight check
+the toral generators h_{i,n} (m0 = 0, i = j) act diagonally on
+monomials, so the kernel of every h - eta(h) is spanned by the
 monomials whose eigenvalues all match eta: ``joint_hw_dim`` keeps only
 those, which leaves the joint kernel as it is, since the order in which the
 conditions are imposed does not matter.  The torus-side raising conditions
@@ -137,27 +139,24 @@ def raising_pairs(partition: SetPartition) -> List[Tuple[int, int]]:
     return out
 
 
-def _image_rows(images: Sequence[FockVector]) -> List[Dict[int, Fraction]]:
-    """Sparse rows of the coefficient matrix of the images: one row per
-    target monomial, in order of first appearance; column c holds the
-    coefficients of images[c]."""
-    rows: Dict[Monomial, Dict[int, Fraction]] = {}
-    for c, v in enumerate(images):
-        for m, coeff in v._terms.items():
-            rows.setdefault(m, {})[c] = coeff
+def _term_rows(images: Sequence[Sequence[tuple]]) -> List[Dict[int, int]]:
+    """Sparse integer rows of a unit's matrix from its terms (monomial,
+    sign, ...) on each column's monomial: one row per target monomial, in
+    order of first appearance.  The targets of one column must be distinct,
+    as they are for the raising pairs and the upper units."""
+    rows: Dict[Monomial, Dict[int, int]] = {}
+    for c, terms in enumerate(images):
+        for term in terms:
+            rows.setdefault(term[0], {})[c] = term[1]
     return list(rows.values())
 
 
 def fixed_space(partition: SetPartition, monos: Sequence[Monomial]) -> List[FockVector]:
     """Exact basis of the raising-fixed subspace of one weight slice, given
     by its monomials (one value of ``weight_spaces``)."""
-    basis = [FockVector._of({m: ONE}) for m in monos]
-    ops = raising_pairs(partition)
-    if not ops:
-        return basis
-    rows: List[Dict[int, Fraction]] = []
-    for (r, s) in ops:
-        rows.extend(_image_rows([gl_ell_action(r, s, v) for v in basis]))
+    rows: List[Dict[int, int]] = []
+    for (r, s) in raising_pairs(partition):
+        rows.extend(_term_rows([gl_ell_action(r, s, m) for m in monos]))
     return [FockVector._of({monos[c]: x for c, x in vec.items()})
             for vec in nullspace(rows, len(monos))]
 
@@ -256,12 +255,12 @@ def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
             if image.get(m, 0) != val:
                 break
         else:
-            basis.append(v)
-    rows: List[Dict[int, Fraction]] = []
+            basis.append(m)
+    rows: List[Dict[int, int]] = []
     for (r, s) in raising_pairs(partition):
-        rows.extend(_image_rows([gl_ell_action(r, s, v) for v in basis]))
+        rows.extend(_term_rows([gl_ell_action(r, s, m) for m in basis]))
     for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), params.N):
-        rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in basis]))
+        rows.extend(_term_rows([glbar_action(A, B, m, flavors) for m in basis]))
     return len(nullspace(rows, len(basis)))
 
 
@@ -526,19 +525,24 @@ def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
                              "monomial": str(w.support()[:1])})
     report.add_case("intertwine", {"cases": [ok, runs]}, ok, runs)
 
-    # (iii) flavor-block equivariance
+    # (iii) flavor-block equivariance on monomials; a diagonal unit puts
+    # several terms on one monomial, so the terms are summed
+    def flavor_sum(units, mono: Monomial, c: Fraction = ONE) -> FockVector:
+        out: Dict[Monomial, Fraction] = {}
+        for r, s in units:
+            for mono2, sign, _, _ in gl_ell_action(r, s, mono):
+                accumulate(out, mono2, c if sign == 1 else -c)
+        return FockVector._of(out)
+
     ok = runs = 0
     for block in part.blocks:
         for p in block:
             for pp in block:
-                for w in vecs[:SAMPLE_CAP // 2]:
+                for mono, w in zip(sorted(monos), vecs[:SAMPLE_CAP // 2]):
                     runs += 1
-                    big = FockVector.zero()
-                    for k in range(M0):
-                        big = big + gl_ell_action(k * ell + p, k * ell + pp, w)
-                    lhs = phi_vector(big, ell, M0, N)
-                    rhs = gl_ell_action(p, pp, phi_vector(w, ell, M0, N))
-                    if lhs == rhs:
+                    big = flavor_sum([(k * ell + p, k * ell + pp) for k in range(M0)], mono)
+                    (image, c), = phi_vector(w, ell, M0, N)._terms.items()
+                    if phi_vector(big, ell, M0, N) == flavor_sum([(p, pp)], image, c):
                         ok += 1
                     else:
                         report.fail({"check": "gl-equivariance", "p": p, "pp": pp})

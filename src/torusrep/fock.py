@@ -24,9 +24,10 @@ The torus unit E_{i,j} t0^m0 t1^m1 = sum over k, p of (a_p q^{-k})^{m1}
 step-N line over every flavor; the flavor unit E_{r,s} = sum over b of
 :psi^r[-b-1] psibar^s[b]: is its step-1 line from flavor s to r.  The
 doubly-infinite unit E_{A,B} = :psi^p[-A] psibar^p[B-1]:, summed over the
-flavors p of a block, is one point and checks its one term itself.  Only
-the torus action reads the rank N.  The refolding re-sorts a monomial by
-inserting creators.
+flavors p of a block, is one point and checks its one term itself.  Both
+act on one monomial and return its integer terms (monomial, sign, ...);
+only the torus action sums terms into vectors, and only it reads the rank
+N.  The refolding re-sorts a monomial by inserting creators.
 """
 from __future__ import annotations
 
@@ -261,37 +262,36 @@ def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVect
     return FockVector._of(acc)
 
 
-def gl_ell_action(r: int, s: int, vec: FockVector) -> FockVector:
-    """The commuting finite general-linear action E_{r,s}: the sum over flat
-    indices b of :psi^r[-b-1] psibar^s[b]:, the step-1 line from flavor s
-    to r (a0 = -1, b0 = 0, t = b).  Its two factors never both create, and
-    are partners exactly when r = s.  Terms accumulate in ascending b."""
-    acc: Dict[Monomial, Fraction] = {}
-    for mono, c in vec._terms.items():
-        for mono2, sign, _, _ in line_terms(-1, 0, 1, r - s, (s,), mono):
-            accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
-    return FockVector._of(acc)
+def gl_ell_action(r: int, s: int, mono: Monomial
+                  ) -> Tuple[Tuple[Monomial, int, int, int], ...]:
+    """The commuting finite general-linear unit E_{r,s} on one monomial:
+    the sum over flat indices b of :psi^r[-b-1] psibar^s[b]:, the step-1
+    line from flavor s to r (a0 = -1, b0 = 0, t = b), as its terms
+    (monomial, sign, s, b) in ascending b.  Its two factors never both
+    create, and are partners exactly when r = s."""
+    return line_terms(-1, 0, 1, r - s, (s,), mono)
 
 
-def glbar_action(A: int, B: int, vec: FockVector, flavors: Sequence[int]) -> FockVector:
-    """Action of the centrally extended doubly-infinite matrix unit
+def glbar_action(A: int, B: int, mono: Monomial, flavors: Sequence[int]
+                 ) -> Tuple[Tuple[Monomial, int], ...]:
+    """The centrally extended doubly-infinite matrix unit
     E_{A,B} = :psi[-A] psibar[B-1]:, summed over the given flavors (a block,
-    or 1..ell).  A single point, not a line: a term survives only if the
-    partner of each annihilating factor is in the monomial, and, unless the
-    two factors are partners (A = B), no creating factor is in it already
-    (Pauli exclusion); every flavor left gives a term."""
+    or 1..ell), on one monomial, as (monomial, sign) in flavor order.  A
+    single point, not a line: a term survives only if the partner of each
+    annihilating factor is in the monomial, and, unless the two factors are
+    partners (A = B), no creating factor is in it already (Pauli
+    exclusion); every flavor left gives a term."""
     a, b = -A, B - 1
-    acc: Dict[Monomial, Fraction] = {}
-    for mono, c in vec._terms.items():
-        for p in flavors:
-            if ((a >= 0 and (p, PSIBAR, -1 - a) not in mono)
-                    or (b >= 0 and (p, PSI, -1 - b) not in mono)
-                    or (A != B and ((a < 0 and (p, PSI, a) in mono)
-                                    or (b < 0 and (p, PSIBAR, b) in mono)))):
-                continue
-            sign, mono2 = bilinear_on_monomial((p, PSI, a), (p, PSIBAR, b), mono)
-            accumulate(acc, mono2, c if sign == 1 else NEG_ONE if c is ONE else -c)
-    return FockVector._of(acc)
+    terms = []
+    for p in flavors:
+        if ((a >= 0 and (p, PSIBAR, -1 - a) not in mono)
+                or (b >= 0 and (p, PSI, -1 - b) not in mono)
+                or (A != B and ((a < 0 and (p, PSI, a) in mono)
+                                or (b < 0 and (p, PSIBAR, b) in mono)))):
+            continue
+        sign, mono2 = bilinear_on_monomial((p, PSI, a), (p, PSIBAR, b), mono)
+        terms.append((mono2, sign))
+    return tuple(terms)
 
 
 def hw_vector(mu: Sequence[int], params: ParameterSet) -> FockVector:
@@ -346,12 +346,7 @@ def basis_monomials(n: int, N: int, ell: int) -> List[Monomial]:
             if remaining == 0:
                 out.append(tuple(sorted(chosen)))
             return
-        if d == 0:
-            for r in range(len(pools[0]) + 1):
-                for combo in itertools.combinations(pools[0], r):
-                    pick(1, chosen + list(combo), remaining)
-            return
-        for r in range(0, remaining // d + 1):
+        for r in range(remaining // d + 1 if d else len(pools[0]) + 1):
             for combo in itertools.combinations(pools[d], r):
                 pick(d + 1, chosen + list(combo), remaining - r * d)
 

@@ -1,15 +1,16 @@
 """Test-side oracles and helpers of the Fock module: an independent
 normal-ordering rule and the bilinear built on it, the evaluation-module
 form of the torus action, generator words, the vacuum and coefficient
-lookup of sparse vectors, the text form of Fock vectors, the weight
+lookup of sparse vectors, the one-monomial flavor units lifted to Fock
+vectors and their coefficient rows, the text form of Fock vectors, the weight
 slices of a degree grouped from the full monomial list, the Pieri / LR
 count of a component type's fixed dimension, the whole-slice route of the
 joint highest-weight dimension, the insertion-sort refolding, and the
 family-by-family route of the nilpotency suite."""
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from torusrep.duality import _image_rows, fixed_space, phi_gen
+from torusrep.duality import fixed_space, phi_gen
 from torusrep.errors import InvalidParams
 from torusrep.fock import (
     PSI,
@@ -122,6 +123,31 @@ def apply_word(gens: Sequence[Gen], vec: FockVector) -> FockVector:
     return vec
 
 
+def lift(unit: Callable[..., Sequence[tuple]], x: int, y: int, vec: FockVector,
+         *rest) -> FockVector:
+    """A one-monomial unit of `torusrep.fock`, whose terms (monomial, sign,
+    ...) on a monomial are unit(x, y, monomial, *rest) (``gl_ell_action`` or
+    ``glbar_action``), applied to a Fock vector: monomial by monomial in the
+    vector's order, each term in the unit's order, with terms that land on
+    one monomial summed."""
+    out: Dict[Monomial, Fraction] = {}
+    for mono, c in vec._terms.items():
+        for term in unit(x, y, mono, *rest):
+            accumulate(out, term[0], c if term[1] == 1 else -c)
+    return FockVector._of(out)
+
+
+def image_rows(images: Sequence[FockVector]) -> List[Dict[int, Fraction]]:
+    """Sparse rows of the coefficient matrix of the images: one row per
+    target monomial, in order of first appearance; column c holds the
+    coefficients of images[c]."""
+    rows: Dict[Monomial, Dict[int, Fraction]] = {}
+    for c, v in enumerate(images):
+        for m, coeff in v._terms.items():
+            rows.setdefault(m, {})[c] = coeff
+    return list(rows.values())
+
+
 def format_gen(g: Gen, N: int) -> str:
     name = "psi" if g[1] == PSI else "psibar"
     return f"{name}[{gen_label(g, N)},{g[0]}]({gen_mode(g, N)})"
@@ -216,14 +242,14 @@ def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
     for flavors in partition.blocks:
         for A in range(lo, hi + 1):
             for B in range(A + 1, hi + 1):
-                rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in base]))
+                rows.extend(image_rows([lift(glbar_action, A, B, v, flavors) for v in base]))
     eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
             h = h_gen(i, n, N, params.q)
             val = eta_eval(eta, i, n)
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
-            rows.extend(_image_rows(images))
+            rows.extend(image_rows(images))
     return len(nullspace(rows, len(base)))
 
 

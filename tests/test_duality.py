@@ -6,7 +6,9 @@ import pytest
 import torusrep.duality as duality
 from fock_oracles import (
     coeff,
+    image_rows,
     joint_hw_dim_oracle,
+    lift,
     phi_vector_oracle,
     type_fixed_dim_oracle,
     weight_spaces_oracle,
@@ -15,7 +17,6 @@ from torusrep.cli import main
 from torusrep.duality import (
     FlavorTables,
     _block_upper_ops,
-    _image_rows,
     component_type,
     fixed_dim,
     fixed_space,
@@ -131,9 +132,9 @@ def test_fixed_space_killed_and_weighted():
             vecs = fixed_space(part, spaces[w])
             for v in vecs:
                 for (r, s) in [(1, 2)]:
-                    assert gl_ell_action(r, s, v).is_zero()
+                    assert lift(gl_ell_action, r, s, v).is_zero()
                 for p in (1, 2):
-                    ev = gl_ell_action(p, p, v)
+                    ev = lift(gl_ell_action, p, p, v)
                     assert ev == v.scale(w[p - 1])
 
 
@@ -298,7 +299,7 @@ def _upper_kernel(vectors, ops):
     unit of ops."""
     rows = []
     for flavors, A, B in ops:
-        rows.extend(_image_rows([glbar_action(A, B, v, flavors) for v in vectors]))
+        rows.extend(image_rows([lift(glbar_action, A, B, v, flavors) for v in vectors]))
     return [sum((vectors[c].scale(x) for c, x in k.items()), FockVector.zero())
             for k in nullspace(rows, len(vectors))]
 
@@ -324,6 +325,31 @@ def test_simple_upper_roots_have_the_nullity_of_all_upper_pairs(N, a):
             assert len(_upper_kernel(simple, upper)) == len(simple), (n, w)
             binds += len(simple) < len(base)
     assert binds
+
+
+@pytest.mark.parametrize("N,a", [(2, [3, 3]), (3, [3, 3]), (2, [3, 5])])
+def test_raising_and_upper_units_give_distinct_targets(N, a):
+    # _term_rows writes each term of a column into the row of its target,
+    # so on every dominant slice to degree 3 each raising pair and each
+    # simple upper unit must send a monomial to pairwise distinct
+    # monomials; a diagonal unit E_{p,p} puts all its terms on the monomial
+    # itself, so the check can fail
+    partition = validate_spectrum(a, 2)
+    tables = FlavorTables(N, len(a))
+    repeats = 0
+    for n in range(4):
+        ops = _block_upper_ops(partition, n, N)
+        for monos in weight_spaces(n, tables, lambda w: is_dominant(w, partition)).values():
+            for m in monos:
+                images = ([gl_ell_action(r, s, m) for r, s in raising_pairs(partition)]
+                          + [glbar_action(A, B, m, flavors) for flavors, A, B in ops])
+                for terms in images:
+                    targets = [t[0] for t in terms]
+                    assert len(set(targets)) == len(targets), (n, m, terms)
+                for p in range(1, len(a) + 1):
+                    targets = [t[0] for t in gl_ell_action(p, p, m)]
+                    repeats += len(set(targets)) < len(targets)
+    assert repeats
 
 
 def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):

@@ -38,6 +38,7 @@ from fock_oracles import (
     apply_word,
     bilinear_mode_criterion,
     format_monomial,
+    lift,
     nilpotency_oracle,
     rho_action_tensor_oracle,
     vacuum,
@@ -327,7 +328,6 @@ def test_sign_table_calls_the_bilinear_only_on_hits(monkeypatch):
         monos = [m for d in range(3) for m in basis_monomials(d, N, ell)]
         flavors = range(1, ell + 1)
         for mono in monos:
-            v = FockVector.monomial(mono)
             start = len(results)
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
@@ -337,12 +337,12 @@ def test_sign_table_calls_the_bilinear_only_on_hits(monkeypatch):
             start = len(results)
             for r in flavors:
                 for s in flavors:
-                    gl_ell_action(r, s, v)
+                    gl_ell_action(r, s, mono)
             callers["gl_ell"] = callers.get("gl_ell", 0) + len(results) - start
             start = len(results)
             for A in range(-2 * N, 2 * N + 2):
                 for B in range(-2 * N, 2 * N + 2):
-                    glbar_action(A, B, v, flavors)
+                    glbar_action(A, B, mono, flavors)
             callers["glbar"] = callers.get("glbar", 0) + len(results) - start
     assert all(callers.values()), callers
     assert None not in results
@@ -394,7 +394,7 @@ def test_gl_ell_action_matches_window_oracle(data):
     vec = FockVector(dict(zip(monos, coeffs)))
     for r in range(1, ell + 1):
         for s in range(1, ell + 1):
-            got = gl_ell_action(r, s, vec)
+            got = lift(gl_ell_action, r, s, vec)
             want = gl_ell_window_oracle(r, s, vec, N)
             assert list(got._terms.items()) == list(want.items())
 
@@ -416,21 +416,21 @@ def test_rho_examples():
 def test_gl_ell_examples():
     N, ell = 2, 2
     v = FockVector.monomial((psi(1, 2, 0, N),))
-    got = gl_ell_action(1, 2, v)
+    got = lift(gl_ell_action, 1, 2, v)
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
-    assert gl_ell_action(1, 2, vacuum()).is_zero()
+    assert lift(gl_ell_action, 1, 2, vacuum()).is_zero()
     w = FockVector.monomial((psi(1, 1, 0, N),))
-    assert gl_ell_action(1, 1, w) == w
+    assert lift(gl_ell_action, 1, 1, w) == w
 
 
 def test_glbar_examples():
     N = 2
     v = FockVector.monomial((psi(2, 1, 0, N),))
-    got = glbar_action(1, 2, v, [1])
+    got = lift(glbar_action, 1, 2, v, [1])
     assert got == FockVector.monomial((psi(1, 1, 0, N),))
     # vacuum killed by strictly-upper units acting at positive rows
     for row, col in [(3, 1), (3, 4), (5, 2)]:
-        assert glbar_action(row, col, vacuum(), [1]).is_zero() or row <= col
+        assert lift(glbar_action, row, col, vacuum(), [1]).is_zero() or row <= col
 
 
 def test_glbar_level():
@@ -446,9 +446,9 @@ def test_glbar_level():
     for S in blocks:
         for (A, B) in [(-1, 1), (0, 2), (1, 2), (-2, -1), (1, 4)]:
             for v in vs:
-                comm = (glbar_action(A, B, glbar_action(B, A, v, S), S)
-                        - glbar_action(B, A, glbar_action(A, B, v, S), S))
-                want = glbar_action(A, A, v, S) - glbar_action(B, B, v, S)
+                comm = (lift(glbar_action, A, B, lift(glbar_action, B, A, v, S), S)
+                        - lift(glbar_action, B, A, lift(glbar_action, A, B, v, S), S))
+                want = lift(glbar_action, A, A, v, S) - lift(glbar_action, B, B, v, S)
                 if A <= 0 < B:
                     want = want + v.scale(len(S))
                 assert comm == want
@@ -457,8 +457,33 @@ def test_glbar_level():
 def test_glbar_diagonal_counts():
     N = 2
     v = FockVector.monomial((psi(1, 1, 0, N), psi(1, 2, 0, N)))
-    got = glbar_action(1, 1, v, flavors=[1])
+    got = lift(glbar_action, 1, 1, v, [1])
     assert got == v
+
+
+@pytest.mark.parametrize("law", ["raising", "toral-eigenvalue", "flavor-fixed"])
+def test_each_highest_weight_law_can_fail(monkeypatch, law):
+    # a vector with a degree-one creator is not killed by the raising half;
+    # shifted eta values fail the eigenvalue check; the product vector of
+    # the flavor-reversed weight passes both (one block of equal a_p, so the
+    # torus side cannot tell the flavors apart) but is not flavor-fixed
+    from torusrep import verify
+
+    N = 2
+    if law == "raising":
+        monkeypatch.setattr(verify, "hw_vector",
+                            lambda mu, params: FockVector.monomial((psi(1, 1, -1, N),)))
+    elif law == "toral-eigenvalue":
+        real_table = verify.toral_table
+        monkeypatch.setattr(verify, "toral_table", lambda mu, params: [
+            (i, n, h, val + 1) for i, n, h, val in real_table(mu, params)])
+    else:
+        real_vector = verify.hw_vector
+        monkeypatch.setattr(verify, "hw_vector",
+                            lambda mu, params: real_vector(mu[::-1], params))
+    report = verify.verify_highest_weight(N, [3, 3], 2, mu_bound=1)
+    assert not report.passed
+    assert report.witness["law"] == law, report.witness
 
 
 def test_hw_vector_examples():
@@ -539,11 +564,11 @@ def test_gl_ell_preserves_degree_and_commutes_with_rho():
         n = rng.randrange(0, 3)
         v = FockVector.monomial(rng.choice(basis_monomials(n, N, ell)))
         r, s = rng.randrange(1, ell + 1), rng.randrange(1, ell + 1)
-        g = gl_ell_action(r, s, v)
+        g = lift(gl_ell_action, r, s, v)
         for mono, _ in g.items():
             assert monomial_degree(mono, N) == n
         a = rho_action(x, params, g)
-        b = gl_ell_action(r, s, rho_action(x, params, v))
+        b = lift(gl_ell_action, r, s, rho_action(x, params, v))
         assert a == b
 
 
@@ -556,8 +581,8 @@ def test_gl_ell_block_commutation_split_blocks():
         n = rng.randrange(0, 2)
         v = FockVector.monomial(rng.choice(basis_monomials(n, N, ell)))
         for r in (1, 2):
-            a = rho_action(x, params, gl_ell_action(r, r, v))
-            b = gl_ell_action(r, r, rho_action(x, params, v))
+            a = rho_action(x, params, lift(gl_ell_action, r, r, v))
+            b = lift(gl_ell_action, r, r, rho_action(x, params, v))
             assert a == b
 
 
@@ -572,8 +597,8 @@ def test_gl_ell_commutes_with_glbar():
         if row == 0 or col == 0:
             continue
         flavors = range(1, ell + 1)
-        a = gl_ell_action(r, s, glbar_action(row, col, v, flavors))
-        b = glbar_action(row, col, gl_ell_action(r, s, v), flavors)
+        a = lift(gl_ell_action, r, s, lift(glbar_action, row, col, v, flavors))
+        b = lift(glbar_action, row, col, lift(gl_ell_action, r, s, v), flavors)
         assert a == b
 
 
