@@ -12,7 +12,10 @@ which side goes first:
   workloads, PAIRS (10) pairs each, with the bytecode caches of both sides
   removed before every run; per metric it records the medians of the
   speed-scaled run values, the parent's quartiles, and in how many pairs
-  the change was better;
+  the change was better.  When the change wins at least PAIRS - 1 or at
+  most 1 of a workload's pairs on ``wall_s``, it runs PAIRS more pairs of
+  that workload, each with the other side first, and records their
+  summaries under ``other_side_first``;
 - the probes, ``torusrep.cli.main`` on each argv of PROBES (argvs both
   sides accept: the deep-degree duality runs, without the highest-weight
   checks two flavours at n_max 6, 8 and 10 and three flavours at n_max 5,
@@ -228,22 +231,31 @@ def main() -> int:
     batteries["reports"] = len(digests[0])
     batteries["reports_identical"] = all(d == digests[0] for d in digests)
 
-    trace0 = {}
-    for workload in WORKLOADS:
+    def perfbench_pairs(workload, shift):
+        """PAIRS untraced pairs, pair k run in order(k + shift): the
+        per-metric summaries and the run results of each side."""
         values = {"parent": [], "change": []}
         for k in range(PAIRS):
-            for side in order(k):
+            for side in order(k + shift):
                 result, _ = perfbench(sides[side], workload, 0)
                 values[side].append(result)
                 print(f"{workload} {side}: wall_s "
                       f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-        entry = {"pairs": PAIRS}
-        for name, better in metrics.items():
-            entry[name] = summarize(
-                [r["metrics"][name]["value"] for r in values["parent"]],
-                [r["metrics"][name]["value"] for r in values["change"]], better)
+        return {name: summarize([r["metrics"][name]["value"] for r in values["parent"]],
+                                [r["metrics"][name]["value"] for r in values["change"]],
+                                better)
+                for name, better in metrics.items()}, values
+
+    trace0 = {}
+    for workload in WORKLOADS:
+        summary, values = perfbench_pairs(workload, 0)
+        entry = {"pairs": PAIRS, **summary}
         entry["attempted"] = {s: [r["attempted"] for r in rs] for s, rs in values.items()}
         entry["failed"] = {s: sum(r["failed"] for r in rs) for s, rs in values.items()}
+        # a one-sided set may be drift of the machine: repeat it with the
+        # other side first in every pair
+        if not 1 < entry["wall_s"]["change_better_pairs"] < PAIRS - 1:
+            entry["other_side_first"], _ = perfbench_pairs(workload, 1)
         trace0[workload] = entry
 
     trace1 = {}
@@ -292,7 +304,10 @@ def main() -> int:
             "command": f"python3 perfbench/run.py --workload W --seed 0 "
                        f"--seconds {SECONDS} --trace 0",
             "note": "bytecode caches removed before every run, pairs alternating "
-                    "which side ran first; medians of the speed-scaled run values",
+                    "which side ran first; medians of the speed-scaled run values; "
+                    "other_side_first: a second set of pairs, each in the other order, "
+                    "run when the change won at least PAIRS - 1 or at most 1 pairs "
+                    "on wall_s",
             "workloads": trace0,
         },
         "perfbench_trace1": {

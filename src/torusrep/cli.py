@@ -226,49 +226,50 @@ def _pad_dominant(w, offset: int, merged: SetPartition):
     return tuple(full)
 
 
+# The flags each branch mode reads besides --I, all of them required but
+# --J; a mode refuses every other flag.
+BRANCH_FLAGS = {"tensor": ("J", "mu", "nu"), "levi": ("J", "xi", "mu"), "diag": ("mus",)}
+
+
 def _branch_table(args) -> DecompositionReport:
-    part = args.I
+    part, reads = args.I, BRANCH_FLAGS[args.mode]
+    unread = [f"--{k}" for k in ("J", "mu", "nu", "xi", "mus")
+              if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise InvalidParams(f"--mode {args.mode} does not read {' '.join(unread)}")
+    missing = [f"--{k}" for k in reads if k != "J" and getattr(args, k) is None]
+    if missing:
+        raise InvalidParams(f"--mode {args.mode} needs {' and '.join(missing)}")
     if args.mode == "tensor":
-        if args.mu is None or args.nu is None:
-            raise InvalidParams("--mode tensor needs --mu and --nu")
         if len(args.mu) + len(args.nu) != part.ell:
             raise InvalidParams(f"--mu and --nu need {part.ell} entries "
                                 f"together, got {len(args.mu) + len(args.nu)}")
         merged = _merged_partition(args)
         na = len(args.mu)
         _split_product_partition(part, na)   # validates the split
-        report = DecompositionReport(config={
-            "suite": "branch-tensor", "I": part.describe(),
-            "J": merged.describe(), "mu": weight_key(args.mu),
-            "nu": weight_key(args.nu)})
+        config = {"suite": "branch-tensor", "I": part.describe(),
+                  "J": merged.describe(), "mu": weight_key(args.mu),
+                  "nu": weight_key(args.nu)}
         cmap = tensor_mult_C([
             DominantWeight.of(_pad_dominant(args.mu, 0, merged), merged),
             DominantWeight.of(_pad_dominant(args.nu, na, merged), merged)])
         table = {weight_key(xi): c for xi, c in sorted(cmap.items())}
-        report.add_case("table", table, sum(table.values()), sum(table.values()))
-        return report
-    if args.mode == "levi":
-        if args.xi is None or args.mu is None:
-            raise InvalidParams("--mode levi needs --xi and --mu (split witness)")
+    elif args.mode == "levi":
         merged = _merged_partition(args)
         na = len(args.mu)
         part_a, part_b = _split_product_partition(part, na)
         D = levi_branch_D(DominantWeight.of(args.xi, merged), part_a, part_b)
-        report = DecompositionReport(config={
-            "suite": "branch-levi", "I": part.describe(),
-            "J": merged.describe(), "xi": weight_key(args.xi)})
+        config = {"suite": "branch-levi", "I": part.describe(),
+                  "J": merged.describe(), "xi": weight_key(args.xi)}
         table = {weight_key(mu) + "|" + weight_key(nu): c
                  for (mu, nu), c in sorted(D.items())}
-        report.add_case("table", table, sum(table.values()), sum(table.values()))
-        return report
-    if not args.mus:
-        raise InvalidParams("--mode diag needs --mus")
-    weights = [DominantWeight.of(w, part) for w in args.mus]
-    cmap = tensor_mult_C(weights)
-    report = DecompositionReport(config={
-        "suite": "branch-diag", "I": part.describe(),
-        "mus": [weight_key(w.mu) for w in weights]})
-    table = {weight_key(xi): c for xi, c in sorted(cmap.items())}
+    else:
+        weights = [DominantWeight.of(w, part) for w in args.mus]
+        cmap = tensor_mult_C(weights)
+        config = {"suite": "branch-diag", "I": part.describe(),
+                  "mus": [weight_key(w.mu) for w in weights]}
+        table = {weight_key(xi): c for xi, c in sorted(cmap.items())}
+    report = DecompositionReport(config=config)
     report.add_case("table", table, sum(table.values()), sum(table.values()))
     return report
 

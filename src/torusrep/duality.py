@@ -17,16 +17,14 @@ that the suite call owns: one per partition, shared across the ranks of the
 Levi suite.  The elimination layer (``fixed_space``, ``fixed_dim``) takes no
 rank: the flavor and doubly-infinite actions read only flat indices and act
 on one monomial, and ``_term_rows`` builds the integer rows of their
-matrices straight from their terms.  In the joint highest-weight check
-the toral generators h_{i,n} (m0 = 0, i = j) act diagonally on
-monomials, so the kernel of every h - eta(h) is spanned by the
-monomials whose eigenvalues all match eta: ``joint_hw_dim`` keeps only
-those, which leaves the joint kernel as it is, since the order in which the
-conditions are imposed does not matter.  The torus-side raising conditions
-are then imposed through the block-triangular doubly-infinite operators,
-which span the same constraints as the raising half of the torus algebra on
-any bounded-degree slice once the parameters are generic (the block values
-b_r q^{-k} are then distinct, so the exponential sums separate).
+matrices straight from their terms; ``_raising_rows`` is the one set of
+raising rows.  The toral generators h_{i,n} (m0 = 0, i = j) act diagonally
+on monomials, so ``joint_hw_dim`` keeps the monomials whose eigenvalues all
+match eta (``toral_mismatch``, the one test of them), then imposes the
+torus-side raising conditions through the block-triangular doubly-infinite
+operators, which for generic parameters span the raising half of the torus
+algebra on a bounded-degree slice (the block values b_r q^{-k} are
+distinct, so the exponential sums separate).
 """
 from __future__ import annotations
 
@@ -151,14 +149,18 @@ def _term_rows(images: Sequence[Sequence[tuple]]) -> List[Dict[int, int]]:
     return list(rows.values())
 
 
+def _raising_rows(partition: SetPartition, monos: Sequence[Monomial]
+                  ) -> List[Dict[int, int]]:
+    """The integer rows of the raising pairs' matrices on ``monos``."""
+    return [row for (r, s) in raising_pairs(partition)
+            for row in _term_rows([gl_ell_action(r, s, m) for m in monos])]
+
+
 def fixed_space(partition: SetPartition, monos: Sequence[Monomial]) -> List[FockVector]:
     """Exact basis of the raising-fixed subspace of one weight slice, given
     by its monomials (one value of ``weight_spaces``)."""
-    rows: List[Dict[int, int]] = []
-    for (r, s) in raising_pairs(partition):
-        rows.extend(_term_rows([gl_ell_action(r, s, m) for m in monos]))
     return [FockVector._of({monos[c]: x for c, x in vec.items()})
-            for vec in nullspace(rows, len(monos))]
+            for vec in nullspace(_raising_rows(partition, monos), len(monos))]
 
 
 def component_type(profile: Sequence[Tuple[int, int, int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -235,30 +237,38 @@ def toral_table(mu: Sequence[int], params: ParameterSet
             for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
 
 
+def toral_mismatch(mono: Monomial, toral: Sequence[Tuple[int, int, GlqElement, Fraction]],
+                   params: ParameterSet) -> Optional[Tuple[int, int, bool]]:
+    """The first (i, n) of a `toral_table` whose h_{i,n} does not map the
+    monomial to eta(h_{i,n}) times itself, and whether that image left the
+    monomial's line; None when every eigenvalue matches."""
+    v = FockVector._of({mono: ONE})
+    for i, n, h, val in toral:
+        image = rho_action(h, params, v)._terms
+        off_line = any(m != mono for m in image)
+        if off_line or image.get(mono, 0) != val:
+            return i, n, off_line
+    return None
+
+
 def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
                  params: ParameterSet) -> int:
     """Dimension of the joint highest-weight space of weight (eta, mu) in
     the span of ``monos`` (one value of ``weight_spaces``), with the upper
     operators of the degree hw_degree(mu).  A monomial is kept only if its
-    h_{i,n} eigenvalues all equal eta(h_{i,n}), tested up to the first
-    mismatch; the raising pairs and upper operators are eliminated on the
-    kept ones.  A toral image off its monomial's line raises `OffDiagonal`."""
+    h_{i,n} eigenvalues all equal eta(h_{i,n}) (`toral_mismatch`); the
+    raising pairs and upper operators are eliminated on the kept ones.  A
+    toral image off its monomial's line raises `OffDiagonal`."""
     partition = validate_spectrum(params.a, params.q)
     toral = toral_table(mu, params)
     basis = []
     for m in monos:
-        v = FockVector._of({m: ONE})
-        for i, n, h, val in toral:
-            image = rho_action(h, params, v)._terms
-            if any(m2 != m for m2 in image):
-                raise OffDiagonal(f"h_{{{i},{n}}} maps {m} off its line")
-            if image.get(m, 0) != val:
-                break
-        else:
+        miss = toral_mismatch(m, toral, params)
+        if miss is None:
             basis.append(m)
-    rows: List[Dict[int, int]] = []
-    for (r, s) in raising_pairs(partition):
-        rows.extend(_term_rows([gl_ell_action(r, s, m) for m in basis]))
+        elif miss[2]:
+            raise OffDiagonal(f"h_{{{miss[0]},{miss[1]}}} maps {m} off its line")
+    rows = _raising_rows(partition, basis)
     for (flavors, A, B) in _block_upper_ops(partition, hw_degree(mu, params), params.N):
         rows.extend(_term_rows([glbar_action(A, B, m, flavors) for m in basis]))
     return len(nullspace(rows, len(basis)))

@@ -17,17 +17,18 @@ removes an annihilator's `partner`, with its sign.  A bilinear
 :psi^p[a] psibar^pb[b]: is two of its steps: an annihilating psi (a >= 0)
 acts first, with sign -1; otherwise psibar acts first, with sign +1.
 
-`line_terms` is the one line kernel, for the bilinears
-:psi^(pb + dp)[a0 - t*step] psibar^pb[b0 + t*step]: of constant index sum.
-The torus unit E_{i,j} t0^m0 t1^m1 = sum over k, p of (a_p q^{-k})^{m1}
-:psi^p[(m0 - k)N - i] psibar^p[kN + j - 1]:, plus a diagonal scalar, is its
-step-N line over every flavor; the flavor unit E_{r,s} = sum over b of
-:psi^r[-b-1] psibar^s[b]: is its step-1 line from flavor s to r.  The
-doubly-infinite unit E_{A,B} = :psi^p[-A] psibar^p[B-1]:, summed over the
-flavors p of a block, is one point and checks its one term itself.  Both
-act on one monomial and return its integer terms (monomial, sign, ...);
-only the torus action sums terms into vectors, and only it reads the rank
-N.  The refolding re-sorts a monomial by inserting creators.
+`line_terms` is the one line kernel, and the one survival rule, for the
+bilinears :psi^(pb + dp)[a0 - t*step] psibar^pb[b0 + t*step]: of constant
+index sum.  The torus unit E_{i,j} t0^m0 t1^m1 = sum over k, p of
+(a_p q^{-k})^{m1} :psi^p[(m0 - k)N - i] psibar^p[kN + j - 1]:, plus a
+diagonal scalar, is its step-N line over every flavor; the flavor unit
+E_{r,s} = sum over b of :psi^r[-b-1] psibar^s[b]: is its step-1 line from
+flavor s to r; the doubly-infinite unit E_{A,B} = :psi^p[-A] psibar^p[B-1]:,
+summed over the flavors p of a block, is the point t = 0 of its step-1
+line.  All three act on one monomial and return its integer terms
+(monomial, sign, p, t); only the torus action sums terms into vectors, and
+only it reads the rank N.  The refolding re-sorts a monomial by inserting
+creators.
 """
 from __future__ import annotations
 
@@ -273,25 +274,12 @@ def gl_ell_action(r: int, s: int, mono: Monomial
 
 
 def glbar_action(A: int, B: int, mono: Monomial, flavors: Sequence[int]
-                 ) -> Tuple[Tuple[Monomial, int], ...]:
+                 ) -> Tuple[Tuple[Monomial, int, int, int], ...]:
     """The centrally extended doubly-infinite matrix unit
     E_{A,B} = :psi[-A] psibar[B-1]:, summed over the given flavors (a block,
-    or 1..ell), on one monomial, as (monomial, sign) in flavor order.  A
-    single point, not a line: a term survives only if the partner of each
-    annihilating factor is in the monomial, and, unless the two factors are
-    partners (A = B), no creating factor is in it already (Pauli
-    exclusion); every flavor left gives a term."""
-    a, b = -A, B - 1
-    terms = []
-    for p in flavors:
-        if ((a >= 0 and (p, PSIBAR, -1 - a) not in mono)
-                or (b >= 0 and (p, PSI, -1 - b) not in mono)
-                or (A != B and ((a < 0 and (p, PSI, a) in mono)
-                                or (b < 0 and (p, PSIBAR, b) in mono)))):
-            continue
-        sign, mono2 = bilinear_on_monomial((p, PSI, a), (p, PSIBAR, b), mono)
-        terms.append((mono2, sign))
-    return tuple(terms)
+    or 1..ell), on one monomial, as (monomial, sign, p, 0) in flavor order:
+    the t = 0 terms of the flavor-diagonal step-1 line a0 = -A, b0 = B - 1."""
+    return tuple(t for t in line_terms(-A, B - 1, 1, 0, flavors, mono) if not t[3])
 
 
 def hw_vector(mu: Sequence[int], params: ParameterSet) -> FockVector:

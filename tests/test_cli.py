@@ -77,6 +77,24 @@ def test_unread_flag_is_usage_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["--mode", "diag", "--I", "[[1,2]]", "--mus", "(1,0)", "--xi", "(9,9)"], "--xi"),
+    (["--mode", "diag", "--I", "[[1,2]]", "--mus", "(1,0)", "--J", "[[1,2]]"], "--J"),
+    (["--mode", "levi", "--I", "[[1],[2]]", "--xi", "(2,0)", "--mu", "(0)",
+      "--nu", "(0)", "--mus", "(1,0)"], "--nu --mus"),
+    (["--mode", "tensor", "--I", "[[1],[2]]", "--mu", "(1)", "--nu", "(1)",
+      "--xi", "(2,0)"], "--xi"),
+], ids=["diag-xi", "diag-J", "levi-nu-mus", "tensor-xi"])
+def test_flag_unread_by_the_branch_mode_is_usage_error(argv, unread, capsys):
+    # diag reads --I and --mus, levi --I, --J, --xi and --mu, tensor --I,
+    # --J, --mu and --nu: another flag is refused, not ignored
+    assert main(["branch"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--mode {argv[1]} does not read {unread}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _subparsers():
     """The parser of each subcommand, by name."""
     (sub,) = [a for a in build_parser()._actions

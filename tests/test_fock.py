@@ -423,6 +423,29 @@ def test_gl_ell_examples():
     assert lift(gl_ell_action, 1, 1, w) == w
 
 
+@pytest.mark.parametrize("N,ell,deg", [(2, 1, 2), (3, 1, 2), (2, 2, 1)])
+def test_glbar_action_matches_flavorwise_bilinear_oracle(N, ell, deg):
+    # glbar_action reads its terms off line_terms; the oracle has no
+    # survival rule: it applies :psi^p[-A] psibar^p[B-1]: flavor by flavor
+    # and drops the bilinears that vanish
+    blocks = sorted({tuple(range(1, ell + 1))} | {(p,) for p in range(1, ell + 1)})
+    seen = set()
+    for mono in [m for d in range(deg + 1) for m in basis_monomials(d, N, ell)]:
+        for A in range(-2 * N, 2 * N + 2):
+            for B in range(-2 * N, 2 * N + 2):
+                for flavors in blocks:
+                    want = []
+                    for p in flavors:
+                        term = bilinear_on_monomial((p, PSI, -A), (p, PSIBAR, B - 1), mono)
+                        if term is not None:
+                            want.append((term[1], term[0], p, 0))
+                    assert list(glbar_action(A, B, mono, flavors)) == want, (A, B, mono)
+                    if want:
+                        seen.add("both-create" if -A < 0 and B - 1 < 0
+                                 else "diagonal" if A == B else "lower" if A > B else "upper")
+    assert seen == {"both-create", "diagonal", "lower", "upper"}
+
+
 def test_glbar_examples():
     N = 2
     v = FockVector.monomial((psi(2, 1, 0, N),))
@@ -461,29 +484,41 @@ def test_glbar_diagonal_counts():
     assert got == v
 
 
-@pytest.mark.parametrize("law", ["raising", "toral-eigenvalue", "flavor-fixed"])
-def test_each_highest_weight_law_can_fail(monkeypatch, law):
+@pytest.mark.parametrize("case", ["raising", "toral-eigenvalue", "toral-off-line",
+                                  "flavor-fixed"])
+def test_each_highest_weight_law_can_fail(monkeypatch, case):
     # a vector with a degree-one creator is not killed by the raising half;
-    # shifted eta values fail the eigenvalue check; the product vector of
-    # the flavor-reversed weight passes both (one block of equal a_p, so the
-    # torus side cannot tell the flavors apart) but is not flavor-fixed
-    from torusrep import verify
+    # shifted eta values fail the eigenvalue check, and so does a toral image
+    # with a stray term off the product vector's line, at the first h; the
+    # product vector of the flavor-reversed weight passes all three (one
+    # block of equal a_p, so the torus side cannot tell the flavors apart)
+    # but is not flavor-fixed
+    from torusrep import duality, verify
 
     N = 2
-    if law == "raising":
+    if case == "raising":
         monkeypatch.setattr(verify, "hw_vector",
                             lambda mu, params: FockVector.monomial((psi(1, 1, -1, N),)))
-    elif law == "toral-eigenvalue":
+    elif case == "toral-eigenvalue":
         real_table = verify.toral_table
         monkeypatch.setattr(verify, "toral_table", lambda mu, params: [
             (i, n, h, val + 1) for i, n, h, val in real_table(mu, params)])
+    elif case == "toral-off-line":
+        real_action = duality.rho_action
+        stray = FockVector.monomial((psi(1, 1, -9, N),))
+        monkeypatch.setattr(duality, "rho_action",
+                            lambda x, params, vec: real_action(x, params, vec) + stray)
     else:
         real_vector = verify.hw_vector
         monkeypatch.setattr(verify, "hw_vector",
                             lambda mu, params: real_vector(mu[::-1], params))
     report = verify.verify_highest_weight(N, [3, 3], 2, mu_bound=1)
     assert not report.passed
-    assert report.witness["law"] == law, report.witness
+    if case == "toral-off-line":
+        assert report.witness == {"mu": "(-1,-1)", "law": "toral-eigenvalue",
+                                  "h": f"h[1,{-TORAL_WINDOW}]"}
+    else:
+        assert report.witness["law"] == case, report.witness
 
 
 def test_hw_vector_examples():
