@@ -20,7 +20,8 @@ on one monomial, and ``_term_rows`` builds the integer rows of their
 matrices straight from their terms; ``_raising_rows`` is the one set of
 raising rows.  The toral generators h_{i,n} (m0 = 0, i = j) act diagonally
 on monomials, so ``joint_hw_dim`` keeps the monomials whose eigenvalues all
-match eta (``toral_mismatch``, the one test of them), then imposes the
+match eta (``toral_mismatch``, the one test of them, against the values
+``glrep.eta_eval`` reads off the suite's ``ParameterSet``), then imposes the
 torus-side raising conditions through the block-triangular doubly-infinite
 operators, which for generic parameters span the raising half of the torus
 algebra on a bounded-degree slice (the block values b_r q^{-k} are
@@ -54,7 +55,6 @@ from .fock import (
 )
 from .glrep import (
     DominantWeight,
-    EtaFunctional,
     eta_eval,
     is_dominant,
     levi_branch_D,
@@ -231,8 +231,7 @@ def toral_table(mu: Sequence[int], params: ParameterSet
                 ) -> List[Tuple[int, int, GlqElement, Fraction]]:
     """(i, n, h_{i,n}, eta(h_{i,n})) for the highest weight (eta, mu), over
     1 <= i <= N and |n| <= TORAL_WINDOW, i outer and n inner."""
-    eta = EtaFunctional(tuple(mu), params.a, params.N, params.q)
-    return [(i, n, h_gen(i, n, params.N, params.q), eta_eval(eta, i, n))
+    return [(i, n, h_gen(i, n, params.N, params.q), eta_eval(mu, i, n, params))
             for i in range(1, params.N + 1)
             for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
 
@@ -433,10 +432,10 @@ def verify_levi_branching(bfN: Sequence[int], a: Sequence, q,
 SAMPLE_CAP = 40
 
 
-def lattice_parameters(a: Sequence, q, M0: int, M1: int) -> Tuple[Tuple[Fraction, ...], Fraction]:
+def lattice_parameters(params: ParameterSet, M0: int, M1: int
+                       ) -> Tuple[Tuple[Fraction, ...], Fraction]:
     """The refolded parameter tuple of length M0*ell and its deformation
     parameter q^{M0*M1}."""
-    params = ParameterSet.of(q, a, 2)
     out = []
     for k in range(M0):
         for r in range(params.ell):
@@ -479,7 +478,7 @@ def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
     params = ParameterSet.of(q, a, N)
     ell = params.ell
     part = validate_spectrum(a, q)
-    aa, qq = lattice_parameters(a, q, M0, M1)
+    aa, qq = lattice_parameters(params, M0, M1)
     big_part = validate_spectrum(aa, qq)   # NotGeneric propagates
     if big_part != part.power(M0):
         raise PartitionMismatch(

@@ -9,7 +9,8 @@ idx the flat index gluing the matrix label i in 1..N to the mode n by
 
 In flat coordinates both families create exactly when idx < 0, a psi/psibar
 pair contracts exactly when the flavors agree and the indices sum to -1,
-and the product A(mu) of the highest-weight construction is already sorted.
+and the product A(mu)|0> of the highest-weight construction is one sorted
+monomial, `hw_monomial(mu)`.
 All signs are transposition counts against the global (p, kind, idx) order.
 
 `_gen_on_monomial` is the one Clifford kernel: it inserts a creator, or
@@ -282,23 +283,20 @@ def glbar_action(A: int, B: int, mono: Monomial, flavors: Sequence[int]
     return tuple(t for t in line_terms(-A, B - 1, 1, 0, flavors, mono) if not t[3])
 
 
-def hw_vector(mu: Sequence[int], params: ParameterSet) -> FockVector:
-    """The product A(mu)|0> in flat coordinates; already canonically sorted."""
-    N = params.N
-    if len(mu) != params.ell:
-        raise InvalidParams("mu must have length ell")
+def hw_monomial(mu: Sequence[int]) -> Monomial:
+    """The product A(mu)|0> in flat coordinates, one creation monomial;
+    already canonically sorted."""
     gens: List[Gen] = []
     for p, m in enumerate(mu, start=1):
         if m >= 1:
             gens.extend((p, PSI, t) for t in range(-m, 0))
         elif m <= -1:
             gens.extend((p, PSIBAR, t) for t in range(m, 0))
-    return FockVector.monomial(tuple(gens))
+    return tuple(gens)
 
 
 def hw_degree(mu: Sequence[int], params: ParameterSet) -> int:
-    mono = next(iter(hw_vector(mu, params)._terms))
-    return monomial_degree(mono, params.N)
+    return monomial_degree(hw_monomial(mu), params.N)
 
 
 def graded_dim(n: int, N: int, ell: int) -> int:

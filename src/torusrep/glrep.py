@@ -4,7 +4,8 @@ Dominant weights over a Levi (set-partition) torus, Littlewood-Richardson
 counting, Weyl dimensions, the three branching-constant families (Levi
 restriction D, diagonal tensor C, and the sublattice constants E, which
 coincide with C over the power partition), plus the highest-weight
-functional data.
+functional eta on the toral generators (`eta_eval`), read off the
+weight and the suite's `ParameterSet`.
 
 There is one LR tableau search, `_lr_contents`: it fills a skew shape nu/lam
 once and counts the fillings by content.  A single coefficient reads one
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
-from .scalars import SetPartition, qpow, split_index
+from .scalars import ParameterSet, SetPartition, qpow, split_index
 
 IntTuple = Tuple[int, ...]
 Assignment = Tuple[Tuple[int, int], ...]    # ((index, value), ...)
@@ -308,30 +309,19 @@ def _restrict_block(w: IntTuple, block: IntTuple,
     return out
 
 
-# -- highest-weight functional data -------------------------------------------
+# -- highest-weight functional ------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaFunctional:
-    """Highest-weight functional data (mu, a, N, q) on the toral subalgebra."""
-
-    mu: IntTuple
-    a: Tuple[Fraction, ...]
-    N: int
-    q: Fraction
-
-    def __post_init__(self):
-        if len(self.mu) != len(self.a):
-            raise InvalidParams("mu and a must have equal length")
-
-
-def eta_eval(eta: EtaFunctional, i: int, n: int) -> Fraction:
-    """Value on the toral generator h_{i,n}; the k1 value is zero."""
-    if not 1 <= i <= eta.N:
+def eta_eval(mu: Sequence[int], i: int, n: int, params: ParameterSet) -> Fraction:
+    """The highest-weight functional of (mu, a, N, q) on the toral generator
+    h_{i,n}: the sum of (a_k q^{-mudot_k})^n over the k with mudd_k = i.
+    Its value on k1 is zero."""
+    if len(mu) != params.ell:
+        raise InvalidParams("mu must have length ell")
+    if not 1 <= i <= params.N:
         raise InvalidParams("need 1 <= i <= N")
     total = Fraction(0)
-    for m, ak in zip(eta.mu, eta.a):
-        mudot, mudd = split_index(m, eta.N)
+    for m, ak in zip(mu, params.a):
+        mudot, mudd = split_index(m, params.N)
         if mudd == i:
-            total += qpow(ak * qpow(eta.q, -mudot), n)
+            total += qpow(ak * qpow(params.q, -mudot), n)
     return total
-

@@ -28,7 +28,7 @@ from torusrep.fock import (
     psibar,
     rho_action,
 )
-from torusrep.glrep import EtaFunctional, eta_eval, lr_coeff, trim
+from torusrep.glrep import eta_eval, lr_coeff, trim
 from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, h_gen
 from torusrep.linalg import nullspace
 from torusrep.reports import DecompositionReport
@@ -243,11 +243,10 @@ def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
         for A in range(lo, hi + 1):
             for B in range(A + 1, hi + 1):
                 rows.extend(image_rows([lift(glbar_action, A, B, v, flavors) for v in base]))
-    eta = EtaFunctional(tuple(mu), params.a, N, params.q)
     for i in range(1, N + 1):
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
             h = h_gen(i, n, N, params.q)
-            val = eta_eval(eta, i, n)
+            val = eta_eval(mu, i, n, params)
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
             rows.extend(image_rows(images))
     return len(nullspace(rows, len(base)))

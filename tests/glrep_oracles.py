@@ -17,8 +17,8 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from torusrep.errors import InvalidParams
-from torusrep.glrep import EtaFunctional, trim
-from torusrep.scalars import Rational, as_scalar, qpow, split_index
+from torusrep.glrep import trim
+from torusrep.scalars import ParameterSet, Rational, qpow, split_index
 
 IntTuple = Tuple[int, ...]
 Poly = Dict[IntTuple, int]
@@ -172,23 +172,24 @@ def levi_branch_oracle(xi: IntTuple, n1: int, n2: int) -> Dict[Tuple[IntTuple, I
 
 
 def eta_of(mu: Sequence[int], a: Sequence[Rational], N: int,
-           q: Rational) -> EtaFunctional:
-    """An EtaFunctional from ints, strings or Fractions."""
-    return EtaFunctional(tuple(int(x) for x in mu),
-                         tuple(as_scalar(x) for x in a), N, as_scalar(q))
+           q: Rational) -> Tuple[IntTuple, ParameterSet]:
+    """Highest-weight data (mu, params) from ints, strings or Fractions."""
+    return tuple(int(x) for x in mu), ParameterSet.of(q, a, N)
 
 
-def eta_equiv(e1: EtaFunctional, e2: EtaFunctional) -> bool:
-    """Whether two functionals have the same multiset of invariant pairs
+def eta_equiv(e1: Tuple[IntTuple, ParameterSet],
+              e2: Tuple[IntTuple, ParameterSet]) -> bool:
+    """Whether two (mu, params) have the same multiset of invariant pairs
     (mudd_k, a_k q^{-mudot_k}), and so the same values on every h_{i,n}."""
-    if e1.N != e2.N or e1.q != e2.q:
+    (mu1, p1), (mu2, p2) = e1, e2
+    if p1.N != p2.N or p1.q != p2.q:
         raise InvalidParams("functionals live over different (N, q)")
 
-    def pairs(e: EtaFunctional):
+    def pairs(mu: Sequence[int], params: ParameterSet):
         out = []
-        for m, ak in zip(e.mu, e.a):
-            mudot, mudd = split_index(m, e.N)
-            out.append((mudd, ak * qpow(e.q, -mudot)))
+        for m, ak in zip(mu, params.a):
+            mudot, mudd = split_index(m, params.N)
+            out.append((mudd, ak * qpow(params.q, -mudot)))
         return sorted(out)
 
-    return pairs(e1) == pairs(e2)
+    return pairs(mu1, p1) == pairs(mu2, p2)

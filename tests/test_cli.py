@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrep.cli import build_parser, main
+from torusrep.cli import BRANCH_FLAGS, build_parser, main
 from torusrep.reports import DecompositionReport
 
 PKG = Path(__file__).resolve().parents[1]
@@ -388,17 +388,25 @@ def argvs(draw, command, broken):
     """The required flags, some optional ones and the flag `broken` (if not
     None); `broken` takes a bad value, every other flag a good one (None
     stands for a bare switch).  A flag without good values only ever comes
-    as `broken`."""
+    as `broken`.  `branch` draws its optional flags only from those its
+    drawn mode reads (`BRANCH_FLAGS`); it refuses the others, so they too
+    come only as `broken`."""
     required, optional = SUBCOMMANDS[command]
     pools = dict(required, **optional)
-    names = list(required) + [k for k, (good, _) in optional.items()
-                              if k == broken or (good and draw(st.booleans()))]
-    argv = [command]
-    for name in names:
+
+    def value(name):
         good, bad = pools[name]
-        value = draw(st.sampled_from(bad if name == broken else good))
+        return draw(st.sampled_from(bad if name == broken else good))
+
+    values = {name: value(name) for name in required}
+    reads = BRANCH_FLAGS.get(values["mode"], ()) if command == "branch" else optional
+    for k, (good, _) in optional.items():
+        if k == broken or (k in reads and good and draw(st.booleans())):
+            values[k] = value(k)
+    argv = [command]
+    for name, v in values.items():
         flag = "--" + name.replace("_", "-")
-        argv.append(flag if value is None else f"{flag}={value}")
+        argv.append(flag if v is None else f"{flag}={v}")
     return argv
 
 

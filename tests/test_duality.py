@@ -39,7 +39,7 @@ from torusrep.fock import (
     glbar_action,
     graded_dim,
     hw_degree,
-    hw_vector,
+    hw_monomial,
     psi,
     psibar,
 )
@@ -356,8 +356,8 @@ def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):
     # one wrong value of eta leaves no monomial of the product-vector slice
     # with matching eigenvalues
     real = duality.eta_eval
-    monkeypatch.setattr(duality, "eta_eval", lambda eta, i, n:
-                        real(eta, i, n) + (1 if (i, n) == (1, 2) else 0))
+    monkeypatch.setattr(duality, "eta_eval", lambda mu, i, n, params:
+                        real(mu, i, n, params) + (1 if (i, n) == (1, 2) else 0))
     rep = verify_skew_duality(2, [3, 3], 2, 3)
     assert not rep.passed
     assert rep.witness["joint_hw_dim"] == 0
@@ -394,8 +394,7 @@ def test_dominant_weight_first_met_at_hw_degree(N, a, n_max):
     for w in met:
         n0 = hw_degree(w, params)
         assert min(n for n, spaces in enumerate(by_degree) if w in spaces) == n0
-        (mono,) = hw_vector(w, params).support()
-        assert mono in by_degree[n0][w]
+        assert hw_monomial(w) in by_degree[n0][w]
 
 
 def test_skew_duality_basic():
@@ -455,7 +454,7 @@ def test_levi_branching_configs():
 
 
 def test_lattice_parameters():
-    aa, qq = lattice_parameters([3], 2, 2, 1)
+    aa, qq = lattice_parameters(ParameterSet.of(2, [3], 2), 2, 1)
     assert aa == (Fraction(3), Fraction(3, 2))
     assert qq == 4
     part = validate_spectrum(aa, qq)
@@ -465,7 +464,7 @@ def test_lattice_parameters():
 def test_lattice_parameters_borderline_generic():
     # (1, 1/2) under q^2 = 4: 1/2 is not a power of 4, so generic even
     # though 1/2 is a power of q itself
-    aa, qq = lattice_parameters([1], 2, 2, 1)
+    aa, qq = lattice_parameters(ParameterSet.of(2, [1], 2), 2, 1)
     assert aa == (Fraction(1), Fraction(1, 2))
     part = validate_spectrum(aa, qq)
     assert part.blocks == ((1,), (2,))

@@ -23,7 +23,7 @@ from torusrep.fock import (
     glbar_action,
     graded_dim,
     hw_degree,
-    hw_vector,
+    hw_monomial,
     monomial_degree,
     monomial_weight,
     partner,
@@ -409,7 +409,7 @@ def test_rho_examples():
     assert rho_action(GlqElement.k1(), params, v).is_zero()
 
     params2 = ParameterSet.of(2, [3, 5], 2)
-    w = hw_vector([1, 1], params2)
+    w = FockVector.monomial(hw_monomial([1, 1]))
     assert rho_action(GlqElement.k0(), params2, w) == w.scale(2)
 
 
@@ -497,8 +497,7 @@ def test_each_highest_weight_law_can_fail(monkeypatch, case):
 
     N = 2
     if case == "raising":
-        monkeypatch.setattr(verify, "hw_vector",
-                            lambda mu, params: FockVector.monomial((psi(1, 1, -1, N),)))
+        monkeypatch.setattr(verify, "hw_monomial", lambda mu: (psi(1, 1, -1, N),))
     elif case == "toral-eigenvalue":
         real_table = verify.toral_table
         monkeypatch.setattr(verify, "toral_table", lambda mu, params: [
@@ -509,9 +508,8 @@ def test_each_highest_weight_law_can_fail(monkeypatch, case):
         monkeypatch.setattr(duality, "rho_action",
                             lambda x, params, vec: real_action(x, params, vec) + stray)
     else:
-        real_vector = verify.hw_vector
-        monkeypatch.setattr(verify, "hw_vector",
-                            lambda mu, params: real_vector(mu[::-1], params))
+        real_monomial = verify.hw_monomial
+        monkeypatch.setattr(verify, "hw_monomial", lambda mu: real_monomial(mu[::-1]))
     report = verify.verify_highest_weight(N, [3, 3], 2, mu_bound=1)
     assert not report.passed
     if case == "toral-off-line":
@@ -521,17 +519,14 @@ def test_each_highest_weight_law_can_fail(monkeypatch, case):
         assert report.witness["law"] == case, report.witness
 
 
-def test_hw_vector_examples():
+def test_hw_monomial_examples():
     params = ParameterSet.of(2, [3], 2)
-    assert hw_vector([0], params) == vacuum()
-    assert hw_vector([1], params) == FockVector.monomial((psi(1, 1, 0, 2),))
-    assert hw_vector([-1], params) == FockVector.monomial((psibar(2, 1, -1, 2),))
+    assert hw_monomial([0]) == ()
+    assert hw_monomial([1]) == (psi(1, 1, 0, 2),)
+    assert hw_monomial([-1]) == (psibar(2, 1, -1, 2),)
     assert hw_degree([0], params) == 0
     assert hw_degree([-1], params) == 1
-    params2 = ParameterSet.of(2, [3, 3], 2)
-    v = hw_vector([2, 1], params2)
-    assert v == FockVector.monomial(
-        (psi(2, 1, 0, 2), psi(1, 1, 0, 2), psi(1, 2, 0, 2)))
+    assert hw_monomial([2, 1]) == (psi(2, 1, 0, 2), psi(1, 1, 0, 2), psi(1, 2, 0, 2))
 
 
 def test_graded_dim_examples():
@@ -782,7 +777,7 @@ def test_diagonal_bilinears_count_mode_sets():
                      (2, [(2, 1), (1, -2), (-1, -1)])]:
         params = ParameterSet.of(2, [3] * ell, N)
         for mu in mus:
-            mono = hw_vector(mu, params).support()[0]
+            mono = hw_monomial(mu)
             for p in range(1, ell + 1):
                 for i in range(1, N + 1):
                     for k in range(-4, 5):

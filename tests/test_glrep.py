@@ -15,7 +15,7 @@ from glrep_oracles import (
     tensor_mult_oracle,
 )
 from torusrep import glrep
-from torusrep.errors import IncompatiblePartitions
+from torusrep.errors import IncompatiblePartitions, InvalidParams
 from torusrep.scalars import SetPartition
 from torusrep.glrep import (
     DominantWeight,
@@ -308,14 +308,26 @@ def test_det_twist_invariance():
 
 def test_eta_eval_examples():
     q = Fraction(2)
-    eta = eta_of((1,), (3,), 2, q)
+    mu, params = eta_of((1,), (3,), 2, q)
     for n in range(-3, 4):
-        assert eta_eval(eta, 1, n) == Fraction(3) ** n
-        assert eta_eval(eta, 2, n) == 0
-    eta0 = eta_of((0,), (7,), 2, q)
-    assert eta_eval(eta0, 2, 0) == 1
-    assert eta_eval(eta0, 2, 1) == Fraction(7) * 2
-    assert eta_eval(eta0, 1, 5) == 0
+        assert eta_eval(mu, 1, n, params) == Fraction(3) ** n
+        assert eta_eval(mu, 2, n, params) == 0
+    mu0, params0 = eta_of((0,), (7,), 2, q)
+    assert eta_eval(mu0, 2, 0, params0) == 1
+    assert eta_eval(mu0, 2, 1, params0) == Fraction(7) * 2
+    assert eta_eval(mu0, 1, 5, params0) == 0
+
+
+def test_eta_eval_rejects_bad_input():
+    # mu has one entry per parameter a_p, and h_{i,n} needs 1 <= i <= N
+    mu, params = eta_of((1, 4), (3, 5), 2, 2)
+    assert eta_eval(mu, 2, 1, params) == 5 * Fraction(1, 2)
+    for bad_mu in [(1,), (1, 4, 0)]:
+        with pytest.raises(InvalidParams):
+            eta_eval(bad_mu, 1, 1, params)
+    for bad_i in (0, 3):
+        with pytest.raises(InvalidParams):
+            eta_eval(mu, bad_i, 1, params)
 
 
 def test_eta_equiv_examples():
@@ -340,10 +352,11 @@ def test_eta_equiv_is_equivalence_and_permutation_invariant():
     assert eta_equiv(es[1], es[2])
     assert not eta_equiv(es[0], es[3])
     # eta values actually coincide for equivalent data
-    for i in (1, 2):
+    mu0, p0 = es[0]
+    for mu, params in es[1:3]:
         for n in range(-2, 3):
             for h in (1, 2):
-                assert eta_eval(es[0], h, n) == eta_eval(es[i], h, n)
+                assert eta_eval(mu0, h, n, p0) == eta_eval(mu, h, n, params)
 
 
 def test_dominant_weight_validation():
