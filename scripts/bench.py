@@ -19,8 +19,10 @@ which side goes first:
 - the probes, ``torusrep.cli.main`` on each argv of PROBES (argvs both
   sides accept: the deep-degree duality runs, without the highest-weight
   checks two flavours at n_max 6, 8 and 10 and three flavours at n_max 5,
-  with them rank 3 and two flavours at n_max 5; and the level-one
-  nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1),
+  with them rank 3 and two flavours at n_max 5; the level-one
+  nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1; and the
+  highest-weight suite at rank 3 with three distinct flavours to mu
+  bound 3),
   PAIRS alternating pairs: the call's wall time and the CPU time of the
   child process spent in it, the peak RSS of the process and the
   sha256 of the report the call writes to stdout; per time it records the
@@ -34,7 +36,8 @@ which side goes first:
   script prints it, and the sha256 of each report, which must agree
   between the sides;
 - one ``perfbench/run.py --trace 1`` run of each side per workload, for
-  the coverage check, the elimination counts and the Fock-action counts.
+  the coverage check, the elimination counts, the Fock-action counts and
+  the ``CachedAction`` counts.
 
 The result goes to BENCH_<N>.json at the root of this checkout.
 """
@@ -63,6 +66,7 @@ PROBES["ell_3_n_max_5"] = "verify-duality --N 2 --ell 3 --a 3,3,3 --n-max 5 --sk
 PROBES["hw_N_3_n_max_5"] = "verify-duality --N 3 --ell 2 --a 3,3 --n-max 5"
 PROBES["nilpotency_N_2_deg_2"] = "verify-nilpotency --N 2 --ell 1 --a 3 --deg-max 2"
 PROBES["nilpotency_N_3_deg_1"] = "verify-nilpotency --N 3 --ell 1 --a 3 --deg-max 1"
+PROBES["hw_N_3_ell_3"] = "verify-hw --N 3 --ell 3 --a 3,5,7 --mu-bound 3"
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10
@@ -269,7 +273,8 @@ def main() -> int:
                           if name.startswith(("linalg.nullspace.", "fock.basis_monomials.",
                                               "duality.weight_spaces.", "duality.fixed_space.",
                                               "duality.joint_hw_dim.", "fock.rho_action.",
-                                              "fock.gl_ell_action.", "fock.bilinear_on_monomial."))
+                                              "fock.gl_ell_action.", "fock.bilinear_on_monomial.",
+                                              "fock.rho_mat_on_monomial.", "verify.CachedAction."))
                           and not name.endswith(".self_s")})
             trace1[workload][side] = entry
 

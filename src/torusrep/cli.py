@@ -1,11 +1,13 @@
 """Command-line verification driver.
 
 Exit codes: 0 the suite passed, 1 an identity failed (witness in the
-report), 2 usage error, 3 non-generic or mismatched parameters.
+report), 2 usage error, 3 non-generic or mismatched parameters.  The parser
+is built on the first `main` call and kept for the process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -95,6 +97,7 @@ def _partition(s: str):
     return SetPartition.of(json.loads(s))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="torusrep",
                                 description=__doc__.splitlines()[0])

@@ -18,11 +18,12 @@ Levi suite.  The elimination layer (``fixed_space``, ``fixed_dim``) takes no
 rank: the flavor and doubly-infinite actions read only flat indices and act
 on one monomial, and ``_term_rows`` builds the integer rows of their
 matrices straight from their terms; ``_raising_rows`` is the one set of
-raising rows.  The toral generators h_{i,n} (m0 = 0, i = j) act diagonally
-on monomials, so ``joint_hw_dim`` keeps the monomials whose eigenvalues all
-match eta (``toral_mismatch``, the one test of them, against the values
-``glrep.eta_eval`` reads off the suite's ``ParameterSet``), then imposes the
-torus-side raising conditions through the block-triangular doubly-infinite
+raising rows.  The toral generators h_{i,n} combine k0 with the diagonal
+units E_{j,j} t1^n, which act diagonally on monomials, so ``joint_hw_dim``
+keeps the monomials whose eigenvalues all match eta (``toral_mismatch``,
+the one test of them, reads each eigenvalue off the units' images and
+compares it with ``eta_eval`` on the suite's ``ParameterSet``), then imposes
+the torus-side raising conditions through the block-triangular doubly-infinite
 operators, which for generic parameters span the raising half of the torus
 algebra on a bounded-degree slice (the block values b_r q^{-k} are
 distinct, so the exponential sums separate).
@@ -52,19 +53,21 @@ from .fock import (
     psi,
     psibar,
     rho_action,
+    rho_mat_on_monomial,
 )
 from .glrep import (
     DominantWeight,
-    eta_eval,
     is_dominant,
     levi_branch_D,
     levi_dim,
     tensor_mult_C,
 )
-from .liealg import TORAL_WINDOW, GlqElement, h_gen
+from .liealg import GlqElement
 from .linalg import nullspace
 from .reports import DecompositionReport, weight_key
-from .scalars import ONE, ParameterSet, SetPartition, accumulate, qpow, validate_spectrum
+from .scalars import (
+    NEG_ONE, ONE, ParameterSet, SetPartition, accumulate, qpow, split_index,
+    validate_spectrum)
 
 
 class FlavorTables:
@@ -224,45 +227,67 @@ def _block_upper_ops(partition: SetPartition, degree: int, N: int
 
 
 class OffDiagonal(Exception):
-    """A toral generator maps a slice monomial outside its own line."""
+    """A unit of a toral generator maps a slice monomial off its own line."""
 
 
-def toral_table(mu: Sequence[int], params: ParameterSet
-                ) -> List[Tuple[int, int, GlqElement, Fraction]]:
-    """(i, n, h_{i,n}, eta(h_{i,n})) for the highest weight (eta, mu), over
-    1 <= i <= N and |n| <= TORAL_WINDOW, i outer and n inner."""
-    return [(i, n, h_gen(i, n, params.N, params.q), eta_eval(mu, i, n, params))
-            for i in range(1, params.N + 1)
-            for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1)]
+# The highest-weight checks test the h_{i,n} with |n| <= TORAL_WINDOW.
+TORAL_WINDOW = 3
 
 
-def toral_mismatch(mono: Monomial, toral: Sequence[Tuple[int, int, GlqElement, Fraction]],
-                   params: ParameterSet) -> Optional[Tuple[int, int, bool]]:
-    """The first (i, n) of a `toral_table` whose h_{i,n} does not map the
-    monomial to eta(h_{i,n}) times itself, and whether that image left the
-    monomial's line; None when every eigenvalue matches."""
-    v = FockVector._of({mono: ONE})
-    for i, n, h, val in toral:
-        image = rho_action(h, params, v)._terms
-        off_line = any(m != mono for m in image)
-        if off_line or image.get(mono, 0) != val:
-            return i, n, off_line
+def eta_eval(mu: Sequence[int], i: int, n: int, params: ParameterSet) -> Fraction:
+    """The highest-weight functional of (mu, a, N, q) on the toral generator
+    h_{i,n}: the sum of (a_k q^{-mudot_k})^n over the k with mudd_k = i.
+    Its value on k1 is zero."""
+    if len(mu) != params.ell:
+        raise InvalidParams("mu must have length ell")
+    if not 1 <= i <= params.N:
+        raise InvalidParams("need 1 <= i <= N")
+    total = Fraction(0)
+    for m, ak in zip(mu, params.a):
+        mudot, mudd = split_index(m, params.N)
+        if mudd == i:
+            total += qpow(ak * qpow(params.q, -mudot), n)
+    return total
+
+
+def toral_mismatch(mono: Monomial, mu: Sequence[int], params: ParameterSet
+                   ) -> Optional[Tuple[int, int, bool]]:
+    """The first (i, n), i outer over 1..N and n inner over |n| <=
+    TORAL_WINDOW, where h_{i,n} does not map the monomial to eta(h_{i,n})
+    times itself, and whether one of its units E_{j,j} t1^n, which act
+    diagonally, took it off its line; None when every eigenvalue matches."""
+    N = params.N
+    for i in range(1, N + 1):
+        for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
+            if i < N:       # E_{i,i} t1^n - E_{i+1,i+1} t1^n
+                units, value = ((i, ONE), (i + 1, NEG_ONE)), 0
+            elif n:         # -q^n E_{1,1} t1^n + E_{N,N} t1^n
+                units, value = ((1, -qpow(params.q, n)), (N, ONE)), 0
+            else:           # k0 - E_{1,1} + E_{N,N}, where k0 acts as ell
+                units, value = ((1, NEG_ONE), (N, ONE)), params.ell
+            for j, c in units:
+                image = rho_mat_on_monomial(j, j, 0, n, params, mono)
+                if any(m != mono for m in image):
+                    return i, n, True
+                value += c * image.get(mono, 0)
+            if value != eta_eval(mu, i, n, params):
+                return i, n, False
     return None
 
 
 def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
-                 params: ParameterSet) -> int:
+                 params: ParameterSet, partition: SetPartition) -> int:
     """Dimension of the joint highest-weight space of weight (eta, mu) in
-    the span of ``monos`` (one value of ``weight_spaces``), with the upper
-    operators of the degree hw_degree(mu).  A monomial is kept only if its
-    h_{i,n} eigenvalues all equal eta(h_{i,n}) (`toral_mismatch`); the
-    raising pairs and upper operators are eliminated on the kept ones.  A
-    toral image off its monomial's line raises `OffDiagonal`."""
-    partition = validate_spectrum(params.a, params.q)
-    toral = toral_table(mu, params)
+    the span of ``monos`` (one value of ``weight_spaces``), with the
+    raising pairs of ``partition``, the validated partition of ``params``,
+    and the upper operators of the degree hw_degree(mu).  A monomial is
+    kept only if its h_{i,n} eigenvalues all equal eta(h_{i,n})
+    (`toral_mismatch`); the raising pairs and upper operators are
+    eliminated on the kept ones.  A toral image off its monomial's line
+    raises `OffDiagonal`."""
     basis = []
     for m in monos:
-        miss = toral_mismatch(m, toral, params)
+        miss = toral_mismatch(m, mu, params)
         if miss is None:
             basis.append(m)
         elif miss[2]:
@@ -300,7 +325,7 @@ def verify_skew_duality(N: int, a: Sequence, q, n_max: int,
             # first met at that degree, with its product vector
             if check_hw and n == hw_degree(w, params):
                 try:
-                    jd = joint_hw_dim(w, spaces[w], params)
+                    jd = joint_hw_dim(w, spaces[w], params, partition)
                 except OffDiagonal as exc:
                     jd = str(exc)
                 if jd != 1:

@@ -3,9 +3,7 @@
 Dominant weights over a Levi (set-partition) torus, Littlewood-Richardson
 counting, Weyl dimensions, the three branching-constant families (Levi
 restriction D, diagonal tensor C, and the sublattice constants E, which
-coincide with C over the power partition), plus the highest-weight
-functional eta on the toral generators (`eta_eval`), read off the
-weight and the suite's `ParameterSet`.
+coincide with C over the power partition).
 
 There is one LR tableau search, `_lr_contents`: it fills a skew shape nu/lam
 once and counts the fillings by content.  A single coefficient reads one
@@ -22,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
-from .scalars import ParameterSet, SetPartition, qpow, split_index
+from .scalars import SetPartition
 
 IntTuple = Tuple[int, ...]
 Assignment = Tuple[Tuple[int, int], ...]    # ((index, value), ...)
@@ -307,21 +304,3 @@ def _restrict_block(w: IntTuple, block: IntTuple,
                            + list(zip(right, (x - shift for x in mu_full))))
             out[assign] = contents[mu]
     return out
-
-
-# -- highest-weight functional ------------------------------------------------
-
-def eta_eval(mu: Sequence[int], i: int, n: int, params: ParameterSet) -> Fraction:
-    """The highest-weight functional of (mu, a, N, q) on the toral generator
-    h_{i,n}: the sum of (a_k q^{-mudot_k})^n over the k with mudd_k = i.
-    Its value on k1 is zero."""
-    if len(mu) != params.ell:
-        raise InvalidParams("mu must have length ell")
-    if not 1 <= i <= params.N:
-        raise InvalidParams("need 1 <= i <= N")
-    total = Fraction(0)
-    for m, ak in zip(mu, params.a):
-        mudot, mudd = split_index(m, params.N)
-        if mudd == i:
-            total += qpow(ak * qpow(params.q, -mudot), n)
-    return total

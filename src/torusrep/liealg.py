@@ -8,13 +8,16 @@ the two central generators k0, k1.  The bracket implements
         = d_{j,k} q^{m1*n0} E_{i,l} t0^{m0+n0} t1^{m1+n1}
         - d_{i,l} q^{n1*m0} E_{k,j} t0^{m0+n0} t1^{m1+n1}
         + d_{j,k} d_{i,l} d_{m0+n0,0} d_{m1+n1,0} q^{m1*n0} (m0 k0 + m1 k1).
+
+The highest-weight checks build no toral generator h_{i,n}: they read its
+eigenvalues off its diagonal units (`duality.toral_mismatch`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Set, Tuple, Union
 
-from .scalars import NEG_ONE, ONE, Rational, SparseVector, accumulate, as_scalar, qpow
+from .scalars import ONE, Rational, SparseVector, accumulate, as_scalar
 
 K0 = "k0"
 K1 = "k1"
@@ -114,25 +117,6 @@ def bracket(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
                 w = c if not e else q ** e if c is ONE else c * q ** e
                 accumulate(out, (k, j, s0, s1), -w)
     return GlqElement._of(out)
-
-
-# The highest-weight checks test the toral generators h_{i,n} with
-# |n| <= TORAL_WINDOW.
-TORAL_WINDOW = 3
-
-
-def h_gen(i: int, n: int, N: int, q: Rational) -> GlqElement:
-    """The toral generator h_{i,n} (three defining cases, as terms; N >= 2).
-
-    The i = N, n != 0 case carries the coefficient -q^n.
-    """
-    if not 1 <= i <= N:
-        raise ValueError("need 1 <= i <= N")
-    if i < N:
-        return GlqElement._of({(i, i, 0, n): ONE, (i + 1, i + 1, 0, n): NEG_ONE})
-    if n == 0:
-        return GlqElement._of({K0: ONE, (1, 1, 0, 0): NEG_ONE, (N, N, 0, 0): ONE})
-    return GlqElement._of({(1, 1, 0, n): -qpow(as_scalar(q), n), (N, N, 0, n): ONE})
 
 
 def degrees(x: GlqElement) -> Set[int]:

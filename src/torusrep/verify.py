@@ -19,7 +19,7 @@ from .covariant import (
     theta,
     theta_inv,
 )
-from .duality import raising_pairs, toral_mismatch, toral_table
+from .duality import TORAL_WINDOW, raising_pairs, toral_mismatch
 from .fock import (
     FockVector,
     Monomial,
@@ -32,7 +32,6 @@ from .fock import (
 )
 from .glrep import is_dominant
 from .liealg import (
-    TORAL_WINDOW,
     GlqElement,
     K0,
     K1,
@@ -273,7 +272,7 @@ def verify_highest_weight(N: int, a: Sequence, q,
                                 x = GlqElement._of({(i, j, m0, m1): ONE}).text()
                                 report.fail({"mu": weight_key(mu), "law": law, "x": x})
                                 good = False
-        miss = toral_mismatch(mono, toral_table(mu, params), params)
+        miss = toral_mismatch(mono, mu, params)
         if miss is not None:
             report.fail({"mu": weight_key(mu), "law": "toral-eigenvalue",
                          "h": f"h[{miss[0]},{miss[1]}]"})

@@ -4,13 +4,14 @@ form of the torus action, generator words, the vacuum and coefficient
 lookup of sparse vectors, the one-monomial flavor units lifted to Fock
 vectors and their coefficient rows, the text form of Fock vectors, the weight
 slices of a degree grouped from the full monomial list, the Pieri / LR
-count of a component type's fixed dimension, the whole-slice route of the
-joint highest-weight dimension, the insertion-sort refolding, and the
+count of a component type's fixed dimension, the toral law on one monomial
+by the toral generators as elements, the whole-slice route of the joint
+highest-weight dimension, the insertion-sort refolding, and the
 family-by-family route of the nilpotency suite."""
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from torusrep.duality import fixed_space, phi_gen
+from torusrep.duality import TORAL_WINDOW, eta_eval, fixed_space, phi_gen
 from torusrep.errors import InvalidParams
 from torusrep.fock import (
     PSI,
@@ -28,8 +29,8 @@ from torusrep.fock import (
     psibar,
     rho_action,
 )
-from torusrep.glrep import eta_eval, lr_coeff, trim
-from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, h_gen
+from torusrep.glrep import lr_coeff, trim
+from torusrep.liealg import GlqElement, K0, K1
 from torusrep.linalg import nullspace
 from torusrep.reports import DecompositionReport
 from torusrep.scalars import (
@@ -43,6 +44,7 @@ from torusrep.scalars import (
 from torusrep.verify import K_WINDOW, M1_WINDOW, CachedAction
 
 from glrep_oracles import partitions_with_bound
+from liealg_oracles import h_gen
 
 
 def normal_order_pair_mode_criterion(m: int, n: int) -> Tuple[bool, int]:
@@ -220,6 +222,23 @@ def type_fixed_dim_oracle(w: Sequence[int], ctype: Sequence[Tuple[int, ...]],
             products = out
         total *= products.get(trim(target), 0)
     return total
+
+
+def toral_mismatch_oracle(mono: Monomial, mu: Sequence[int], params: ParameterSet
+                          ) -> Optional[Tuple[int, int, bool]]:
+    """`torusrep.duality.toral_mismatch` through the toral generators as
+    elements: for each (i, n), i outer, n inner, h_{i,n} (`h_gen`) acts on
+    the one-term vector of the monomial through `rho_action`, and its whole
+    image must be eta(h_{i,n}) times the monomial; the first (i, n) that
+    fails, and whether its image left the monomial's line."""
+    v = FockVector.monomial(mono)
+    for i in range(1, params.N + 1):
+        for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
+            image = rho_action(h_gen(i, n, params.N, params.q), params, v)
+            off_line = any(m != mono for m in image.support())
+            if off_line or coeff(image, mono) != eta_eval(mu, i, n, params):
+                return i, n, off_line
+    return None
 
 
 def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],

@@ -13,15 +13,32 @@ coordinates with its own shift rule.  It shares no code with
 contribute, and it represents e_{i,i}(m0, 0) otherwise: by the trace-zero
 (1 - q^{-m0})^{-1} (E_{i,i} - E_{N+i,N+i}) t^m0, where `cov_bracket` takes
 the single unit E_{i,i} t^m0 of the same class.
+
+`h_gen` builds the toral generator h_{i,n} as an element, for the oracle
+route of the highest-weight checks and the toral bracket tests.
 """
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from torusrep.covariant import K, KPRIME, CovElement, ekey, hkey
 from torusrep.liealg import K0, K1, GlqElement
-from torusrep.scalars import Rational, accumulate, as_scalar, qpow
+from torusrep.scalars import NEG_ONE, ONE, Rational, accumulate, as_scalar, qpow
 
 Unit = Tuple[int, int, int]      # E_{r,s} (x) t^t as (r, s, t)
+
+
+def h_gen(i: int, n: int, N: int, q: Rational) -> GlqElement:
+    """The toral generator h_{i,n} (three defining cases, as terms; N >= 2).
+
+    The i = N, n != 0 case carries the coefficient -q^n.
+    """
+    if not 1 <= i <= N:
+        raise ValueError("need 1 <= i <= N")
+    if i < N:
+        return GlqElement._of({(i, i, 0, n): ONE, (i + 1, i + 1, 0, n): NEG_ONE})
+    if n == 0:
+        return GlqElement._of({K0: ONE, (1, 1, 0, 0): NEG_ONE, (N, N, 0, 0): ONE})
+    return GlqElement._of({(1, 1, 0, n): -qpow(as_scalar(q), n), (N, N, 0, n): ONE})
 
 
 def bracket_oracle(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:

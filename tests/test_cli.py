@@ -37,6 +37,29 @@ def test_verify_duality_exit_zero(capsys):
     assert data["degrees"][0]["lhs"] == 4
 
 
+def test_main_calls_in_sequence_match_lone_calls(capsys):
+    # the parser is built once per process: a usage error, a passing suite
+    # and a second subcommand on its defaults, called in sequence, each
+    # give the exit code and bytes of the same call on a fresh parser
+    argvs = [["dims", "--N", "2"],
+             ["verify-hw", "--N", "2", "--ell", "2", "--a", "3,3", "--mu-bound", "1"],
+             ["verify-duality"]]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        alone.append(run(argv))
+    build_parser.cache_clear()
+    assert [run(argv) for argv in argvs] == alone
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [2, 0, 0]
+
+
 def test_not_generic_exit_code(capsys):
     code = main(["verify-duality", "--N", "2", "--ell", "2", "--q", "2",
                  "--a", "3,6", "--n-max", "1"])

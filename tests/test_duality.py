@@ -10,6 +10,7 @@ from fock_oracles import (
     joint_hw_dim_oracle,
     lift,
     phi_vector_oracle,
+    toral_mismatch_oracle,
     type_fixed_dim_oracle,
     weight_spaces_oracle,
 )
@@ -25,6 +26,7 @@ from torusrep.duality import (
     phi_gen,
     phi_vector,
     raising_pairs,
+    toral_mismatch,
     verify_skew_duality,
     verify_tensor_branching,
     verify_levi_branching,
@@ -45,7 +47,7 @@ from torusrep.fock import (
 )
 from torusrep.glrep import is_dominant
 from torusrep.linalg import nullspace
-from torusrep.scalars import ParameterSet, SetPartition, validate_spectrum
+from torusrep.scalars import ONE, ParameterSet, SetPartition, validate_spectrum
 
 
 def test_fixed_space_examples():
@@ -251,24 +253,26 @@ def test_a_coarser_type_key_is_caught(monkeypatch, coarser, a):
     assert not verify_skew_duality(2, a, 2, 4, check_hw=False).passed
 
 
-def hw_slice(mu, params):
-    """The weight-mu slice at the degree of the product vector."""
+def hw_slice_dim(mu, params):
+    """`joint_hw_dim` on the weight-mu slice at the degree of the product
+    vector."""
     spaces = weight_spaces(hw_degree(mu, params), FlavorTables(params.N, params.ell))
-    return spaces.get(tuple(mu), [])
+    return joint_hw_dim(mu, spaces.get(tuple(mu), []), params,
+                        validate_spectrum(params.a, params.q))
 
 
 def test_joint_hw_dim_examples():
     params = ParameterSet.of(2, [3], 2)
-    assert joint_hw_dim((1,), hw_slice((1,), params), params) == 1
-    assert joint_hw_dim((0,), hw_slice((0,), params), params) == 1
+    assert hw_slice_dim((1,), params) == 1
+    assert hw_slice_dim((0,), params) == 1
     params2 = ParameterSet.of(2, [3, 3], 2)
-    assert joint_hw_dim((1, 1), hw_slice((1, 1), params2), params2) == 1
+    assert hw_slice_dim((1, 1), params2) == 1
 
 
 @pytest.mark.parametrize("mu", [(-2,), (-1,), (0,), (1,), (2,), (3,)])
 def test_joint_hw_dim_single_flavor_window(mu):
     params = ParameterSet.of(2, [3], 2)
-    assert joint_hw_dim(mu, hw_slice(mu, params), params) == 1
+    assert hw_slice_dim(mu, params) == 1
 
 
 @pytest.mark.parametrize("q", [2, Fraction(5, 2)])
@@ -288,10 +292,29 @@ def test_joint_hw_dim_matches_whole_slice_route(N, a, n_max, q):
         for w, monos in spaces.items():
             above = n - hw_degree(w, params)
             if above <= 1:
-                got = joint_hw_dim(w, monos, params)
+                got = joint_hw_dim(w, monos, params, partition)
                 assert got == joint_hw_dim_oracle(w, monos, params), (n, w)
                 answers.add((above, got))
     assert answers == {(0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize("N,a", [(2, [3, 3]), (3, [3, 3]), (2, [3, 5]), (3, [3, 5])])
+def test_toral_mismatch_matches_the_element_route(N, a):
+    # the eigenvalues read off the diagonal units against h_{i,n} built as
+    # an element acting on a one-term vector: the full return value on
+    # every monomial of the dominant slices to degree 3, against the eta of
+    # the slice weight; the product vectors match every eigenvalue
+    params = ParameterSet.of(2, a, N)
+    partition = validate_spectrum(a, 2)
+    tables = FlavorTables(N, len(a))
+    answers = set()
+    for n in range(4):
+        for w, monos in weight_spaces(n, tables, lambda w: is_dominant(w, partition)).items():
+            for m in monos:
+                got = toral_mismatch(m, w, params)
+                assert got == toral_mismatch_oracle(m, w, params), (m, w)
+                answers.add(got)
+    assert None in answers and len(answers) > 2, answers
 
 
 def _upper_kernel(vectors, ops):
@@ -366,10 +389,10 @@ def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):
 def test_an_off_diagonal_toral_image_fails_the_hw_check(monkeypatch, capsys):
     # a toral image with a term off its monomial is an identity failure:
     # exit 1 with a witness, never a pass or a traceback
-    real = duality.rho_action
-    stray = FockVector.monomial((psi(1, 1, -9, 2),))
-    monkeypatch.setattr(duality, "rho_action",
-                        lambda x, params, vec: real(x, params, vec) + stray)
+    real = duality.rho_mat_on_monomial
+    stray = (psi(1, 1, -9, 2),)
+    monkeypatch.setattr(duality, "rho_mat_on_monomial",
+                        lambda *args: {**real(*args), stray: ONE})
     code = main(["verify-duality", "--N", "2", "--ell", "2", "--a", "3,3",
                  "--n-max", "2"])
     report = json.loads(capsys.readouterr().out)

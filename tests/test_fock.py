@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrep.liealg import TORAL_WINDOW, GlqElement, K0, K1, bracket, h_gen
-from torusrep.scalars import ParameterSet, qpow
+from torusrep.duality import TORAL_WINDOW
+from torusrep.liealg import GlqElement, K0, K1, bracket
+from torusrep.scalars import ONE, ParameterSet, qpow
 from torusrep.verify import K_WINDOW, M1_WINDOW, verify_nilpotency
 from torusrep.fock import (
     PSI,
@@ -44,6 +45,7 @@ from fock_oracles import (
     vacuum,
     vector_to_json,
 )
+from liealg_oracles import h_gen
 from test_liealg import rand_basis
 
 E = GlqElement.matrix_unit
@@ -499,14 +501,14 @@ def test_each_highest_weight_law_can_fail(monkeypatch, case):
     if case == "raising":
         monkeypatch.setattr(verify, "hw_monomial", lambda mu: (psi(1, 1, -1, N),))
     elif case == "toral-eigenvalue":
-        real_table = verify.toral_table
-        monkeypatch.setattr(verify, "toral_table", lambda mu, params: [
-            (i, n, h, val + 1) for i, n, h, val in real_table(mu, params)])
+        real_eta = duality.eta_eval
+        monkeypatch.setattr(duality, "eta_eval",
+                            lambda mu, i, n, params: real_eta(mu, i, n, params) + 1)
     elif case == "toral-off-line":
-        real_action = duality.rho_action
-        stray = FockVector.monomial((psi(1, 1, -9, N),))
-        monkeypatch.setattr(duality, "rho_action",
-                            lambda x, params, vec: real_action(x, params, vec) + stray)
+        real_action = duality.rho_mat_on_monomial
+        stray = (psi(1, 1, -9, N),)
+        monkeypatch.setattr(duality, "rho_mat_on_monomial",
+                            lambda *args: {**real_action(*args), stray: ONE})
     else:
         real_monomial = verify.hw_monomial
         monkeypatch.setattr(verify, "hw_monomial", lambda mu: real_monomial(mu[::-1]))

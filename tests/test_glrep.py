@@ -17,9 +17,9 @@ from glrep_oracles import (
 from torusrep import glrep
 from torusrep.errors import IncompatiblePartitions, InvalidParams
 from torusrep.scalars import SetPartition
+from torusrep.duality import eta_eval
 from torusrep.glrep import (
     DominantWeight,
-    eta_eval,
     is_dominant,
     levi_branch_D,
     levi_dim,

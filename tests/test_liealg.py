@@ -10,12 +10,11 @@ from torusrep.liealg import (
     GlqElement,
     bracket,
     degrees,
-    h_gen,
     is_in_sl,
 )
 from torusrep.scalars import NEG_ONE, ONE, accumulate
 
-from liealg_oracles import bracket_oracle
+from liealg_oracles import bracket_oracle, h_gen
 
 E = GlqElement.matrix_unit
 Q = Fraction(5, 2)
