@@ -20,9 +20,10 @@ which side goes first:
   sides accept: the deep-degree duality runs, without the highest-weight
   checks two flavours at n_max 6, 8 and 10 and three flavours at n_max 5,
   with them rank 3 and two flavours at n_max 5; the level-one
-  nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1; and the
+  nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1; the
   highest-weight suite at rank 3 with three distinct flavours to mu
-  bound 3),
+  bound 3; and the module suite at rank 2 with two distinct flavours to
+  degree 1),
   PAIRS alternating pairs: the call's wall time and the CPU time of the
   child process spent in it, the peak RSS of the process and the
   sha256 of the report the call writes to stdout; per time it records the
@@ -67,6 +68,8 @@ PROBES["hw_N_3_n_max_5"] = "verify-duality --N 3 --ell 2 --a 3,3 --n-max 5"
 PROBES["nilpotency_N_2_deg_2"] = "verify-nilpotency --N 2 --ell 1 --a 3 --deg-max 2"
 PROBES["nilpotency_N_3_deg_1"] = "verify-nilpotency --N 3 --ell 1 --a 3 --deg-max 1"
 PROBES["hw_N_3_ell_3"] = "verify-hw --N 3 --ell 3 --a 3,5,7 --mu-bound 3"
+PROBES["module_N_2_ell_2_deg_1"] = ("verify-module --N 2 --ell 2 --a 3,5 --trials 100"
+                                    " --deg-max 1 --seed 7")
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10

@@ -72,7 +72,9 @@ def sample_basis_element(rng: random.Random, N: int, max_exp: int) -> GlqElement
 
 
 class CachedAction:
-    """rho with per-(generator, monomial) memoization, for the module suite."""
+    """rho with per-(generator, monomial) memoization, for the bracket side
+    of the module suite: it applies rho([x, y]) to every basis vector of a
+    trial, and trials share generator keys."""
 
     def __init__(self, params: ParameterSet):
         self.params = params
@@ -180,16 +182,19 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
         if (i - j, m0, m1) == (0, 0, 0):
             continue
         runs += 1
-        x = GlqElement.matrix_unit(i, j, m0, m1)
-        y = GlqElement.matrix_unit(j, i, -m0, -m1)
+        x = GlqElement._of({(i, j, m0, m1): ONE})
+        y = GlqElement._of({(j, i, -m0, -m1): ONE})
         got = bracket(x, y, q)
-        want = (GlqElement.matrix_unit(i, i) - GlqElement.matrix_unit(j, j)
-                + GlqElement.k0(m0) + GlqElement.k1(m1)).scale(q ** (-m1 * m0))
-        diag = theta(GlqElement.matrix_unit(i, i)
-                     - GlqElement.matrix_unit(j, j), N)
-        cov_want = (diag + CovElement.basis(K, m0)
-                    + CovElement.basis(KPRIME, m1)).scale(q ** (-m1 * m0))
-        if got == want and cov_bracket(theta(x, N), theta(y, N), N, q) == cov_want:
+        # q^{-m1 m0} (E_{i,i} - E_{j,j} + m0 k0 + m1 k1), and its image with
+        # the central terms written as k and kprime
+        c = q ** (-m1 * m0)
+        want = {} if i == j else {(i, i, 0, 0): c, (j, j, 0, 0): -c}
+        cov_want = dict(theta(GlqElement._of(want), N)._terms)
+        for n, key, cov_key in ((m0, K0, K), (m1, K1, KPRIME)):
+            if n:
+                want[key] = cov_want[cov_key] = c * n
+        if (got == GlqElement._of(want) and cov_bracket(theta(x, N), theta(y, N), N, q)
+                == CovElement._of(cov_want)):
             ok += 1
         else:
             report.fail({"trial": t, "law": "central-instance", "x": x.text()})
@@ -209,10 +214,67 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
     return report
 
 
+def _ordered_unit_pairs(x: GlqElement, y: GlqElement, ell: int) -> List[Tuple]:
+    """The unit pairs of rho(x)rho(y) - rho(y)rho(x), as (outer unit, inner
+    unit, integer coefficient, A) with the inner unit acting first.
+
+    x and y are sampled basis elements, so their coefficients are +-1; k0
+    and k1 act as scalars and have no units.  A[p_out - 1][p_in - 1] is the
+    exponent tuple of (a_1, ..., a_ell) in a_{p_out}^{m1_out} a_{p_in}^{m1_in}."""
+    units_x = [(key, int(c)) for key, c in x._terms.items() if key != K0 and key != K1]
+    units_y = [(key, int(c)) for key, c in y._terms.items() if key != K0 and key != K1]
+    out = []
+    for outer, inner, sign in ((units_x, units_y, 1), (units_y, units_x, -1)):
+        for u, cu in outer:
+            for v, cv in inner:
+                A = [[tuple((u[3] if p == p_out else 0) + (v[3] if p == p_in else 0)
+                            for p in range(ell))
+                      for p_in in range(ell)] for p_out in range(ell)]
+                out.append((u, v, sign * cu * cv, A))
+    return out
+
+
+def commutator_sums(pairs: Sequence, mono: Monomial, params: ParameterSet) -> Dict:
+    """The keyed integer sums of rho(x)rho(y) - rho(y)rho(x) on one monomial,
+    without the scalar parts, for the unit pairs of `_ordered_unit_pairs`.
+
+    A path through the sign-table terms (mono2, s2, p2, k2) of the inner
+    unit (k, l, n0, n1) and (mono3, s1, p1, k1) of the outer unit
+    (i, j, m0, m1) carries c s1 s2 (a_p1 q^{-k1})^{m1} (a_p2 q^{-k2})^{n1}.
+    Its integer sign is summed on (mono3, A, Q), with A the exponents of
+    the a_p and Q = -k1 m1 - k2 n1 the exponent of q; zero sums are dropped.
+    """
+    sums: Dict = {}
+    for (i, j, m0, m1), (k, l, n0, n1), c, A in pairs:
+        for mono2, s2, p2, k2 in cached_sign_table(k, l, n0, mono, params):
+            c2, Q2 = c * s2, -k2 * n1
+            p2 -= 1
+            for mono3, s1, p1, k1 in cached_sign_table(i, j, m0, mono2, params):
+                key = (mono3, A[p1 - 1][p2], Q2 - k1 * m1)
+                sums[key] = sums.get(key, 0) + c2 * s1
+    return {key: s for key, s in sums.items() if s}
+
+
 def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
                            deg_max: int = 2, max_exp: int = 2) -> DecompositionReport:
     """Commutator of actions against the action of the bracket on every
-    basis vector of bounded degree."""
+    basis vector of bounded degree.
+
+    On a sampled unit E_{i,j} t0^m0 t1^m1, rho is its sign-table part S
+    plus a scalar: the diagonal scalar sum_p a_p^{m1} q^{m1}/(1 - q^{m1})
+    when m0 = 0, i = j, m1 != 0; k0 acts as ell and k1 as 0.  A scalar
+    commutes with every operator, so rho(x)rho(y) - rho(y)rho(x) =
+    S_x S_y - S_y S_x exactly, whatever the sign tables hold.  The left
+    side is therefore read off the m1-free sign tables alone: each path of
+    S_x S_y v and S_y S_x v is an integer sign times a Laurent monomial in
+    (a, q), the signs are summed on (monomial, exponents of a, exponent of
+    q) by `commutator_sums`, and each nonzero key is evaluated at the
+    suite's (a, q) once per suite.  The right side is
+    `CachedAction(params)(bracket(x, y, q), v)`, so `liealg.bracket` is the
+    rule tested against rho and the diagonal scalar is checked there.  The
+    two sides are compared monomial by monomial; the first failing vector
+    of a failing trial is its witness.
+    """
     params = ParameterSet.of(q, a, N)
     rng = random.Random(seed)
     act = CachedAction(params)
@@ -221,19 +283,36 @@ def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
         "a": [str(x) for x in params.a], "trials": trials, "seed": seed,
         "deg_max": deg_max, "max_exp": max_exp,
     })
-    basis = [FockVector.monomial(m)
+    basis = [(m, FockVector.monomial(m))
              for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
+    values: Dict = {}
+
+    def value(A: Tuple[int, ...], Q: int) -> Fraction:
+        """prod_p a_p^{A_p} q^Q, once per (A, Q) in this suite."""
+        v = values.get((A, Q))
+        if v is None:
+            v = qpow(params.q, Q)
+            for ap, e in zip(params.a, A):
+                if e:
+                    v *= qpow(ap, e)
+            values[A, Q] = v
+        return v
+
     ok = 0
     for t in range(trials):
         x = sample_basis_element(rng, N, max_exp)
         y = sample_basis_element(rng, N, max_exp)
         b = bracket(x, y, params.q)
+        pairs = _ordered_unit_pairs(x, y, params.ell)
         good = True
-        for v in basis:
-            lhs = act(x, act(y, v)) - act(y, act(x, v))
-            if lhs != act(b, v):
+        for mono, v in basis:
+            lhs: Dict[Monomial, Fraction] = {}
+            for (mono3, A, Q), s in commutator_sums(pairs, mono, params).items():
+                w = value(A, Q)
+                accumulate(lhs, mono3, w if s == 1 else -w if s == -1 else s * w)
+            if lhs != act(b, v)._terms:
                 report.fail({"trial": t, "x": x.text(), "y": y.text(),
-                             "vector": str(v.support()[0])})
+                             "vector": str(mono)})
                 good = False
                 break
         ok += good

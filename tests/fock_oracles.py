@@ -6,8 +6,10 @@ vectors and their coefficient rows, the text form of Fock vectors, the weight
 slices of a degree grouped from the full monomial list, the Pieri / LR
 count of a component type's fixed dimension, the toral law on one monomial
 by the toral generators as elements, the whole-slice route of the joint
-highest-weight dimension, the insertion-sort refolding, and the
-family-by-family route of the nilpotency suite."""
+highest-weight dimension, the insertion-sort refolding, the
+family-by-family route of the nilpotency suite, and the memoised-action
+route of the module suite."""
+import random
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -30,7 +32,7 @@ from torusrep.fock import (
     rho_action,
 )
 from torusrep.glrep import lr_coeff, trim
-from torusrep.liealg import GlqElement, K0, K1
+from torusrep.liealg import GlqElement, K0, K1, bracket
 from torusrep.linalg import nullspace
 from torusrep.reports import DecompositionReport
 from torusrep.scalars import (
@@ -41,7 +43,7 @@ from torusrep.scalars import (
     qpow,
     validate_spectrum,
 )
-from torusrep.verify import K_WINDOW, M1_WINDOW, CachedAction
+from torusrep.verify import K_WINDOW, M1_WINDOW, CachedAction, sample_basis_element
 
 from glrep_oracles import partitions_with_bound
 from liealg_oracles import h_gen
@@ -338,4 +340,40 @@ def nilpotency_oracle(a: Sequence, q, N: int, deg_max: int) -> DecompositionRepo
                         break
                 ok += good
     report.add_case("nilpotency", {"families": [ok, runs]}, ok, runs)
+    return report
+
+
+def module_property_oracle(N: int, a: Sequence, q, trials: int, seed: int,
+                           deg_max: int = 2, max_exp: int = 2) -> DecompositionReport:
+    """`torusrep.verify.verify_module_property` through the memoised action
+    on both sides: rho(x)rho(y)v - rho(y)rho(x)v is summed in exact
+    arithmetic with its scalar parts (the diagonal scalar, k0 acting as
+    ell), against rho([x, y])v.  The same draws and basis; no keying."""
+    params = ParameterSet.of(q, a, N)
+    rng = random.Random(seed)
+    act = CachedAction(params)
+    report = DecompositionReport(config={
+        "suite": "module-property", "N": N, "ell": params.ell, "q": str(params.q),
+        "a": [str(x) for x in params.a], "trials": trials, "seed": seed,
+        "deg_max": deg_max, "max_exp": max_exp,
+    })
+    basis = [FockVector.monomial(m)
+             for n in range(deg_max + 1) for m in basis_monomials(n, N, params.ell)]
+    ok = 0
+    for t in range(trials):
+        x = sample_basis_element(rng, N, max_exp)
+        y = sample_basis_element(rng, N, max_exp)
+        b = bracket(x, y, params.q)
+        good = True
+        for v in basis:
+            lhs = act(x, act(y, v)) - act(y, act(x, v))
+            if lhs != act(b, v):
+                report.fail({"trial": t, "x": x.text(), "y": y.text(),
+                             "vector": str(v.support()[0])})
+                good = False
+                break
+        ok += good
+    report.add_case("module", {"pairs": [ok, trials],
+                               "basis_size": [len(basis), len(basis)]},
+                    ok, trials)
     return report

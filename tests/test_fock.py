@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from torusrep.duality import TORAL_WINDOW
 from torusrep.liealg import GlqElement, K0, K1, bracket
-from torusrep.scalars import ONE, ParameterSet, qpow
-from torusrep.verify import K_WINDOW, M1_WINDOW, verify_nilpotency
+from torusrep.scalars import ONE, ParameterSet, accumulate, qpow
+from torusrep.verify import (
+    K_WINDOW, M1_WINDOW, verify_module_property, verify_nilpotency)
 from torusrep.fock import (
     PSI,
     PSIBAR,
@@ -40,6 +41,7 @@ from fock_oracles import (
     bilinear_mode_criterion,
     format_monomial,
     lift,
+    module_property_oracle,
     nilpotency_oracle,
     rho_action_tensor_oracle,
     vacuum,
@@ -767,6 +769,78 @@ def test_nilpotency_fails_on_a_key_that_cancels_in_the_window(monkeypatch, capsy
     assert cli.main(["verify-nilpotency", "--N", "2", "--ell", "1", "--a", "3",
                      "--q", "2", "--deg-max", "0"]) == 1
     assert '"key"' in capsys.readouterr().out
+
+
+# At N 3 with two flavors, degree 2 has 5 764 basis vectors; that case is
+# left out for time.
+MODULE_CONFIGS = [(N, a, d) for N in (2, 3) for a in ([3], [3, 5], [3, 3])
+                  for d in range(3) if (N, len(a), d) != (3, 2, 2)]
+
+
+@pytest.mark.parametrize("N,a,deg_max", MODULE_CONFIGS)
+def test_keyed_module_property_matches_action_oracle(N, a, deg_max):
+    for seed in range(3):
+        got = verify_module_property(N, a, 2, 5, seed, deg_max=deg_max)
+        assert got.passed
+        want = module_property_oracle(N, a, 2, 5, seed, deg_max=deg_max)
+        assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("N,a,deg_max", [(2, [3], 1), (2, [3, 5], 1), (3, [3], 1),
+                                          (2, [3, 3], 1)])
+def test_module_routes_agree_on_a_flipped_sign(monkeypatch, N, a, deg_max):
+    # failing reports, and their first failing trial and vector, match
+    flip_k1_signs_on_degree_two(monkeypatch)
+    for seed in range(3):
+        got = verify_module_property(N, a, 2, 30, seed, deg_max=deg_max)
+        want = module_property_oracle(N, a, 2, 30, seed, deg_max=deg_max)
+        assert got.verdict == want.verdict == "fail"
+        assert got.witness == want.witness
+        assert got.to_json() == want.to_json()
+
+
+def bracket_swapped_twists(x, y, q):
+    """[x, y] with the exponents m1 n0 and n1 m0 of its two terms swapped."""
+    out = {}
+    for kx, cx in x._terms.items():
+        for ky, cy in y._terms.items():
+            if not (isinstance(kx, tuple) and isinstance(ky, tuple)):
+                continue
+            (i, j, m0, m1), (k, l, n0, n1) = kx, ky
+            c, s0, s1 = cx * cy, m0 + n0, m1 + n1
+            if j == k:
+                w = c * Fraction(q) ** (n1 * m0)
+                accumulate(out, (i, l, s0, s1), w)
+                if i == l and not s0 and not s1:
+                    accumulate(out, K0, w * m0)
+                    accumulate(out, K1, w * m1)
+            if i == l:
+                accumulate(out, (k, j, s0, s1), -c * Fraction(q) ** (m1 * n0))
+    return GlqElement._of(out)
+
+
+@pytest.mark.parametrize("mutation", ["sign-table", "bracket-twists", "diagonal-scalar"])
+def test_module_property_can_fail(monkeypatch, mutation):
+    # the left side drops the diagonal scalar, which cancels in the
+    # commutator, so a wrong scalar shows only on the bracket side
+    from torusrep import verify
+
+    if mutation == "sign-table":
+        flip_k1_signs_on_degree_two(monkeypatch)
+    elif mutation == "bracket-twists":
+        monkeypatch.setattr(verify, "bracket", bracket_swapped_twists)
+    else:
+        real = verify.rho_mat_on_monomial
+
+        def shifted(i, j, m0, m1, params, mono):
+            out = dict(real(i, j, m0, m1, params, mono))
+            if m0 == 0 and i == j and m1:
+                accumulate(out, mono, ONE)
+            return out
+
+        monkeypatch.setattr(verify, "rho_mat_on_monomial", shifted)
+    report = verify.verify_module_property(2, [3], 2, 100, 7, deg_max=1)
+    assert not report.passed
 
 
 def test_diagonal_bilinears_count_mode_sets():
