@@ -32,6 +32,12 @@ which side goes first:
   whose address space is limited to PROBE_AS_BYTES (2 GiB) and whose time
   to PROBE_TIMEOUT_S; a run that exceeds either is recorded as not
   completed;
+- the import probe: IMPORT_PAIRS (30) alternating pairs of
+  ``perfbench/worker.py mode=setup`` (the timed import of ``torusrep.cli``
+  and the set-up of the workload's argv lists), each run in a fresh
+  interpreter with the bytecode caches of its side removed first; it
+  records the ``setup_s`` of every run, the medians, the parent's quartiles
+  and in how many pairs the change was faster;
 - the 16-job battery ``scripts/run_verification.py OUTDIR``, BATTERY_RUNS
   (3) runs per side: the process's wall time, each job's time as the
   script prints it, and the sha256 of each report, which must agree
@@ -73,6 +79,7 @@ PROBES["module_N_2_ell_2_deg_1"] = ("verify-module --N 2 --ell 2 --a 3,5 --trial
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10
+IMPORT_PAIRS = 30
 SECONDS = 20
 BATTERY_RUNS = 3
 PROBE = """\
@@ -141,6 +148,16 @@ def probe(root: pathlib.Path, argv: str):
     if proc.returncode:
         return None
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def import_setup_s(root: pathlib.Path) -> float:
+    """The set-up time of one perfbench worker with no bytecode cache: the
+    import of torusrep.cli from root/src, and the argv lists."""
+    clear_bytecode(root)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", f"src={root / 'src'}", "workload=algebra",
+         "seed=0", "mode=setup"], cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
 
 
 def battery(root: pathlib.Path):
@@ -222,6 +239,15 @@ def main() -> int:
             probes[name][key] = summarize([p[key] for p, _ in pairs],
                                           [c[key] for _, c in pairs], "lower") if pairs else None
 
+    setups = {"parent": [], "change": []}
+    for k in range(IMPORT_PAIRS):
+        for side in order(k):
+            setups[side].append(import_setup_s(sides[side]))
+        print(f"import pair {k}: {setups['parent'][-1]:.4f} {setups['change'][-1]:.4f}",
+              file=sys.stderr)
+    imports = {"runs": setups, "setup_s": summarize(setups["parent"], setups["change"],
+                                                    "lower")}
+
     runs = {"parent": [], "change": []}
     for k in range(BATTERY_RUNS):
         for side in order(k):
@@ -300,6 +326,13 @@ def main() -> int:
                     "ru_maxrss of the whole process; wall_s and cpu_s summarize the "
                     "pairs where both sides completed",
             "results": probes,
+        },
+        "import": {
+            "command": "python3 perfbench/worker.py src=SRC workload=algebra seed=0 mode=setup",
+            "note": f"{IMPORT_PAIRS} pairs, parent and change alternated, bytecode caches "
+                    "of the side removed before every run; setup_s unscaled, as the "
+                    "worker prints it",
+            "results": imports,
         },
         "battery": {
             "command": "python3 scripts/run_verification.py OUTDIR",

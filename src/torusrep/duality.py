@@ -8,32 +8,26 @@ suite enumerates the one-flavor monomials of every degree once
 (``FlavorTables``), and ``weight_spaces`` assembles from them only the
 weight slices a check reads.  A raising operator moves a generator to
 another flavor of its block at the same site (kind, idx), so a slice is the
-direct sum of its site-occupation components.  As a Levi module a component
-is a product of exterior powers and their duals (Howe's skew duality), so
-its fixed dimension depends only on the weight and its ``component_type``
-(per occupied site, the kind and the per-block counts).  ``fixed_dim``
-eliminates each (weight, type) once, on the first component met, in a memo
-that the suite call owns: one per partition, shared across the ranks of the
-Levi suite.  The elimination layer (``fixed_space``, ``fixed_dim``) takes no
-rank: the flavor and doubly-infinite actions read only flat indices and act
-on one monomial, and ``_term_rows`` builds the integer rows of their
-matrices straight from their terms; ``_raising_rows`` is the one set of
-raising rows.  The toral generators h_{i,n} combine k0 with the diagonal
-units E_{j,j} t1^n, which act diagonally on monomials, so ``joint_hw_dim``
-keeps the monomials whose eigenvalues all match eta (``toral_mismatch``,
-the one test of them, reads each eigenvalue off the units' images and
-compares it with ``eta_eval`` on the suite's ``ParameterSet``), then imposes
-the torus-side raising conditions through the block-triangular doubly-infinite
-operators, which for generic parameters span the raising half of the torus
-algebra on a bounded-degree slice (the block values b_r q^{-k} are
-distinct, so the exponential sums separate).
+direct sum of its site-occupation components, and as a Levi module (Howe's
+skew duality) a component's fixed dimension depends only on the weight and
+its ``component_type``.  ``fixed_dim`` eliminates each (weight, type) once,
+in a memo that the suite call owns.  ``_term_rows`` builds the integer rows
+of the one-monomial flavor and doubly-infinite actions; ``_raising_rows``
+is the one set of raising rows.  ``joint_hw_dim`` keeps the monomials on
+which every h_{i,n} acts by eta (``toral_mismatch``: integer sums of the
+diagonal units' m1-free sign tables, which prove the law at every n), then
+imposes the torus-side raising conditions through the block-triangular
+doubly-infinite operators, which for generic parameters span the raising
+half of the torus algebra on a bounded-degree slice (the block values
+b_r q^{-k} are distinct, so the exponential sums separate).
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidParams, PartitionMismatch
 from .fock import (
@@ -42,18 +36,19 @@ from .fock import (
     Monomial,
     _gen_on_monomial,
     basis_monomials,
+    cached_sign_table,
     gen_label,
     gen_mode,
     gl_ell_action,
     glbar_action,
     graded_dim,
     hw_degree,
+    keyed_signs,
     monomial_weight,
     partner,
     psi,
     psibar,
     rho_action,
-    rho_mat_on_monomial,
 )
 from .glrep import (
     DominantWeight,
@@ -66,8 +61,7 @@ from .liealg import GlqElement
 from .linalg import nullspace
 from .reports import DecompositionReport, weight_key
 from .scalars import (
-    NEG_ONE, ONE, ParameterSet, SetPartition, accumulate, qpow, split_index,
-    validate_spectrum)
+    ONE, ParameterSet, SetPartition, accumulate, qpow, split_index, validate_spectrum)
 
 
 class FlavorTables:
@@ -94,15 +88,10 @@ class FlavorTables:
         return [self._parts[d][p] for p, d in enumerate(comp)]
 
 
-def _compositions(n: int, k: int):
+def _compositions(n: int, k: int) -> List[Tuple[int, ...]]:
     """The k-tuples of nonnegative integers summing to n, in lexicographic
     order."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    return [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
 
 
 def weight_spaces(n: int, tables: FlavorTables,
@@ -230,49 +219,70 @@ class OffDiagonal(Exception):
     """A unit of a toral generator maps a slice monomial off its own line."""
 
 
-# The highest-weight checks test the h_{i,n} with |n| <= TORAL_WINDOW.
+# The highest-weight checks write a failing h_{i,n} with |n| <= TORAL_WINDOW.
 TORAL_WINDOW = 3
 
 
-def eta_eval(mu: Sequence[int], i: int, n: int, params: ParameterSet) -> Fraction:
-    """The highest-weight functional of (mu, a, N, q) on the toral generator
-    h_{i,n}: the sum of (a_k q^{-mudot_k})^n over the k with mudd_k = i.
-    Its value on k1 is zero."""
-    if len(mu) != params.ell:
-        raise InvalidParams("mu must have length ell")
-    if not 1 <= i <= params.N:
-        raise InvalidParams("need 1 <= i <= N")
-    total = Fraction(0)
-    for m, ak in zip(mu, params.a):
+def toral_scalars(mu: Sequence[int], i: int, params: ParameterSet
+                  ) -> Dict[Tuple[int, int], int]:
+    """The scalar part of h_{i,n} - eta(h_{i,n}) as integer sums on the keys
+    (rep[p - 1], k) of (a_p q^{-k})^n: sum_p (a_p q)^n = c(n)(1 - q^n) for
+    i = N (k0 = ell at n = 0), minus eta's (a_k q^{-mudot_k})^n, mudd_k = i."""
+    out: Dict[Tuple[int, int], int] = {}
+    for r in params.rep if i == params.N else ():
+        out[r, -1] = out.get((r, -1), 0) + 1
+    for m, r in zip(mu, params.rep):
         mudot, mudd = split_index(m, params.N)
         if mudd == i:
-            total += qpow(ak * qpow(params.q, -mudot), n)
-    return total
+            out[r, mudot] = out.get((r, mudot), 0) - 1
+    return out
+
+
+def _character_sum(sums: Dict, n: int, params: ParameterSet) -> Fraction:
+    """The sum of c (a_r q^{-k})^n over the keys (r, k) with sums c."""
+    return sum(c * qpow(params.a[r - 1] * qpow(params.q, -k), n)
+               for (r, k), c in sums.items())
 
 
 def toral_mismatch(mono: Monomial, mu: Sequence[int], params: ParameterSet
-                   ) -> Optional[Tuple[int, int, bool]]:
+                   ) -> Optional[Tuple[int, Union[int, str], bool]]:
     """The first (i, n), i outer over 1..N and n inner over |n| <=
     TORAL_WINDOW, where h_{i,n} does not map the monomial to eta(h_{i,n})
-    times itself, and whether one of its units E_{j,j} t1^n, which act
-    diagonally, took it off its line; None when every eigenvalue matches."""
-    N = params.N
+    times itself, and whether one of its units E_{j,j} t1^n took it off its
+    line; None when the law holds at every n in Z.
+
+    h_{i,n} is E_{i,i} t1^n - E_{i+1,i+1} t1^n for i < N and
+    -q^n E_{1,1} t1^n + E_{N,N} t1^n for i = N (q^n lowers k by one), plus
+    `toral_scalars`: integer sums on `keyed_signs` keys, which all vanish
+    exactly when the law holds at every n.  Nonzero sums are evaluated in
+    the window; if they cancel there, (i, "(r,k):sum", off_line) names the
+    first."""
+    N, rep = params.N, params.rep
+    tables = {j: keyed_signs(cached_sign_table(j, j, 0, mono, params), rep)
+              for j in range(1, N + 1)}
+    key_witness = None
     for i in range(1, N + 1):
+        law, stray = toral_scalars(mu, i, params), []
+        for j, c, shift in ((i, 1, 0), (i + 1, -1, 0)) if i < N else ((1, -1, 1), (N, 1, 0)):
+            off: Dict = {}      # the unit's off-line sums, by target monomial
+            for (mono2, r, k), s in tables[j].items():
+                if mono2 == mono:
+                    law[r, k - shift] = law.get((r, k - shift), 0) + c * s
+                else:
+                    off.setdefault(mono2, {})[r, k] = s
+            stray.extend(off.values())
+        law = {key: c for key, c in law.items() if c}
+        if not law and not stray:
+            continue
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
-            if i < N:       # E_{i,i} t1^n - E_{i+1,i+1} t1^n
-                units, value = ((i, ONE), (i + 1, NEG_ONE)), 0
-            elif n:         # -q^n E_{1,1} t1^n + E_{N,N} t1^n
-                units, value = ((1, -qpow(params.q, n)), (N, ONE)), 0
-            else:           # k0 - E_{1,1} + E_{N,N}, where k0 acts as ell
-                units, value = ((1, NEG_ONE), (N, ONE)), params.ell
-            for j, c in units:
-                image = rho_mat_on_monomial(j, j, 0, n, params, mono)
-                if any(m != mono for m in image):
-                    return i, n, True
-                value += c * image.get(mono, 0)
-            if value != eta_eval(mu, i, n, params):
+            if any(_character_sum(sums, n, params) for sums in stray):
+                return i, n, True
+            if _character_sum(law, n, params):
                 return i, n, False
-    return None
+        if key_witness is None:
+            (r, k), c = next(iter((law or stray[0]).items()))
+            key_witness = i, f"({r},{k}):{c}", not law
+    return key_witness
 
 
 def joint_hw_dim(mu: Sequence[int], monos: Sequence[Monomial],
@@ -377,9 +387,7 @@ def verify_tensor_branching(N: int, a: Sequence, b: Sequence, q,
         for w in sorted(pair_weights):
             lhs = fixed_dim(prod_part, spaces.get(w, []), prod_memo)
             mu, nu = w[:ell], w[ell:]
-            rhs = 0
-            for xi, m in fdim.items():
-                rhs += dmaps[xi].get((mu, nu), 0) * m
+            rhs = sum(dmaps[xi].get((mu, nu), 0) * m for xi, m in fdim.items())
             if lhs or rhs:
                 table[weight_key(mu) + "|" + weight_key(nu)] = [lhs, rhs]
             if lhs != rhs:
@@ -428,9 +436,7 @@ def verify_levi_branching(bfN: Sequence[int], a: Sequence, q,
             if any(not t for t in tables):
                 continue
             for mus in itertools.product(*(sorted(t) for t in tables)):
-                prod = 1
-                for r, mu in enumerate(mus):
-                    prod *= tables[r][mu]
+                prod = math.prod(t[mu] for t, mu in zip(tables, mus))
                 combo_dim[mus] = combo_dim.get(mus, 0) + prod
         rhs_map: Dict[Tuple[int, ...], int] = {}
         for mus, dim in combo_dim.items():
@@ -461,11 +467,9 @@ def lattice_parameters(params: ParameterSet, M0: int, M1: int
                        ) -> Tuple[Tuple[Fraction, ...], Fraction]:
     """The refolded parameter tuple of length M0*ell and its deformation
     parameter q^{M0*M1}."""
-    out = []
-    for k in range(M0):
-        for r in range(params.ell):
-            out.append(qpow(params.a[r] * qpow(params.q, -k), M1))
-    return tuple(out), qpow(params.q, M0 * M1)
+    out = tuple(qpow(params.a[r] * qpow(params.q, -k), M1)
+                for k in range(M0) for r in range(params.ell))
+    return out, qpow(params.q, M0 * M1)
 
 
 def phi_gen(g, ell: int, M0: int, N: int):
@@ -583,11 +587,10 @@ def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
     report.add_case("gl-equivariance", {"cases": [ok, runs]}, ok, runs)
 
     # (iv) restriction constants: dimension bookkeeping
-    big_blocks_part = part.power(M0)
     ok = runs = 0
     for _ in range(8):
         xi = []
-        for b in big_blocks_part.blocks:
+        for b in big_part.blocks:
             vals = sorted((rng.randrange(-2, 3) for _ in b), reverse=True)
             xi.extend((i, v) for i, v in zip(b, vals))
         xi_t = tuple(v for _, v in sorted(xi))
@@ -596,7 +599,7 @@ def verify_lattice_intertwiner(N: int, M0: int, M1: int, a: Sequence, q,
             for k in range(M0)]
         emap = tensor_mult_C(slices)
         lhs = sum(c * levi_dim(mu, part) for mu, c in emap.items())
-        rhs = levi_dim(xi_t, big_blocks_part)
+        rhs = levi_dim(xi_t, big_part)
         runs += 1
         if lhs == rhs:
             ok += 1

@@ -207,6 +207,16 @@ def cached_sign_table(i: int, j: int, m0: int, mono: Monomial,
     return table
 
 
+def keyed_signs(table: Sequence[tuple], rep: Sequence[int]) -> Dict[tuple, int]:
+    """A sign table's nonzero sums of signs on (monomial, rep[p - 1], k), the
+    keys of (a_p q^{-k})^{m1}: distinct characters of m1 when `validate_spectrum` passes."""
+    sums: Dict[tuple, int] = {}
+    for mono2, s, p, k in table:
+        key = (mono2, rep[p - 1], k)
+        sums[key] = sums.get(key, 0) + s
+    return {key: s for key, s in sums.items() if s}
+
+
 def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
                         params: ParameterSet, mono: Monomial) -> Dict[Monomial, Fraction]:
     """One matrix-unit torus generator E_{i,j} t0^m0 t1^m1 on one monomial.
@@ -214,10 +224,9 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
     The action is the sum over modes k and flavors p of
     (a_p q^{-k})^{m1} :psi_i^p(m0 - k) psibar_j^p(k):, plus the diagonal
     scalar sum_p a_p^{m1} q^{m1} / (1 - q^{m1}) when m0 = 0, i = j,
-    m1 != 0.  The terms and their signs do not depend on m1: the
-    `cached_sign_table` serves every m1, and the scalars are kept in
-    ``params.powers``.  Terms are accumulated in the table's (k, p) order;
-    at m1 = 0 the coefficients are the constants ONE and NEG_ONE.
+    m1 != 0.  The `cached_sign_table` serves every m1, the scalars are kept
+    in ``params.powers``, and terms are accumulated in the table's (k, p)
+    order; at m1 = 0 the coefficients are the constants ONE and NEG_ONE.
     """
     N = params.N
     if i > N or j > N:

@@ -19,7 +19,6 @@ with the tests (`tests/glrep_oracles.py`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
@@ -131,19 +130,15 @@ def weyl_dim(mu: Sequence[int], n: int) -> int:
 
 # -- dominant weights over a Levi torus ---------------------------------------
 
-@dataclass(frozen=True)
 class DominantWeight:
     """An integer tuple weakly decreasing within each block."""
 
-    mu: IntTuple
-    partition: SetPartition
-
-    def __post_init__(self):
-        if len(self.mu) != self.partition.ell:
+    def __init__(self, mu: IntTuple, partition: SetPartition):
+        if len(mu) != partition.ell:
             raise InvalidParams("weight length differs from partition size")
-        if not is_dominant(self.mu, self.partition):
-            raise InvalidParams(f"weight {self.mu} not dominant on "
-                                f"{self.partition.describe()}")
+        if not is_dominant(mu, partition):
+            raise InvalidParams(f"weight {mu} not dominant on {partition.describe()}")
+        self.mu, self.partition = mu, partition
 
     @staticmethod
     def of(mu: Sequence[int], partition: SetPartition) -> "DominantWeight":

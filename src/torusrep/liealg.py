@@ -9,8 +9,8 @@ the two central generators k0, k1.  The bracket implements
         - d_{i,l} q^{n1*m0} E_{k,j} t0^{m0+n0} t1^{m1+n1}
         + d_{j,k} d_{i,l} d_{m0+n0,0} d_{m1+n1,0} q^{m1*n0} (m0 k0 + m1 k1).
 
-The highest-weight checks build no toral generator h_{i,n}: they read its
-eigenvalues off its diagonal units (`duality.toral_mismatch`).
+The highest-weight checks build no toral generator h_{i,n}: they sum the
+integer signs of its diagonal units' sign tables (`duality.toral_mismatch`).
 """
 from __future__ import annotations
 
@@ -61,14 +61,6 @@ class GlqElement(SparseVector):
     def matrix_unit(i: int, j: int, m0: int = 0, m1: int = 0,
                     coeff: Rational = 1) -> "GlqElement":
         return GlqElement({mat_key(i, j, m0, m1): coeff})
-
-    @staticmethod
-    def k0(coeff: Rational = 1) -> "GlqElement":
-        return GlqElement({K0: coeff})
-
-    @staticmethod
-    def k1(coeff: Rational = 1) -> "GlqElement":
-        return GlqElement({K1: coeff})
 
 
 def is_in_sl(x: GlqElement, N: int) -> bool:

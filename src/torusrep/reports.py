@@ -6,16 +6,17 @@ witness}; identical configs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
-@dataclass
 class DecompositionReport:
-    config: Dict
-    degrees: List[Dict] = field(default_factory=list)
-    verdict: str = "pass"
-    witness: Optional[Dict] = None
+    """A suite's config, cases, verdict and first failure's witness."""
+
+    def __init__(self, config: Dict):
+        self.config = config
+        self.degrees: List[Dict] = []
+        self.verdict = "pass"
+        self.witness: Optional[Dict] = None
 
     def add_case(self, n, table, lhs, rhs) -> None:
         self.degrees.append({"n": n, "table": table, "lhs": lhs, "rhs": rhs})
@@ -29,17 +30,10 @@ class DecompositionReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> Dict:
-        return {
-            "config": self.config,
-            "degrees": self.degrees,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          separators=(",", ": ")) + "\n"
+        return json.dumps({"config": self.config, "degrees": self.degrees,
+                           "verdict": self.verdict, "witness": self.witness},
+                          sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
     def to_tsv(self) -> str:
         lines = ["n\tkey\tlhs\trhs"]

@@ -7,9 +7,8 @@ point arithmetic occurs anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidParams, InvalidQ, NotGeneric
 
@@ -112,10 +111,7 @@ class SparseVector:
     def __sub__(self, other: "SparseVector"):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            accumulate(out, k, -c)
-        return self._of(out)
+        return self + -other
 
     def __neg__(self):
         return self._of({k: -c for k, c in self._terms.items()})
@@ -151,11 +147,18 @@ def check_q(q: Fraction) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
 class SetPartition:
-    """A set partition of {1, ..., ell}; blocks sorted, ordered by minimum."""
+    """A set partition of {1, ..., ell}; blocks sorted, ordered by minimum.
+    Equal and hashed by its blocks."""
 
-    blocks: Tuple[Tuple[int, ...], ...]
+    def __init__(self, blocks: Tuple[Tuple[int, ...], ...]):
+        self.blocks = blocks
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SetPartition and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
 
     @staticmethod
     def of(blocks: Sequence[Sequence[int]]) -> "SetPartition":
@@ -201,34 +204,37 @@ class SetPartition:
         return "blocks=" + str([list(b) for b in self.blocks])
 
 
-@dataclass(frozen=True)
 class ParameterSet:
     """The specialization data (q, a_1..a_ell) for a fixed N >= 2; ``ell`` is
-    the number of parameters.
+    the number of parameters, and ``rep[p - 1]`` the first flavor whose
+    parameter is a_p.
 
     ``signs`` and ``powers`` are tables filled on first use: ``signs``
     maps (i, j, m0, monomial) to its sign table (`fock.cached_sign_table`,
-    read by the torus action and the nilpotency suite), ``powers`` maps
-    (p, k, m1) to (a_p q^{-k})^{m1} and m1 to the diagonal scalar of
-    `fock.rho_mat_on_monomial`.  They take no part in equality or hashing, so each
-    suite, which builds its own instance, starts with empty tables."""
+    read by the torus action and the suites), ``powers`` maps (p, k, m1)
+    to (a_p q^{-k})^{m1} and m1 to the diagonal scalar of
+    `fock.rho_mat_on_monomial`.  Equality and hashing read (q, a, N) only,
+    so each suite, which builds its own instance, starts with empty tables."""
 
-    q: Fraction
-    a: Tuple[Fraction, ...]
-    N: int
-    ell: int = field(init=False, repr=False, compare=False)
-    signs: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    powers: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ell", len(self.a))
-        check_q(self.q)
-        if self.N < 2:
+    def __init__(self, q: Fraction, a: Tuple[Fraction, ...], N: int):
+        self.q, self.a, self.N, self.ell = q, a, N, len(a)
+        self.rep = [a.index(x) + 1 for x in a]
+        self.signs: Dict = {}
+        self.powers: Dict = {}
+        check_q(q)
+        if N < 2:
             raise InvalidParams("N must be >= 2")
-        if not self.a:
+        if not a:
             raise InvalidParams("need at least one parameter a_p")
-        if any(x == 0 for x in self.a):
+        if any(x == 0 for x in a):
             raise InvalidParams("all a_p must be nonzero")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is ParameterSet
+                and (self.q, self.a, self.N) == (other.q, other.a, other.N))
+
+    def __hash__(self):
+        return hash((self.q, self.a, self.N))
 
     @staticmethod
     def of(q: Rational, a: Sequence[Rational], N: int) -> "ParameterSet":
@@ -239,32 +245,21 @@ def gamma_q_exponent(x: Rational, q: Rational) -> Optional[int]:
     """Return n with x == q**n, or None if x is not in the cyclic group of q.
 
     For rational q with |q| not in {0, 1} the exponent is unique; the search
-    is bounded because |q|**n is monotone in n and must reach |x| exactly.
+    is bounded because |q|**n is monotone in n: it walks n from 0 in the
+    direction that moves |q|**n toward |x|, and compares exactly at each
+    step until |q|**n passes |x|.
     """
     x = as_scalar(x)
     q = check_q(q)
     if x == 0:
         raise InvalidParams("x must be nonzero")
-    if x == 1:
-        return 0
-    if abs(q) < 1:
-        n = gamma_q_exponent(x, 1 / q)
-        return None if n is None else -n
-    # |q| > 1 now; walk |q|**n toward |x| and compare exactly at each step.
-    if abs(x) > 1:
-        acc, n = q, 1
-        while abs(acc) <= abs(x):
-            if acc == x:
-                return n
-            acc *= q
-            n += 1
-        return None
-    acc, n = 1 / q, -1
-    while abs(acc) >= abs(x):
+    up = abs(x) >= 1
+    step = 1 if up == (abs(q) > 1) else -1
+    acc, n = Fraction(1), 0
+    while abs(acc) <= abs(x) if up else abs(acc) >= abs(x):
         if acc == x:
             return n
-        acc /= q
-        n -= 1
+        acc, n = acc * q ** step, n + step
     return None
 
 
@@ -285,12 +280,7 @@ def validate_spectrum(a: Sequence[Rational], q: Rational) -> SetPartition:
         n = gamma_q_exponent(vals[i - 1] / vals[j - 1], q)
         if n is not None and n > 0:
             raise NotGeneric(i, j, n)
-    blocks = []
-    for i in range(1, ell + 1):
-        for b in blocks:
-            if vals[b[0] - 1] == vals[i - 1]:
-                b.append(i)
-                break
-        else:
-            blocks.append([i])
-    return SetPartition.of(blocks)
+    blocks: Dict[int, List[int]] = {}     # by the first index of the value
+    for i, x in enumerate(vals, start=1):
+        blocks.setdefault(vals.index(x), []).append(i)
+    return SetPartition.of(list(blocks.values()))

@@ -27,6 +27,7 @@ from .fock import (
     cached_sign_table,
     gl_ell_action,
     hw_monomial,
+    keyed_signs,
     monomial_weight,
     rho_mat_on_monomial,
 )
@@ -260,20 +261,16 @@ def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
     """Commutator of actions against the action of the bracket on every
     basis vector of bounded degree.
 
-    On a sampled unit E_{i,j} t0^m0 t1^m1, rho is its sign-table part S
-    plus a scalar: the diagonal scalar sum_p a_p^{m1} q^{m1}/(1 - q^{m1})
-    when m0 = 0, i = j, m1 != 0; k0 acts as ell and k1 as 0.  A scalar
-    commutes with every operator, so rho(x)rho(y) - rho(y)rho(x) =
-    S_x S_y - S_y S_x exactly, whatever the sign tables hold.  The left
-    side is therefore read off the m1-free sign tables alone: each path of
-    S_x S_y v and S_y S_x v is an integer sign times a Laurent monomial in
-    (a, q), the signs are summed on (monomial, exponents of a, exponent of
-    q) by `commutator_sums`, and each nonzero key is evaluated at the
-    suite's (a, q) once per suite.  The right side is
-    `CachedAction(params)(bracket(x, y, q), v)`, so `liealg.bracket` is the
-    rule tested against rho and the diagonal scalar is checked there.  The
-    two sides are compared monomial by monomial; the first failing vector
-    of a failing trial is its witness.
+    On a sampled unit, rho is its sign-table part S plus a scalar (the
+    diagonal scalar of `rho_mat_on_monomial`; k0 acts as ell and k1 as 0),
+    and scalars commute with every operator, so rho(x)rho(y) - rho(y)rho(x)
+    = S_x S_y - S_y S_x exactly.  The left side is therefore read off the
+    m1-free sign tables: the integer signs of its paths are summed on
+    (monomial, exponents of a, exponent of q) by `commutator_sums`, and
+    each nonzero key is evaluated once per suite.  The right side is
+    `CachedAction(params)(bracket(x, y, q), v)`, so `liealg.bracket` and
+    the diagonal scalar are tested there.  The first failing vector of a
+    failing trial is its witness.
     """
     params = ParameterSet.of(q, a, N)
     rng = random.Random(seed)
@@ -325,7 +322,15 @@ def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
 def verify_highest_weight(N: int, a: Sequence, q,
                           mu_bound: int = 2) -> DecompositionReport:
     """The product monomials are killed by the raising half, carry the stated
-    toral eigenvalues, and are fixed vectors of the stated flavor weight."""
+    toral eigenvalues, and are fixed vectors of the stated flavor weight.
+
+    A raising unit (m0 in HW_M0, or m0 = 0 with i < j) has no diagonal
+    scalar, so it kills the product monomial at every m1 exactly when its
+    `keyed_signs` are empty; `toral_mismatch` proves the toral law at every
+    n.  Only a unit with a key left is applied at the windowed m1, so the
+    first witness is that of a point-by-point check; a key that cancels at
+    every windowed point is the witness only when no such check fails.
+    """
     params = ParameterSet.of(q, a, N)
     ell = params.ell
     partition = validate_spectrum(a, q)
@@ -336,7 +341,9 @@ def verify_highest_weight(N: int, a: Sequence, q,
     })
     mus = [mu for mu in itertools.product(range(-mu_bound, mu_bound + 1), repeat=ell)
            if is_dominant(mu, partition)]
+    window = range(-M1_WINDOW, M1_WINDOW + 1)
     ok = 0
+    deferred = []       # the witnesses of keys that cancel in the window
     for mu in mus:
         mono = hw_monomial(mu)
         good = True
@@ -345,17 +352,28 @@ def verify_highest_weight(N: int, a: Sequence, q,
                 # the degree-zero raising generators are the strictly upper ones
                 for law, m0s in (("raising", HW_M0),
                                  ("raising-degree-zero", (0,) if i < j else ())):
-                    for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
-                        for m0 in m0s:
-                            if rho_mat_on_monomial(i, j, m0, m1, params, mono):
-                                x = GlqElement._of({(i, j, m0, m1): ONE}).text()
-                                report.fail({"mu": weight_key(mu), "law": law, "x": x})
-                                good = False
+                    keyed = {m0: sums for m0 in m0s if (sums := keyed_signs(
+                        cached_sign_table(i, j, m0, mono, params), params.rep))}
+                    if not keyed:
+                        continue
+                    good = False
+                    bad = next(((m0, m1) for m1 in window for m0 in keyed
+                                if rho_mat_on_monomial(i, j, m0, m1, params, mono)), None)
+                    if bad is not None:
+                        x = GlqElement._of({(i, j, *bad): ONE}).text()
+                        report.fail({"mu": weight_key(mu), "law": law, "x": x})
+                    else:
+                        m0, sums = next(iter(keyed.items()))
+                        (mono2, r, k), c = next(iter(sums.items()))
+                        deferred.append({"mu": weight_key(mu), "law": law, "sum": c,
+                                         "x": GlqElement._of({(i, j, m0, 0): ONE}).text(),
+                                         "key": [str(mono2), r, k]})
         miss = toral_mismatch(mono, mu, params)
         if miss is not None:
-            report.fail({"mu": weight_key(mu), "law": "toral-eigenvalue",
-                         "h": f"h[{miss[0]},{miss[1]}]"})
             good = False
+            witness = {"mu": weight_key(mu), "law": "toral-eigenvalue",
+                       "h": f"h[{miss[0]},{miss[1]}]"}
+            (report.fail if isinstance(miss[1], int) else deferred.append)(witness)
         for (r, s) in raising_pairs(partition):
             if gl_ell_action(r, s, mono):
                 report.fail({"mu": weight_key(mu), "law": "flavor-fixed",
@@ -365,6 +383,8 @@ def verify_highest_weight(N: int, a: Sequence, q,
             report.fail({"mu": weight_key(mu), "law": "flavor-weight"})
             good = False
         ok += good
+    for witness in deferred:
+        report.fail(witness)
     report.add_case("highest-weight", {"mus": [ok, len(mus)]}, ok, len(mus))
     return report
 
@@ -422,17 +442,14 @@ def verify_nilpotency(a: Sequence, q, N: int = 2,
     Each (i, j) takes one pass over the m1-free sign tables
     (`nilpotency_sums`): every term of the square carries the Laurent
     monomial (a_p a_p' q^{-k-k'})^{m1}, so its integer signs are summed on
-    (monomial, sorted flavors, k + k').  For generic (a, q), distinct keys
-    are distinct exponentials in m1 (at level one for every admitted q, as
-    all keys share the flavors (1, 1) and q is not 0 or +-1), so every key
-    vanishes exactly when the square vanishes at every m1, which implies
-    each of the
-    N(N-1)(2 M1_WINDOW + 1) families (i, j, m1) the report counts.  When
-    some key of (i, j) is nonzero, the sums are evaluated at each m1 of the
-    window in the order m1, vector, K, so the report (the first failing
-    family's witness and the count of passing families) is the one a
-    family-by-family evaluation writes.  A nonzero key whose sums cancel at
-    every windowed m1 still fails the suite: it names the key, and is the
+    (monomial, sorted flavors, k + k').  At level one, distinct keys are
+    distinct exponentials in m1 for every admitted q (all keys share the
+    flavors (1, 1), and q is not 0 or +-1), so every key vanishes exactly
+    when the square vanishes at every m1, which implies each of the
+    N(N-1)(2 M1_WINDOW + 1) families (i, j, m1) the report counts.  A
+    nonzero key is evaluated at each windowed m1 in the order m1, vector,
+    K, so the report is the one a family-by-family evaluation writes; a
+    key that cancels at every windowed m1 still fails the suite, and is the
     witness only when no family fails.
     """
     if len(a) != 1:

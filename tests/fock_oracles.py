@@ -4,16 +4,19 @@ form of the torus action, generator words, the vacuum and coefficient
 lookup of sparse vectors, the one-monomial flavor units lifted to Fock
 vectors and their coefficient rows, the text form of Fock vectors, the weight
 slices of a degree grouped from the full monomial list, the Pieri / LR
-count of a component type's fixed dimension, the toral law on one monomial
-by the toral generators as elements, the whole-slice route of the joint
+count of a component type's fixed dimension, the highest-weight functional
+eta and the toral law on one monomial point by point, through the diagonal
+units and through the toral generators as elements, the point-by-point
+route of the highest-weight suite, the whole-slice route of the joint
 highest-weight dimension, the insertion-sort refolding, the
-family-by-family route of the nilpotency suite, and the memoised-action
-route of the module suite."""
+family-by-family route of the nilpotency suite, the memoised-action
+route of the module suite, and a stray-term mutation of the sign tables."""
+import itertools
 import random
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from torusrep.duality import TORAL_WINDOW, eta_eval, fixed_space, phi_gen
+from torusrep.duality import TORAL_WINDOW, fixed_space, phi_gen, raising_pairs
 from torusrep.errors import InvalidParams
 from torusrep.fock import (
     PSI,
@@ -24,26 +27,33 @@ from torusrep.fock import (
     basis_monomials,
     gen_label,
     gen_mode,
+    gl_ell_action,
     glbar_action,
     hw_degree,
+    hw_monomial,
     monomial_weight,
     psi,
     psibar,
     rho_action,
+    rho_mat_on_monomial,
 )
-from torusrep.glrep import lr_coeff, trim
+from torusrep.glrep import is_dominant, lr_coeff, trim
 from torusrep.liealg import GlqElement, K0, K1, bracket
 from torusrep.linalg import nullspace
-from torusrep.reports import DecompositionReport
+from torusrep.reports import DecompositionReport, weight_key
 from torusrep.scalars import (
+    NEG_ONE,
+    ONE,
     ParameterSet,
     SetPartition,
     SparseVector,
     accumulate,
     qpow,
+    split_index,
     validate_spectrum,
 )
-from torusrep.verify import K_WINDOW, M1_WINDOW, CachedAction, sample_basis_element
+from torusrep.verify import (
+    HW_M0, K_WINDOW, M1_WINDOW, CachedAction, sample_basis_element)
 
 from glrep_oracles import partitions_with_bound
 from liealg_oracles import h_gen
@@ -224,6 +234,109 @@ def type_fixed_dim_oracle(w: Sequence[int], ctype: Sequence[Tuple[int, ...]],
             products = out
         total *= products.get(trim(target), 0)
     return total
+
+
+def eta_eval(mu: Sequence[int], i: int, n: int, params: ParameterSet) -> Fraction:
+    """The highest-weight functional of (mu, a, N, q) on the toral generator
+    h_{i,n}: the sum of (a_k q^{-mudot_k})^n over the k with mudd_k = i.
+    Its value on k1 is zero."""
+    if len(mu) != params.ell:
+        raise InvalidParams("mu must have length ell")
+    if not 1 <= i <= params.N:
+        raise InvalidParams("need 1 <= i <= N")
+    total = Fraction(0)
+    for m, ak in zip(mu, params.a):
+        mudot, mudd = split_index(m, params.N)
+        if mudd == i:
+            total += qpow(ak * qpow(params.q, -mudot), n)
+    return total
+
+
+def toral_mismatch_windowed(mono: Monomial, mu: Sequence[int], params: ParameterSet
+                            ) -> Optional[Tuple[int, int, bool]]:
+    """`torusrep.duality.toral_mismatch` point by point: for each (i, n) of
+    the window, i outer, n inner, the eigenvalue is read off the images of
+    the diagonal units E_{j,j} t1^n (`rho_mat_on_monomial`) in Fractions
+    and compared with `eta_eval`; the first (i, n) that fails, and whether
+    a unit's image left the monomial's line.  No keying by characters, so
+    nothing is proven outside the window."""
+    N = params.N
+    for i in range(1, N + 1):
+        for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
+            if i < N:       # E_{i,i} t1^n - E_{i+1,i+1} t1^n
+                units, value = ((i, ONE), (i + 1, NEG_ONE)), 0
+            elif n:         # -q^n E_{1,1} t1^n + E_{N,N} t1^n
+                units, value = ((1, -qpow(params.q, n)), (N, ONE)), 0
+            else:           # k0 - E_{1,1} + E_{N,N}, where k0 acts as ell
+                units, value = ((1, NEG_ONE), (N, ONE)), params.ell
+            for j, c in units:
+                image = rho_mat_on_monomial(j, j, 0, n, params, mono)
+                if any(m != mono for m in image):
+                    return i, n, True
+                value += c * image.get(mono, 0)
+            if value != eta_eval(mu, i, n, params):
+                return i, n, False
+    return None
+
+
+def highest_weight_oracle(N: int, a: Sequence, q, mu_bound: int = 2,
+                          monomial: Callable[[Sequence[int]], Monomial] = hw_monomial
+                          ) -> DecompositionReport:
+    """`torusrep.verify.verify_highest_weight` point by point: every raising
+    unit at every (m0, m1) of the windows is applied to the product
+    monomial (``monomial(mu)``) in Fractions, and the toral law is
+    `toral_mismatch_windowed`.  The same report when every law holds or a
+    windowed point fails."""
+    params = ParameterSet.of(q, a, N)
+    ell = params.ell
+    partition = validate_spectrum(a, q)
+    report = DecompositionReport(config={
+        "suite": "highest-weight", "N": N, "ell": ell, "q": str(params.q),
+        "a": [str(x) for x in params.a], "mu_bound": mu_bound,
+        "m0_list": list(HW_M0), "m1_window": M1_WINDOW, "h_window": TORAL_WINDOW,
+    })
+    mus = [mu for mu in itertools.product(range(-mu_bound, mu_bound + 1), repeat=ell)
+           if is_dominant(mu, partition)]
+    ok = 0
+    for mu in mus:
+        mono = monomial(mu)
+        good = True
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                for law, m0s in (("raising", HW_M0),
+                                 ("raising-degree-zero", (0,) if i < j else ())):
+                    for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
+                        for m0 in m0s:
+                            if rho_mat_on_monomial(i, j, m0, m1, params, mono):
+                                x = GlqElement._of({(i, j, m0, m1): ONE}).text()
+                                report.fail({"mu": weight_key(mu), "law": law, "x": x})
+                                good = False
+        miss = toral_mismatch_windowed(mono, mu, params)
+        if miss is not None:
+            report.fail({"mu": weight_key(mu), "law": "toral-eigenvalue",
+                         "h": f"h[{miss[0]},{miss[1]}]"})
+            good = False
+        for (r, s) in raising_pairs(partition):
+            if gl_ell_action(r, s, mono):
+                report.fail({"mu": weight_key(mu), "law": "flavor-fixed",
+                             "op": f"E[{r},{s}]"})
+                good = False
+        if monomial_weight(mono, ell) != tuple(mu):
+            report.fail({"mu": weight_key(mu), "law": "flavor-weight"})
+            good = False
+        ok += good
+    report.add_case("highest-weight", {"mus": [ok, len(mus)]}, ok, len(mus))
+    return report
+
+
+def with_stray_term(real: Callable, stray: Monomial, units) -> Callable:
+    """A sign-table function like ``real`` (``cached_sign_table``) whose
+    tables of the units (i, j, m0) in ``units`` gain the term (stray, +1,
+    flavor 1, k = 0): a mutation that sends a monomial to ``stray``."""
+    def patched(i, j, m0, mono, params):
+        table = real(i, j, m0, mono, params)
+        return table + ((stray, 1, 1, 0),) if (i, j, m0) in units else table
+    return patched
 
 
 def toral_mismatch_oracle(mono: Monomial, mu: Sequence[int], params: ParameterSet

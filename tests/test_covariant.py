@@ -19,7 +19,7 @@ from torusrep.covariant import (
     theta_inv,
 )
 from torusrep.errors import NotInSl, NotInSlInfinity
-from torusrep.liealg import GlqElement, bracket, is_in_sl
+from torusrep.liealg import K0, K1, GlqElement, bracket, is_in_sl
 
 from liealg_oracles import bracket_oracle, cov_bracket_orbit_oracle
 from test_liealg import COEFFS, Q_VALUES, rand_basis
@@ -124,8 +124,8 @@ def test_cov_bracket_small_cases():
 def test_theta_examples():
     q, N = Fraction(2), 2
     assert theta(E(1, 2, 2, 3), N) == CovElement.basis(ekey(1, 2, 2, 3))
-    assert theta(GlqElement.k1(), N) == CovElement.basis(KPRIME)
-    assert theta(GlqElement.k0(), N) == CovElement.basis(K)
+    assert theta(GlqElement({K1: 1}), N) == CovElement.basis(KPRIME)
+    assert theta(GlqElement({K0: 1}), N) == CovElement.basis(K)
     assert theta(E(1, 1, 2, 0), N) == CovElement.basis(ekey(1, 1, 2, 0))
     assert theta(E(1, 1) - E(2, 2), N) == CovElement.basis(hkey(1))
     with pytest.raises(NotInSl):
@@ -144,7 +144,7 @@ def test_theta_refuses_an_index_above_N():
 
 def test_theta_inv_examples():
     assert theta_inv(CovElement.basis(ekey(1, 2, 2, 3))) == E(1, 2, 2, 3)
-    assert theta_inv(CovElement.basis(K)) == GlqElement.k0()
+    assert theta_inv(CovElement.basis(K)) == GlqElement({K0: 1})
     assert theta_inv(CovElement.basis(hkey(1))) == E(1, 1) - E(2, 2)
     # matrix indices below 1 are rejected, as by GlqElement.matrix_unit
     for key in (ekey(0, 1, 1, 0), hkey(0)):
@@ -173,8 +173,8 @@ def basis_window(N, max_exp):
                         yield E(i, j, m0, m1)
     for r in range(1, N):
         yield E(r, r) - E(r + 1, r + 1)
-    yield GlqElement.k0()
-    yield GlqElement.k1()
+    yield GlqElement({K0: 1})
+    yield GlqElement({K1: 1})
 
 
 @pytest.mark.parametrize("N", [2, 3])

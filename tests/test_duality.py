@@ -13,9 +13,11 @@ from fock_oracles import (
     toral_mismatch_oracle,
     type_fixed_dim_oracle,
     weight_spaces_oracle,
+    with_stray_term,
 )
 from torusrep.cli import main
 from torusrep.duality import (
+    TORAL_WINDOW,
     FlavorTables,
     _block_upper_ops,
     component_type,
@@ -47,7 +49,8 @@ from torusrep.fock import (
 )
 from torusrep.glrep import is_dominant
 from torusrep.linalg import nullspace
-from torusrep.scalars import ONE, ParameterSet, SetPartition, validate_spectrum
+from torusrep.scalars import ParameterSet, SetPartition, validate_spectrum
+from torusrep.verify import verify_highest_weight
 
 
 def test_fixed_space_examples():
@@ -376,11 +379,17 @@ def test_raising_and_upper_units_give_distinct_targets(N, a):
 
 
 def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):
-    # one wrong value of eta leaves no monomial of the product-vector slice
-    # with matching eigenvalues
-    real = duality.eta_eval
-    monkeypatch.setattr(duality, "eta_eval", lambda mu, i, n, params:
-                        real(mu, i, n, params) + (1 if (i, n) == (1, 2) else 0))
+    # eta(h_{1,n}) with one more term, (a_1 q^{-2})^n, leaves no monomial
+    # of the product-vector slice with matching eigenvalues
+    real = duality.toral_scalars
+
+    def shifted(mu, i, params):
+        out = real(mu, i, params)
+        if i == 1:
+            out[1, 2] = out.get((1, 2), 0) - 1
+        return out
+
+    monkeypatch.setattr(duality, "toral_scalars", shifted)
     rep = verify_skew_duality(2, [3, 3], 2, 3)
     assert not rep.passed
     assert rep.witness["joint_hw_dim"] == 0
@@ -389,16 +398,62 @@ def test_a_shifted_eigenvalue_fails_the_hw_check(monkeypatch):
 def test_an_off_diagonal_toral_image_fails_the_hw_check(monkeypatch, capsys):
     # a toral image with a term off its monomial is an identity failure:
     # exit 1 with a witness, never a pass or a traceback
-    real = duality.rho_mat_on_monomial
-    stray = (psi(1, 1, -9, 2),)
-    monkeypatch.setattr(duality, "rho_mat_on_monomial",
-                        lambda *args: {**real(*args), stray: ONE})
+    monkeypatch.setattr(duality, "cached_sign_table", with_stray_term(
+        duality.cached_sign_table, (psi(1, 1, -9, 2),), {(1, 1, 0), (2, 2, 0)}))
     code = main(["verify-duality", "--N", "2", "--ell", "2", "--a", "3,3",
                  "--n-max", "2"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["verdict"] == "fail"
     assert "off its line" in report["witness"]["joint_hw_dim"]
+
+
+def _dropped_scalar_term(real):
+    """`toral_scalars` without the term sum_p (a_p q)^n of h_{N,n}."""
+    def patched(mu, i, params):
+        out = real(mu, i, params)
+        if i == params.N:
+            for r in params.rep:
+                out[r, -1] -= 1
+        return out
+    return patched
+
+
+def _shifted_k(real):
+    """A sign-table function whose E_{1,1} t0^0 tables have the q-exponent
+    k of their first term raised by one."""
+    def patched(i, j, m0, mono, params):
+        table = real(i, j, m0, mono, params)
+        if (i, j, m0) != (1, 1, 0) or not table:
+            return table
+        (mono2, s, p, k), *rest = table
+        return ((mono2, s, p, k + 1), *rest)
+    return patched
+
+
+@pytest.mark.parametrize("mutation,window,mu,h,weight", [
+    ("dropped-scalar-term", TORAL_WINDOW, "(-1,-1)", "h[2,-3]", "(0,0)"),
+    ("dropped-scalar-term", 0, "(-1,-1)", "h[2,0]", "(0,0)"),
+    ("shifted-k", TORAL_WINDOW, "(1,-1)", "h[1,-3]", "(1,0)"),
+    ("shifted-k", 0, "(1,-1)", "h[1,(1,0):-1]", "(1,0)"),
+])
+def test_each_toral_mutation_fails_beyond_the_window(monkeypatch, mutation, window,
+                                                     mu, h, weight):
+    # the toral law is proven at every n: dropping the (a_p q)^n term of
+    # h_{N,n}, or shifting one k by one, fails the highest-weight suite and
+    # the joint highest-weight check of a product vector's slice, also with
+    # the window shrunk to n = 0, where the shifted k cancels and only a
+    # nonzero key, (block 1, k = 0) with sum -1, names the failure
+    if mutation == "dropped-scalar-term":
+        monkeypatch.setattr(duality, "toral_scalars", _dropped_scalar_term(duality.toral_scalars))
+    else:
+        monkeypatch.setattr(duality, "cached_sign_table",
+                            _shifted_k(duality.cached_sign_table))
+    monkeypatch.setattr(duality, "TORAL_WINDOW", window)
+    hw = verify_highest_weight(2, [3, 3], 2, mu_bound=1)
+    assert hw.witness == {"mu": mu, "law": "toral-eigenvalue", "h": h}
+    rep = verify_skew_duality(2, [3, 3], 2, 2)
+    assert rep.witness == {"degree": 0, "weight": weight, "joint_hw_dim": 0, "expected": 1}
 
 
 @pytest.mark.parametrize("N,a,n_max", [(2, [3, 3], 5), (3, [3], 3),

@@ -40,12 +40,14 @@ from fock_oracles import (
     apply_word,
     bilinear_mode_criterion,
     format_monomial,
+    highest_weight_oracle,
     lift,
     module_property_oracle,
     nilpotency_oracle,
     rho_action_tensor_oracle,
     vacuum,
     vector_to_json,
+    with_stray_term,
 )
 from liealg_oracles import h_gen
 from test_liealg import rand_basis
@@ -408,13 +410,13 @@ def test_rho_examples():
     v = vacuum()
     got = rho_action(E(1, 1, 0, 1), params, v)
     assert got == v.scale(Fraction(3) * 2 / (1 - 2))
-    assert rho_action(GlqElement.k0(), params, v) == v
+    assert rho_action(GlqElement({K0: 1}), params, v) == v
     assert rho_action(E(1, 2, 1, 1), params, v).is_zero()
-    assert rho_action(GlqElement.k1(), params, v).is_zero()
+    assert rho_action(GlqElement({K1: 1}), params, v).is_zero()
 
     params2 = ParameterSet.of(2, [3, 5], 2)
     w = FockVector.monomial(hw_monomial([1, 1]))
-    assert rho_action(GlqElement.k0(), params2, w) == w.scale(2)
+    assert rho_action(GlqElement({K0: 1}), params2, w) == w.scale(2)
 
 
 def test_gl_ell_examples():
@@ -492,25 +494,28 @@ def test_glbar_diagonal_counts():
                                   "flavor-fixed"])
 def test_each_highest_weight_law_can_fail(monkeypatch, case):
     # a vector with a degree-one creator is not killed by the raising half;
-    # shifted eta values fail the eigenvalue check, and so does a toral image
-    # with a stray term off the product vector's line, at the first h; the
-    # product vector of the flavor-reversed weight passes all three (one
-    # block of equal a_p, so the torus side cannot tell the flavors apart)
-    # but is not flavor-fixed
+    # eta with one more term, (a_1)^n, fails the eigenvalue check, and so
+    # does a diagonal sign table with a stray term off the product vector's
+    # line, at the first h; the product vector of the
+    # flavor-reversed weight passes all three (one block of equal a_p, so
+    # the torus side cannot tell the flavors apart) but is not flavor-fixed
     from torusrep import duality, verify
 
     N = 2
     if case == "raising":
         monkeypatch.setattr(verify, "hw_monomial", lambda mu: (psi(1, 1, -1, N),))
     elif case == "toral-eigenvalue":
-        real_eta = duality.eta_eval
-        monkeypatch.setattr(duality, "eta_eval",
-                            lambda mu, i, n, params: real_eta(mu, i, n, params) + 1)
+        real_scalars = duality.toral_scalars
+
+        def shifted(mu, i, params):
+            out = real_scalars(mu, i, params)
+            out[1, 0] = out.get((1, 0), 0) - 1
+            return out
+
+        monkeypatch.setattr(duality, "toral_scalars", shifted)
     elif case == "toral-off-line":
-        real_action = duality.rho_mat_on_monomial
-        stray = (psi(1, 1, -9, N),)
-        monkeypatch.setattr(duality, "rho_mat_on_monomial",
-                            lambda *args: {**real_action(*args), stray: ONE})
+        monkeypatch.setattr(duality, "cached_sign_table", with_stray_term(
+            duality.cached_sign_table, (psi(1, 1, -9, N),), {(1, 1, 0), (2, 2, 0)}))
     else:
         real_monomial = verify.hw_monomial
         monkeypatch.setattr(verify, "hw_monomial", lambda mu: real_monomial(mu[::-1]))
@@ -521,6 +526,46 @@ def test_each_highest_weight_law_can_fail(monkeypatch, case):
                                   "h": f"h[1,{-TORAL_WINDOW}]"}
     else:
         assert report.witness["law"] == case, report.witness
+
+
+def test_a_raising_key_that_cancels_in_the_window_still_fails(monkeypatch):
+    # the raising law is proven at every m1: a stray term in the sign table
+    # the keyed sums read, which the windowed evaluation does not see,
+    # fails the suite, and its key is the witness
+    from torusrep import verify
+
+    N = 2
+    stray = (psi(1, 1, -9, N),)
+    monkeypatch.setattr(verify, "cached_sign_table",
+                        with_stray_term(verify.cached_sign_table, stray, {(1, 2, 0)}))
+    report = verify.verify_highest_weight(N, [3, 3], 2, mu_bound=1)
+    assert report.degrees[0]["table"] == {"mus": [0, 6]}
+    assert report.witness == {"mu": "(-1,-1)", "law": "raising-degree-zero", "x": "E[1,2]",
+                              "key": [str(stray), 1, 0], "sum": 1}
+
+
+HW_CONFIGS = [(2, [3], 2, 2), (2, [3, 3], 2, 2), (2, [3, 5], 2, 2), (3, [3, 5], 2, 2),
+              (3, [3, 3], 2, 2), (2, [3, 5], "5/2", 2), (3, [3, 5, 7], 2, 1)]
+
+
+@pytest.mark.parametrize("N,a,q,bound", HW_CONFIGS)
+@pytest.mark.parametrize("monomial", ["product", "degree-one", "reversed", "shifted"])
+def test_highest_weight_suite_matches_the_pointwise_oracle(monkeypatch, N, a, q, bound,
+                                                           monomial):
+    # the keyed suite writes the report of the point-by-point route, on the
+    # product monomials and on three wrong ones: a degree-one creator (raising
+    # fails), the flavor-reversed weight's and the weight shifted by one
+    # (toral laws fail)
+    from torusrep import verify
+
+    make = {"product": hw_monomial,
+            "degree-one": lambda mu: (psi(1, 1, -1, N),),
+            "reversed": lambda mu: hw_monomial(mu[::-1]),
+            "shifted": lambda mu: hw_monomial([m + 1 for m in mu])}[monomial]
+    monkeypatch.setattr(verify, "hw_monomial", make)
+    got = verify.verify_highest_weight(N, a, q, mu_bound=bound)
+    assert got.to_json() == highest_weight_oracle(N, a, q, bound, make).to_json()
+    assert got.passed == (monomial == "product" or (monomial == "reversed" and len(a) == 1))
 
 
 def test_hw_monomial_examples():

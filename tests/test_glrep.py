@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fock_oracles import eta_eval
 from glrep_oracles import (
     eta_equiv,
     eta_of,
@@ -17,7 +18,6 @@ from glrep_oracles import (
 from torusrep import glrep
 from torusrep.errors import IncompatiblePartitions, InvalidParams
 from torusrep.scalars import SetPartition
-from torusrep.duality import eta_eval
 from torusrep.glrep import (
     DominantWeight,
     is_dominant,
