@@ -22,8 +22,9 @@ which side goes first:
   with them rank 3 and two flavours at n_max 5; the level-one
   nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1; the
   highest-weight suite at rank 3 with three distinct flavours to mu
-  bound 3; and the module suite at rank 2 with two distinct flavours to
-  degree 1),
+  bound 3; the module suite at rank 2 with two distinct flavours to
+  degree 1; and the bracket and theta suites at rank 3, q = 5/2, 20 000
+  trials),
   PAIRS alternating pairs: the call's wall time and the CPU time of the
   child process spent in it, the peak RSS of the process and the
   sha256 of the report the call writes to stdout; per time it records the
@@ -76,6 +77,8 @@ PROBES["nilpotency_N_3_deg_1"] = "verify-nilpotency --N 3 --ell 1 --a 3 --deg-ma
 PROBES["hw_N_3_ell_3"] = "verify-hw --N 3 --ell 3 --a 3,5,7 --mu-bound 3"
 PROBES["module_N_2_ell_2_deg_1"] = ("verify-module --N 2 --ell 2 --a 3,5 --trials 100"
                                     " --deg-max 1 --seed 7")
+PROBES["bracket_N_3_trials_20000"] = "verify-bracket --N 3 --q 5/2 --trials 20000 --seed 0"
+PROBES["theta_N_3_trials_20000"] = "verify-theta --N 3 --q 5/2 --trials 20000 --seed 0"
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10

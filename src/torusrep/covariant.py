@@ -16,15 +16,19 @@ the unique orientation for which the coordinate relabeling
 E_{i,j} t0^m0 t1^m1 -> e_{i,j}(m0, m1) intertwines the torus-side bracket
 with the orbit-summed bracket; with the opposite orientation the two cross
 terms trade the exponents q^{m1*n0} and q^{n1*m0}.
+
+Coefficients lie in Z[q, q^-1], as in `liealg`: a term is keyed by
+(canonical key, e) and carries the integer coefficient of q^e.  The shift
+relation and the orbit sum only add to e, so `cov_bracket`, `theta` and
+`theta_inv` never read a value of q.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import NotInSl, NotInSlInfinity
 from .liealg import GlqElement, K0, K1, mat_key
-from .scalars import ONE, Rational, SparseVector, accumulate, as_scalar, split_index
+from .scalars import Rational, SparseVector, accumulate, split_index
 
 K = "k"
 KPRIME = "kprime"
@@ -44,189 +48,181 @@ def hkey(r: int) -> HKey:
 
 
 class CovElement(SparseVector):
-    """Finite rational combination over the canonical basis."""
+    """Finite combination over the canonical basis, keyed by (canonical
+    key, q-exponent)."""
 
     __slots__ = ()
 
     @staticmethod
     def _order(item):
-        k = item[0]
+        k, e = item[0]
         if k == K:
-            return (0,)
+            return (0, e)
         if k == KPRIME:
-            return (1,)
+            return (1, e)
         if k[0] == "h":
-            return (2, k[1])
-        return (3,) + k[1:]
+            return (2, k[1], e)
+        return (3,) + k[1:] + (e,)
 
     @staticmethod
-    def _name(k) -> str:
-        if k == K or k == KPRIME:
-            return k
+    def _name(term) -> str:
+        k, e = term
         if k[0] == "h":
-            return f"hbar[{k[1]}]"
-        _, i, j, m0, m1 = k
-        return f"e[{i},{j}]({m0},{m1})"
+            k = f"hbar[{k[1]}]"
+        elif k != K and k != KPRIME:
+            _, i, j, m0, m1 = k
+            k = f"e[{i},{j}]({m0},{m1})"
+        return f"q^{e}*{k}" if e else k
 
     @staticmethod
-    def basis(key: CovKey, coeff: Rational = 1) -> "CovElement":
-        return CovElement({key: coeff})
+    def basis(key: CovKey, coeff: Rational = 1, e: int = 0) -> "CovElement":
+        return CovElement({(key, e): coeff})
 
 
-def canonicalize(m: int, n: int, k: int, N: int, q: Rational) -> Tuple[Fraction, EKey]:
-    """Canonical form of the class of E_{m,n} (x) t^k, for m != n.
+def canonicalize(m: int, n: int, k: int, N: int) -> Tuple[int, EKey]:
+    """Canonical form of the class of E_{m,n} (x) t^k, for m != n, as
+    (e, key): the class is q^e times the basis vector.
 
-    Shifts the row into 1..N, picking up the character power q^{-k*m1};
-    the power q^0 is the constant ONE.
+    Shifting the row into 1..N by m1 blocks picks up e = -k*m1.
     """
     if m == n:
         raise NotInSlInfinity("canonicalize takes an off-diagonal unit")
-    q = as_scalar(q)
     m1, i = split_index(m, N)
     n1, j = split_index(n, N)
-    e = -k * m1
-    return q ** e if e else ONE, ekey(i, j, k, n1 - m1)
+    return -k * m1, ekey(i, j, k, n1 - m1)
 
 
 # -- raw (pre-canonical) arithmetic -----------------------------------------
 #
-# Raw keys: (r, s, t) for E_{r,s} (x) t^t, a diagonal unit when r = s, and K
-# for the center.  Diagonal raw coefficients must sum to zero per t-degree
-# before canonicalization.
+# Raw keys: (r, s, t, e) for q^e E_{r,s} (x) t^t, a diagonal unit when
+# r = s, and (K, e) for the center.  Diagonal raw coefficients must sum to
+# zero per (t, e) before canonicalization.
 
-RawKey = Union[Tuple[int, int, int], str]
+RawKey = Union[Tuple[int, int, int, int], Tuple[str, int]]
 
 
-def _raw_units(u: CovElement, N: int) -> List[Tuple[int, int, int, Fraction]]:
-    """The raw form of u without its center, as (r, s, t, coefficient)
-    for E_{r,s} (x) t^t; r = s for a diagonal unit."""
+def _raw_units(u: CovElement, N: int) -> List[Tuple[int, int, int, int, int]]:
+    """The raw form of u without its center, as (r, s, t, e, coefficient)
+    for q^e E_{r,s} (x) t^t; r = s for a diagonal unit."""
     out = []
-    for key, c in u._terms.items():
+    for (key, e), c in u._terms.items():
         if key == K:
             continue
         if key == KPRIME or key[0] == "h":
             r, s = (1, N + 1) if key == KPRIME else (key[1], key[1] + 1)
-            out += ((r, r, 0, c), (s, s, 0, -c))
+            out += ((r, r, 0, e, c), (s, s, 0, e, -c))
         else:
             _, i, j, m0, m1 = key
-            out.append((i, N * m1 + j, m0, c))
+            out.append((i, N * m1 + j, m0, e, c))
     return out
 
 
-def _canonicalize_raw(raw: Dict[RawKey, Fraction], N: int, q: Fraction) -> CovElement:
+def _telescope(diag0: Dict[Tuple[int, int], int], N: int, out: Dict) -> None:
+    """Add a degree-(0,0) diagonal part {(i, e): c} to out in the hbar_r
+    basis: hbar_r takes c_1 + ... + c_r at each e.  A nonzero trace at some
+    e raises `NotInSl`."""
+    for e in {e for _, e in diag0}:
+        acc = 0
+        for r in range(1, N):
+            acc += diag0.get((r, e), 0)
+            accumulate(out, (hkey(r), e), acc)
+        if acc + diag0.get((N, e), 0):
+            raise NotInSl("degree-(0,0) diagonal part has nonzero trace")
+
+
+def _canonicalize_raw(raw: Dict[RawKey, int], N: int) -> CovElement:
     """Canonical coordinates of a raw combination, unit by unit.
 
     A diagonal unit E_{Nd+i,Nd+i} (x) t^t is q^{-t*d} e_{i,i}(t, 0) for
     t != 0, and E_{i,i} - d*kprime for t = 0; the E_{i,i} then telescope
     into hbar_r.
     """
-    out: Dict[CovKey, Fraction] = {}
-    trace: Dict[int, Fraction] = {}
-    diag0: Dict[int, Fraction] = {}
+    out: Dict = {}
+    trace: Dict[Tuple[int, int], int] = {}
+    diag0: Dict[Tuple[int, int], int] = {}
     for key, c in raw.items():
-        if key == K:
-            accumulate(out, K, c)
+        if key[0] == K:
+            accumulate(out, key, c)
             continue
-        r, s, t = key
+        r, s, t, e = key
         if r != s:
-            coeff, ck = canonicalize(r, s, t, N, q)
-            accumulate(out, ck, c if coeff is ONE else c * coeff)
+            shift, ck = canonicalize(r, s, t, N)
+            accumulate(out, (ck, e + shift), c)
             continue
-        accumulate(trace, t, c)
         d, i = split_index(r, N)
         if t:
-            accumulate(out, ekey(i, i, t, 0), c * q ** (-t * d) if d else c)
+            accumulate(trace, (t, e), c)
+            accumulate(out, (ekey(i, i, t, 0), e - t * d), c)
         else:
-            accumulate(diag0, i, c)
-            accumulate(out, KPRIME, -d * c)
+            accumulate(diag0, (i, e), c)
+            accumulate(out, (KPRIME, e), -d * c)
     if trace:
         raise NotInSl("raw diagonal part has nonzero trace")
-    acc = 0
-    for r in range(1, N):
-        acc += diag0.get(r, 0)
-        accumulate(out, hkey(r), acc)
+    _telescope(diag0, N, out)
     return CovElement._of(out)
 
 
-def _raw_bracket(a: int, b: int, m: int, c: int, d: int, n: int,
-                 N: int, q: Fraction, coeff: Fraction,
-                 acc: Dict[RawKey, Fraction]) -> None:
-    """Accumulate [class(E_{a,b} t^m), class(E_{c,d} t^n)] into acc.
-
-    Only shifts g aligning b with c, or d with a, contribute.
-    """
-    if (c - b) % N == 0:
-        g = (c - b) // N
-        e = g * m
-        w = coeff if not e else q ** e if coeff is ONE else coeff * q ** e
-        r = a + N * g
-        accumulate(acc, (r, d, m + n), w)
-        if r == d and m + n == 0 and m:
-            accumulate(acc, K, w * m)
-    if (d - a) % N == 0:
-        g = (d - a) // N
-        e = g * m
-        w = coeff if not e else q ** e if coeff is ONE else coeff * q ** e
-        accumulate(acc, (c, b + N * g, m + n), -w)
-
-
-def cov_bracket(u: CovElement, v: CovElement, N: int, q: Rational) -> CovElement:
-    q = as_scalar(q)
-    acc: Dict[RawKey, Fraction] = {}
+def cov_bracket(u: CovElement, v: CovElement, N: int) -> CovElement:
+    """The orbit-summed bracket of [class(E_{a,b} t^m), class(E_{c,d} t^n)]
+    over the raw units: only the shifts g aligning b with c, or d with a,
+    contribute, and each adds g*m to the exponent."""
+    acc: Dict[RawKey, int] = {}
     rv = _raw_units(v, N)
-    for a, b, m, cu in _raw_units(u, N):
-        for c, d, n, cv in rv:
-            _raw_bracket(a, b, m, c, d, n, N, q,
-                         cv if cu is ONE else cu if cv is ONE else cu * cv, acc)
-    return _canonicalize_raw(acc, N, q)
+    for a, b, m, eu, cu in _raw_units(u, N):
+        for c, d, n, ev, cv in rv:
+            w, e = cu * cv, eu + ev
+            if (c - b) % N == 0:
+                g = (c - b) // N
+                r = a + N * g
+                accumulate(acc, (r, d, m + n, e + g * m), w)
+                if r == d and m + n == 0 and m:
+                    accumulate(acc, (K, e + g * m), w * m)
+            if (d - a) % N == 0:
+                g = (d - a) // N
+                accumulate(acc, (c, b + N * g, m + n, e + g * m), -w)
+    return _canonicalize_raw(acc, N)
 
 
 # -- the coordinate isomorphism with the quantum-torus algebra --------------
 
 def theta(x: GlqElement, N: int) -> CovElement:
-    """Relabel a trace-zero element into covariant coordinates.  An index
-    above N, or a (t0, t1)-degree-(0,0) diagonal part with nonzero trace,
-    raises `NotInSl`."""
-    out: Dict[CovKey, Fraction] = {}
-    diag0: Dict[int, Fraction] = {}
-    for key, c in x._terms.items():
+    """Relabel a trace-zero element into covariant coordinates, carrying
+    each exponent.  An index above N, or a (t0, t1)-degree-(0,0) diagonal
+    part with nonzero trace at some exponent, raises `NotInSl`."""
+    out: Dict = {}
+    diag0: Dict[Tuple[int, int], int] = {}
+    for (key, e), c in x._terms.items():
         if key == K0:
-            out[K] = c
+            out[K, e] = c
         elif key == K1:
-            out[KPRIME] = c
+            out[KPRIME, e] = c
         else:
             i, j, m0, m1 = key
             if i > N or j > N:
                 raise NotInSl(f"index out of range for N={N}: {key}")
             if i == j and m0 == 0 and m1 == 0:
-                diag0[i] = c
+                diag0[i, e] = c
             else:
-                out[ekey(i, j, m0, m1)] = c
-    if sum(diag0.values()) != 0:
-        raise NotInSl("degree-(0,0) diagonal part has nonzero trace")
-    # telescope the traceless diagonal into the hbar_r basis
-    acc = 0
-    for r in range(1, N):
-        acc += diag0.get(r, 0)
-        if acc:
-            out[hkey(r)] = acc
+                out[ekey(i, j, m0, m1), e] = c
+    if diag0:
+        _telescope(diag0, N, out)
     return CovElement._of(out)
 
 
 def theta_inv(u: CovElement) -> GlqElement:
     out: Dict = {}
-    for key, c in u._terms.items():
+    for (key, e), c in u._terms.items():
         if key == K:
-            accumulate(out, K0, c)
+            accumulate(out, (K0, e), c)
         elif key == KPRIME:
-            accumulate(out, K1, c)
+            accumulate(out, (K1, e), c)
         elif key[0] == "h":
             r = key[1]
-            accumulate(out, mat_key(r, r), c)
-            accumulate(out, mat_key(r + 1, r + 1), -c)
+            accumulate(out, (mat_key(r, r), e), c)
+            accumulate(out, (mat_key(r + 1, r + 1), e), -c)
         else:
             _, i, j, m0, m1 = key
-            accumulate(out, mat_key(i, j, m0, m1), c)
+            accumulate(out, (mat_key(i, j, m0, m1), e), c)
     return GlqElement._of(out)
 
 
@@ -242,4 +238,3 @@ def cov_basis_keys(N: int, max_exp: int) -> Iterable[CovKey]:
         yield hkey(r)
     yield KPRIME
     yield K
-

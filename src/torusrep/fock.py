@@ -254,10 +254,13 @@ def rho_mat_on_monomial(i: int, j: int, m0: int, m1: int,
 
 def rho_action(x: GlqElement, params: ParameterSet, vec: FockVector) -> FockVector:
     """Action of the extended torus algebra: k0 -> ell, k1 -> 0, and
-    E_{i,j} t0^m0 t1^m1 acting by the fermionic bilinear sums."""
+    E_{i,j} t0^m0 t1^m1 acting by the fermionic bilinear sums; a term
+    q^e c of x acts with the coefficient c times the value of q^e."""
     ell = params.ell
     acc: Dict[Monomial, Fraction] = {}
-    for key, coeff in x._terms.items():
+    for (key, e), coeff in x._terms.items():
+        if e:
+            coeff *= qpow(params.q, e)
         if key == K0:
             for mono, c in vec._terms.items():
                 accumulate(acc, mono, c * coeff * ell)

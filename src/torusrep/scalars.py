@@ -1,8 +1,10 @@
 """Exact rational scalars, sparse rational vectors, the (q, a) parameter
 data, and genericity checks.
 
-Every coefficient in the package is a `fractions.Fraction`; no floating
-point arithmetic occurs anywhere.
+Every coefficient in the package is an exact rational: a
+`fractions.Fraction`, or an `int` where a term is keyed by its power of q
+(the two Lie algebras) or a sum counts signs.  No floating point
+arithmetic occurs anywhere.
 """
 from __future__ import annotations
 
@@ -47,7 +49,8 @@ def accumulate(terms: Dict, key: Hashable, c) -> None:
 class SparseVector:
     """Immutable finite rational combination of hashable basis keys.
 
-    ``_terms`` maps each key to its nonzero `Fraction` coefficient.
+    ``_terms`` maps each key to its nonzero coefficient, a `Fraction`, or
+    an `int` on the keyed elements of the two Lie algebras.
     Subclasses name the basis: they add constructors, ``_order``, the sort
     key on items (None for the keys' natural order), and ``_name``, the
     text of one key (None for a subclass with its own ``__repr__``).
@@ -132,6 +135,15 @@ class SparseVector:
 def qpow(q: Fraction, n: int) -> Fraction:
     """q**n for any integer n, exactly."""
     return Fraction(q) ** n
+
+
+def at_q(terms: Dict[Tuple[Hashable, int], Rational], q: Fraction) -> Dict[Hashable, Fraction]:
+    """The value at q of terms keyed by (basis key, q-exponent e): each
+    basis key's nonzero sum of c q^e."""
+    out: Dict[Hashable, Fraction] = {}
+    for (key, e), c in terms.items():
+        accumulate(out, key, c * qpow(q, e) if e else c)
+    return out
 
 
 def split_index(m: int, N: int) -> Tuple[int, int]:

@@ -32,18 +32,11 @@ from .fock import (
     rho_mat_on_monomial,
 )
 from .glrep import is_dominant
-from .liealg import (
-    GlqElement,
-    K0,
-    K1,
-    bracket,
-    degrees,
-    is_in_sl,
-)
+from .liealg import GlqElement, K0, K1, bracket, degree, degrees, sl_defects
 from .errors import InvalidParams
 from .reports import DecompositionReport, weight_key
 from .scalars import (
-    NEG_ONE, ONE, ParameterSet, accumulate, check_q, qpow, validate_spectrum)
+    NEG_ONE, ONE, ParameterSet, accumulate, at_q, check_q, qpow, validate_spectrum)
 
 # Fixed windows, printed in the report configs: the t0 exponents of the
 # raising generators the highest-weight suite applies, the t1 exponents
@@ -55,35 +48,43 @@ K_WINDOW = 8
 
 
 def sample_basis_element(rng: random.Random, N: int, max_exp: int) -> GlqElement:
-    """A uniform-ish draw from the standard trace-zero basis window."""
+    """A uniform-ish draw from the standard trace-zero basis window, with
+    integer coefficients +-1 on q^0."""
     kind = rng.randrange(8)
     if kind == 0:
-        return GlqElement._of({K0: ONE})
+        return GlqElement._of({(K0, 0): 1})
     if kind == 1:
-        return GlqElement._of({K1: ONE})
+        return GlqElement._of({(K1, 0): 1})
     if kind == 2:
         r = rng.randrange(1, N)
-        return GlqElement._of({(r, r, 0, 0): ONE, (r + 1, r + 1, 0, 0): NEG_ONE})
+        return GlqElement._of({((r, r, 0, 0), 0): 1, ((r + 1, r + 1, 0, 0), 0): -1})
     while True:
         i, j = rng.randrange(1, N + 1), rng.randrange(1, N + 1)
         m0 = rng.randrange(-max_exp, max_exp + 1)
         m1 = rng.randrange(-max_exp, max_exp + 1)
         if (i - j, m0, m1) != (0, 0, 0):
-            return GlqElement._of({(i, j, m0, m1): ONE})
+            return GlqElement._of({((i, j, m0, m1), 0): 1})
 
 
 class CachedAction:
     """rho with per-(generator, monomial) memoization, for the bracket side
     of the module suite: it applies rho([x, y]) to every basis vector of a
-    trial, and trials share generator keys."""
+    trial, and trials share generator keys.  A term c q^e of x acts with
+    c times the value of q^e, kept per (c, e)."""
 
     def __init__(self, params: ParameterSet):
         self.params = params
         self._cache: Dict = {}
+        self._values: Dict[Tuple[int, int], Fraction] = {}
 
     def __call__(self, x: GlqElement, vec: FockVector) -> FockVector:
         acc: Dict[Monomial, Fraction] = {}
-        for key, coeff in x._terms.items():
+        for (key, e), coeff in x._terms.items():
+            if e:
+                w = self._values.get((coeff, e))
+                if w is None:
+                    w = self._values[coeff, e] = coeff * qpow(self.params.q, e)
+                coeff = w
             if key == K0:
                 for m, c in vec._terms.items():
                     accumulate(acc, m, c * coeff * self.params.ell)
@@ -104,10 +105,28 @@ class CachedAction:
         return FockVector._of(acc)
 
 
+def _fail_keyed(report: DecompositionReport, deferred: List[Dict], witness: Dict,
+                residue: Dict, q: Fraction) -> None:
+    """Fail a law whose keyed residue, {(key, q-exponent): sum}, is nonzero.
+    If the residue does not vanish at q, `witness` is the pointwise one;
+    otherwise the law fails at every q but finitely many, and the witness
+    names the first nonzero key and its sum.  Such witnesses are deferred,
+    so that a pointwise one comes first."""
+    if at_q(residue, q):
+        report.fail(witness)
+    else:
+        (label, e), c = next(iter(residue.items()))
+        deferred.append({**witness, "key": [str(label), e], "sum": c})
+
+
 def verify_bracket_axioms(N: int, q, trials: int, seed: int,
                           max_exp: int = 3) -> DecompositionReport:
     """Antisymmetry, the Jacobi identity, closure, and grading additivity
-    on random basis triples."""
+    on random basis triples.
+
+    The brackets are keyed integer sums over Z[q, q^-1], so an empty
+    residue proves a law for every q != 0; `--q` is read only to pick the
+    witness of a nonzero one (`_fail_keyed`)."""
     q = check_q(q)
     if N < 2:
         raise InvalidParams("N must be >= 2")
@@ -117,35 +136,34 @@ def verify_bracket_axioms(N: int, q, trials: int, seed: int,
         "trials": trials, "seed": seed, "max_exp": max_exp,
     })
     ok = 0
+    deferred: List[Dict] = []
     for t in range(trials):
         x = sample_basis_element(rng, N, max_exp)
         y = sample_basis_element(rng, N, max_exp)
         z = sample_basis_element(rng, N, max_exp)
-        good = True
-        b = bracket(x, y, q)
-        if b != -bracket(y, x, q):
-            report.fail({"trial": t, "law": "antisymmetry",
-                         "x": x.text(), "y": y.text()})
-            good = False
-        jac = (bracket(x, bracket(y, z, q), q)
-               + bracket(y, bracket(z, x, q), q)
-               + bracket(z, b, q))
-        if not jac.is_zero():
-            report.fail({"trial": t, "law": "jacobi",
-                         "x": x.text(), "y": y.text(), "z": z.text()})
-            good = False
-        if not is_in_sl(b, N):
-            report.fail({"trial": t, "law": "closure",
-                         "x": x.text(), "y": y.text()})
-            good = False
+        b = bracket(x, y)
+        residues = [
+            ("antisymmetry", (b + bracket(y, x))._terms),
+            ("jacobi", (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+                        + bracket(z, b))._terms),
+            ("closure", sl_defects(b, N)),
+        ]
         gx, gy = degrees(x), degrees(y)
-        if len(gx) == 1 and len(gy) == 1 and not b.is_zero():
+        if len(gx) == 1 and len(gy) == 1:
             (dx,), (dy,) = gx, gy
-            if degrees(b) != {dx + dy}:
-                report.fail({"trial": t, "law": "grading",
-                             "x": x.text(), "y": y.text()})
+            residues.append(("grading", {term: c for term, c in b._terms.items()
+                                         if degree(term[0]) != dx + dy}))
+        good = True
+        for law, residue in residues:
+            if residue:
+                witness = {"trial": t, "law": law, "x": x.text(), "y": y.text()}
+                if law == "jacobi":
+                    witness["z"] = z.text()
+                _fail_keyed(report, deferred, witness, residue, q)
                 good = False
         ok += good
+    for witness in deferred:
+        report.fail(witness)
     report.add_case("axioms", {"trials": [ok, trials]}, ok, trials)
     return report
 
@@ -153,7 +171,11 @@ def verify_bracket_axioms(N: int, q, trials: int, seed: int,
 def verify_theta_iso(N: int, q, trials: int, seed: int,
                      max_exp: int = 3) -> DecompositionReport:
     """Bracket transport under the covariant relabeling, the central pairing
-    instances, and bijectivity on the basis window."""
+    instances, and bijectivity on the basis window.
+
+    Both brackets and theta are keyed over Z[q, q^-1], so each law is
+    proved for every q != 0; `--q` is read only to pick the witness of a
+    nonzero residue (`_fail_keyed`)."""
     q = check_q(q)
     if N < 2:
         raise InvalidParams("N must be >= 2")
@@ -163,16 +185,18 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
         "trials": trials, "seed": seed, "max_exp": max_exp,
     })
     ok = 0
+    deferred: List[Dict] = []
     for t in range(trials):
         x = sample_basis_element(rng, N, max_exp)
         y = sample_basis_element(rng, N, max_exp)
-        lhs = theta(bracket(x, y, q), N)
-        rhs = cov_bracket(theta(x, N), theta(y, N), N, q)
+        lhs = theta(bracket(x, y), N)
+        rhs = cov_bracket(theta(x, N), theta(y, N), N)
         if lhs == rhs:
             ok += 1
         else:
-            report.fail({"trial": t, "law": "bracket-transport",
-                         "x": x.text(), "y": y.text()})
+            _fail_keyed(report, deferred, {"trial": t, "law": "bracket-transport",
+                                           "x": x.text(), "y": y.text()},
+                        (lhs - rhs)._terms, q)
     report.add_case("homomorphism", {"pairs": [ok, trials]}, ok, trials)
 
     ok = runs = 0
@@ -183,22 +207,25 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
         if (i - j, m0, m1) == (0, 0, 0):
             continue
         runs += 1
-        x = GlqElement._of({(i, j, m0, m1): ONE})
-        y = GlqElement._of({(j, i, -m0, -m1): ONE})
-        got = bracket(x, y, q)
+        x = GlqElement._of({((i, j, m0, m1), 0): 1})
+        y = GlqElement._of({((j, i, -m0, -m1), 0): 1})
+        got = bracket(x, y)
+        cov_got = cov_bracket(theta(x, N), theta(y, N), N)
         # q^{-m1 m0} (E_{i,i} - E_{j,j} + m0 k0 + m1 k1), and its image with
         # the central terms written as k and kprime
-        c = q ** (-m1 * m0)
-        want = {} if i == j else {(i, i, 0, 0): c, (j, j, 0, 0): -c}
+        e = -m1 * m0
+        want = {} if i == j else {((i, i, 0, 0), e): 1, ((j, j, 0, 0), e): -1}
         cov_want = dict(theta(GlqElement._of(want), N)._terms)
         for n, key, cov_key in ((m0, K0, K), (m1, K1, KPRIME)):
             if n:
-                want[key] = cov_want[cov_key] = c * n
-        if (got == GlqElement._of(want) and cov_bracket(theta(x, N), theta(y, N), N, q)
-                == CovElement._of(cov_want)):
+                want[key, e] = cov_want[cov_key, e] = n
+        if got._terms == want and cov_got._terms == cov_want:
             ok += 1
         else:
-            report.fail({"trial": t, "law": "central-instance", "x": x.text()})
+            residue = {**(got - GlqElement._of(want))._terms,
+                       **(cov_got - CovElement._of(cov_want))._terms}
+            _fail_keyed(report, deferred, {"trial": t, "law": "central-instance",
+                                           "x": x.text()}, residue, q)
     if not runs:
         raise InvalidParams("no central-instance pair drawn; raise --trials")
     report.add_case("central-instances", {"pairs": [ok, runs]}, ok, runs)
@@ -212,26 +239,29 @@ def verify_theta_iso(N: int, q, trials: int, seed: int,
         else:
             report.fail({"law": "roundtrip", "key": str(key)})
     report.add_case("roundtrip", {"keys": [ok, runs]}, ok, runs)
+    for witness in deferred:
+        report.fail(witness)
     return report
 
 
 def _ordered_unit_pairs(x: GlqElement, y: GlqElement, ell: int) -> List[Tuple]:
     """The unit pairs of rho(x)rho(y) - rho(y)rho(x), as (outer unit, inner
-    unit, integer coefficient, A) with the inner unit acting first.
+    unit, integer coefficient, A, e) with the inner unit acting first and
+    q^e the product of their q-powers.
 
     x and y are sampled basis elements, so their coefficients are +-1; k0
     and k1 act as scalars and have no units.  A[p_out - 1][p_in - 1] is the
     exponent tuple of (a_1, ..., a_ell) in a_{p_out}^{m1_out} a_{p_in}^{m1_in}."""
-    units_x = [(key, int(c)) for key, c in x._terms.items() if key != K0 and key != K1]
-    units_y = [(key, int(c)) for key, c in y._terms.items() if key != K0 and key != K1]
+    units_x = [(key, e, c) for (key, e), c in x._terms.items() if key != K0 and key != K1]
+    units_y = [(key, e, c) for (key, e), c in y._terms.items() if key != K0 and key != K1]
     out = []
     for outer, inner, sign in ((units_x, units_y, 1), (units_y, units_x, -1)):
-        for u, cu in outer:
-            for v, cv in inner:
+        for u, eu, cu in outer:
+            for v, ev, cv in inner:
                 A = [[tuple((u[3] if p == p_out else 0) + (v[3] if p == p_in else 0)
                             for p in range(ell))
                       for p_in in range(ell)] for p_out in range(ell)]
-                out.append((u, v, sign * cu * cv, A))
+                out.append((u, v, sign * cu * cv, A, eu + ev))
     return out
 
 
@@ -241,14 +271,15 @@ def commutator_sums(pairs: Sequence, mono: Monomial, params: ParameterSet) -> Di
 
     A path through the sign-table terms (mono2, s2, p2, k2) of the inner
     unit (k, l, n0, n1) and (mono3, s1, p1, k1) of the outer unit
-    (i, j, m0, m1) carries c s1 s2 (a_p1 q^{-k1})^{m1} (a_p2 q^{-k2})^{n1}.
+    (i, j, m0, m1) carries c s1 s2 q^e (a_p1 q^{-k1})^{m1} (a_p2 q^{-k2})^{n1}.
     Its integer sign is summed on (mono3, A, Q), with A the exponents of
-    the a_p and Q = -k1 m1 - k2 n1 the exponent of q; zero sums are dropped.
+    the a_p and Q = e - k1 m1 - k2 n1 the exponent of q; zero sums are
+    dropped.
     """
     sums: Dict = {}
-    for (i, j, m0, m1), (k, l, n0, n1), c, A in pairs:
+    for (i, j, m0, m1), (k, l, n0, n1), c, A, e in pairs:
         for mono2, s2, p2, k2 in cached_sign_table(k, l, n0, mono, params):
-            c2, Q2 = c * s2, -k2 * n1
+            c2, Q2 = c * s2, e - k2 * n1
             p2 -= 1
             for mono3, s1, p1, k1 in cached_sign_table(i, j, m0, mono2, params):
                 key = (mono3, A[p1 - 1][p2], Q2 - k1 * m1)
@@ -268,7 +299,7 @@ def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
     m1-free sign tables: the integer signs of its paths are summed on
     (monomial, exponents of a, exponent of q) by `commutator_sums`, and
     each nonzero key is evaluated once per suite.  The right side is
-    `CachedAction(params)(bracket(x, y, q), v)`, so `liealg.bracket` and
+    `CachedAction(params)(bracket(x, y), v)`, so `liealg.bracket` and
     the diagonal scalar are tested there.  The first failing vector of a
     failing trial is its witness.
     """
@@ -299,7 +330,7 @@ def verify_module_property(N: int, a: Sequence, q, trials: int, seed: int,
     for t in range(trials):
         x = sample_basis_element(rng, N, max_exp)
         y = sample_basis_element(rng, N, max_exp)
-        b = bracket(x, y, params.q)
+        b = bracket(x, y)
         pairs = _ordered_unit_pairs(x, y, params.ell)
         good = True
         for mono, v in basis:
@@ -360,13 +391,13 @@ def verify_highest_weight(N: int, a: Sequence, q,
                     bad = next(((m0, m1) for m1 in window for m0 in keyed
                                 if rho_mat_on_monomial(i, j, m0, m1, params, mono)), None)
                     if bad is not None:
-                        x = GlqElement._of({(i, j, *bad): ONE}).text()
+                        x = GlqElement._of({((i, j, *bad), 0): 1}).text()
                         report.fail({"mu": weight_key(mu), "law": law, "x": x})
                     else:
                         m0, sums = next(iter(keyed.items()))
                         (mono2, r, k), c = next(iter(sums.items()))
                         deferred.append({"mu": weight_key(mu), "law": law, "sum": c,
-                                         "x": GlqElement._of({(i, j, m0, 0): ONE}).text(),
+                                         "x": GlqElement._of({((i, j, m0, 0), 0): 1}).text(),
                                          "key": [str(mono2), r, k]})
         miss = toral_mismatch(mono, mu, params)
         if miss is not None:

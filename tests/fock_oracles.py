@@ -90,7 +90,8 @@ def rho_action_tensor_oracle(x: GlqElement, params: ParameterSet,
     N, ell, q, a = params.N, params.ell, params.q, params.a
     one = ParameterSet.of(q, [1], N)
     out = FockVector.zero()
-    for key, coeff in x.items():
+    for (key, e), coeff in x.items():
+        coeff *= qpow(q, e)
         if key == K0:
             out = out + vec.scale(coeff * ell)
             continue
@@ -308,7 +309,7 @@ def highest_weight_oracle(N: int, a: Sequence, q, mu_bound: int = 2,
                     for m1 in range(-M1_WINDOW, M1_WINDOW + 1):
                         for m0 in m0s:
                             if rho_mat_on_monomial(i, j, m0, m1, params, mono):
-                                x = GlqElement._of({(i, j, m0, m1): ONE}).text()
+                                x = GlqElement._of({((i, j, m0, m1), 0): 1}).text()
                                 report.fail({"mu": weight_key(mu), "law": law, "x": x})
                                 good = False
         miss = toral_mismatch_windowed(mono, mu, params)
@@ -349,7 +350,7 @@ def toral_mismatch_oracle(mono: Monomial, mu: Sequence[int], params: ParameterSe
     v = FockVector.monomial(mono)
     for i in range(1, params.N + 1):
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
-            image = rho_action(h_gen(i, n, params.N, params.q), params, v)
+            image = rho_action(h_gen(i, n, params.N), params, v)
             off_line = any(m != mono for m in image.support())
             if off_line or coeff(image, mono) != eta_eval(mu, i, n, params):
                 return i, n, off_line
@@ -379,7 +380,7 @@ def joint_hw_dim_oracle(mu: Sequence[int], monos: Sequence[Monomial],
                 rows.extend(image_rows([lift(glbar_action, A, B, v, flavors) for v in base]))
     for i in range(1, N + 1):
         for n in range(-TORAL_WINDOW, TORAL_WINDOW + 1):
-            h = h_gen(i, n, N, params.q)
+            h = h_gen(i, n, N)
             val = eta_eval(mu, i, n, params)
             images = [rho_action(h, params, v) - v.scale(val) for v in base]
             rows.extend(image_rows(images))
@@ -476,7 +477,7 @@ def module_property_oracle(N: int, a: Sequence, q, trials: int, seed: int,
     for t in range(trials):
         x = sample_basis_element(rng, N, max_exp)
         y = sample_basis_element(rng, N, max_exp)
-        b = bracket(x, y, params.q)
+        b = bracket(x, y)
         good = True
         for v in basis:
             lhs = act(x, act(y, v)) - act(y, act(x, v))

@@ -1,4 +1,9 @@
-"""Slow reference forms of the two brackets of `torusrep`.
+"""Slow reference forms of the two brackets of `torusrep`, at one q.
+
+The production brackets are keyed over Z[q, q^-1]; the oracles take keyed
+elements, give each term its value c q^e at the q they are called with, and
+return the value of the bracket there, keyed on q^0 (`at` writes any
+keyed element that way).
 
 `bracket_oracle` is the defining commutator of `torusrep.liealg` written
 term by term: sorted items, and a fresh power of q on every term, even q^0
@@ -22,12 +27,22 @@ from typing import Dict, Tuple
 
 from torusrep.covariant import K, KPRIME, CovElement, ekey, hkey
 from torusrep.liealg import K0, K1, GlqElement
-from torusrep.scalars import NEG_ONE, ONE, Rational, accumulate, as_scalar, qpow
+from torusrep.scalars import Rational, SparseVector, accumulate, as_scalar, at_q, qpow
 
 Unit = Tuple[int, int, int]      # E_{r,s} (x) t^t as (r, s, t)
 
 
-def h_gen(i: int, n: int, N: int, q: Rational) -> GlqElement:
+def at(x: SparseVector, q: Rational) -> SparseVector:
+    """The value of a keyed element at q, keyed on q^0."""
+    return x._of({(key, 0): c for key, c in at_q(x._terms, as_scalar(q)).items()})
+
+
+def _values(x: SparseVector, q: Fraction):
+    """The terms of x in order, as (basis key, c q^e)."""
+    return [(key, c * qpow(q, e)) for (key, e), c in x.items()]
+
+
+def h_gen(i: int, n: int, N: int) -> GlqElement:
     """The toral generator h_{i,n} (three defining cases, as terms; N >= 2).
 
     The i = N, n != 0 case carries the coefficient -q^n.
@@ -35,21 +50,21 @@ def h_gen(i: int, n: int, N: int, q: Rational) -> GlqElement:
     if not 1 <= i <= N:
         raise ValueError("need 1 <= i <= N")
     if i < N:
-        return GlqElement._of({(i, i, 0, n): ONE, (i + 1, i + 1, 0, n): NEG_ONE})
+        return GlqElement._of({((i, i, 0, n), 0): 1, ((i + 1, i + 1, 0, n), 0): -1})
     if n == 0:
-        return GlqElement._of({K0: ONE, (1, 1, 0, 0): NEG_ONE, (N, N, 0, 0): ONE})
-    return GlqElement._of({(1, 1, 0, n): -qpow(as_scalar(q), n), (N, N, 0, n): ONE})
+        return GlqElement._of({(K0, 0): 1, ((1, 1, 0, 0), 0): -1, ((N, N, 0, 0), 0): 1})
+    return GlqElement._of({((1, 1, 0, n), n): -1, ((N, N, 0, n), 0): 1})
 
 
 def bracket_oracle(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
-    """[x, y] straight from the defining formula."""
+    """[x, y] at q straight from the defining formula."""
     q = as_scalar(q)
     out: Dict = {}
-    for kx, cx in x.items():
+    for kx, cx in _values(x, q):
         if not isinstance(kx, tuple):
             continue
         i, j, m0, m1 = kx
-        for ky, cy in y.items():
+        for ky, cy in _values(y, q):
             if not isinstance(ky, tuple):
                 continue
             k, l, n0, n1 = ky
@@ -62,13 +77,13 @@ def bracket_oracle(x: GlqElement, y: GlqElement, q: Rational) -> GlqElement:
                 w = c * qpow(q, m1 * n0)
                 accumulate(out, K0, w * m0)
                 accumulate(out, K1, w * m1)
-    return GlqElement._of(out)
+    return GlqElement._of({(key, 0): c for key, c in out.items()})
 
 
 def _affine_units(u: CovElement, N: int, q: Fraction) -> Dict[Unit, Fraction]:
     """A representative of u as matrix units; the center k is dropped."""
     units: Dict[Unit, Fraction] = {}
-    for key, c in u.items():
+    for key, c in _values(u, q):
         if key == K:
             continue
         if key == KPRIME:
@@ -119,12 +134,12 @@ def _canonical(units: Dict[Unit, Fraction], center: Fraction, N: int,
     for r in range(1, N):
         acc += diag0.get(r, Fraction(0))
         accumulate(out, hkey(r), acc)
-    return CovElement._of(out)
+    return CovElement._of({(key, 0): c for key, c in out.items()})
 
 
 def cov_bracket_orbit_oracle(u: CovElement, v: CovElement, N: int,
                              q: Rational) -> CovElement:
-    """The bracket of the shift-covariant quotient as an orbit sum.
+    """The bracket of the shift-covariant quotient at q as an orbit sum.
 
     For every shift g in the window, q^(g*m) E_{a+Ng, b+Ng} t^m is the
     shifted representative of E_{a,b} t^m, and its affine bracket with

@@ -79,8 +79,8 @@ def test_A3_module_property():
         # the scalar corrections and the central values, explicitly
         params = ParameterSet.of(2, [3, 5], 2)
         v = vacuum()
-        assert rho_action(GlqElement({K0: 1}), params, v) == v.scale(2)
-        assert rho_action(GlqElement({K1: 1}), params, v).is_zero()
+        assert rho_action(GlqElement({(K0, 0): 1}), params, v) == v.scale(2)
+        assert rho_action(GlqElement({(K1, 0): 1}), params, v).is_zero()
         for m1 in (-2, -1, 1, 2):
             want = sum(qpow(ap, m1) for ap in params.a) * \
                 qpow(params.q, m1) / (1 - qpow(params.q, m1))

@@ -128,8 +128,8 @@ def test_set_partition_helpers():
 
 VECTOR_TYPES = (GlqElement, CovElement, FockVector)
 VECTOR_KEYS = {
-    GlqElement: ((1, 2, 0, 1), K0, (2, 1, -1, 0)),
-    CovElement: (ekey(1, 2, 0, 1), K, ekey(2, 1, -1, 0)),
+    GlqElement: (((1, 2, 0, 1), 0), (K0, 0), ((2, 1, -1, 0), 1)),
+    CovElement: ((ekey(1, 2, 0, 1), 0), (K, -1), (ekey(2, 1, -1, 0), 0)),
     FockVector: ((), (psi(1, 1, 0, 2),), (psi(2, 1, -1, 2),)),
 }
 
