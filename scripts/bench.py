@@ -23,8 +23,9 @@ which side goes first:
   nilpotency suite at rank 2 to degree 2 and rank 3 to degree 1; the
   highest-weight suite at rank 3 with three distinct flavours to mu
   bound 3; the module suite at rank 2 with two distinct flavours to
-  degree 1; and the bracket and theta suites at rank 3, q = 5/2, 20 000
-  trials),
+  degree 1; the bracket and theta suites at rank 3, q = 5/2, 20 000
+  trials; and the two branching tables at rank 10 (Levi, GL_5 x GL_5)
+  and rank 5 (diagonal, four factors)),
   PAIRS alternating pairs: the call's wall time and the CPU time of the
   child process spent in it, the peak RSS of the process and the
   sha256 of the report the call writes to stdout; per time it records the
@@ -79,6 +80,11 @@ PROBES["module_N_2_ell_2_deg_1"] = ("verify-module --N 2 --ell 2 --a 3,5 --trial
                                     " --deg-max 1 --seed 7")
 PROBES["bracket_N_3_trials_20000"] = "verify-bracket --N 3 --q 5/2 --trials 20000 --seed 0"
 PROBES["theta_N_3_trials_20000"] = "verify-theta --N 3 --q 5/2 --trials 20000 --seed 0"
+PROBES["levi_gl10"] = ('branch --mode levi --I "[[1,2,3,4,5],[6,7,8,9,10]]"'
+                       ' --J "[[1,2,3,4,5,6,7,8,9,10]]" --xi "(9,7,6,5,4,3,2,1,0,0)"'
+                       ' --mu "(0,0,0,0,0)"')
+PROBES["diag_gl5"] = ('branch --mode diag --I "[[1,2,3,4,5]]"'
+                      ' --mus "(4,3,2,1,0);(3,2,1,1,0);(2,2,1,0,0);(3,1,0,0,-1)"')
 PROBE_AS_BYTES = 2 << 30
 PROBE_TIMEOUT_S = 600
 PAIRS = 10
@@ -86,9 +92,9 @@ IMPORT_PAIRS = 30
 SECONDS = 20
 BATTERY_RUNS = 3
 PROBE = """\
-import contextlib, hashlib, io, json, resource, time
+import contextlib, hashlib, io, json, resource, shlex, time
 from torusrep.cli import main
-argv = "{argv}".split()
+argv = shlex.split({argv!r})
 out = io.StringIO()
 t, c = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(out):

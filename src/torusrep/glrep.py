@@ -7,11 +7,12 @@ coincide with C over the power partition).
 
 There is one LR tableau search, `_lr_contents`: it fills a skew shape nu/lam
 once and counts the fillings by content.  A single coefficient reads one
-content off it; a Levi restriction block runs it once per inner shape lam
-and reads every mu at once.  There is one partition walk,
-`_shapes_between`, over the shapes between an inner and an outer one: a
-Levi block walks the lam inside xi, a tensor block only the nu that contain
-both factors.  Both block tables are keyed by (index, value) assignments,
+content off it; a Levi restriction block runs it only on the inner shapes
+holding at most half of xi, and reads each content mu as (lam, mu) and as
+(mu, lam).  There is one partition walk, `_shapes_between`, over the shapes
+between an inner and an outer one: a Levi block walks those halves inside
+xi, a tensor block only the nu that contain both factors and lie under
+Weyl's bound.  Both block tables are keyed by (index, value) assignments,
 and `_block_products` assembles them over the blocks.  The Schur-character
 oracles for these constants, and an independent partition enumerator, live
 with the tests (`tests/glrep_oracles.py`).
@@ -19,6 +20,7 @@ with the tests (`tests/glrep_oracles.py`).
 from __future__ import annotations
 
 import itertools
+from operator import add, ge
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IncompatiblePartitions, InvalidParams
@@ -29,8 +31,7 @@ Assignment = Tuple[Tuple[int, int], ...]    # ((index, value), ...)
 
 
 def is_partition(lam: Sequence[int]) -> bool:
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)) and \
-        (not lam or lam[-1] >= 0)
+    return all(map(ge, lam, lam[1:])) and (not lam or lam[-1] >= 0)
 
 
 def trim(lam: Sequence[int]) -> IntTuple:
@@ -63,32 +64,34 @@ def _lr_contents(lam: IntTuple, nu: IntTuple,
     """
     lamp = lam + (0,) * (len(nu) - len(lam))
     # per cell: its row bound and the positions of its right and upper
-    # neighbours inside the skew shape (-1 when outside), both filled first
+    # neighbours inside the skew shape, both filled first; a missing
+    # neighbour is a sentinel past the cells (-2: no bound, -1: value 0)
     bounds: List[Tuple[int, int, int]] = []
     above = 0    # position of the first cell of the previous row
     for r in range(len(nu)):
         first = len(bounds)
         for c in range(nu[r] - 1, lamp[r] - 1, -1):
             up = above + nu[r - 1] - 1 - c if r and c >= lamp[r - 1] else -1
-            right = len(bounds) - 1 if c + 1 < nu[r] else -1
+            right = len(bounds) - 1 if c + 1 < nu[r] else -2
             bounds.append((min(len(cap), r + 1), right, up))
         above = first
-    vals = [0] * len(bounds)
-    counts = [0] * (len(cap) + 1)
+    end = len(bounds)
+    vals = [0] * end + [len(cap), 0]
+    # counts[0] is a sentinel above every count, so 1s pass the lattice test
+    counts = [end + 1] + [0] * len(cap)
     limit = [0] + list(cap)
-    out: Dict[IntTuple, int] = {}
+    raw: Dict[IntTuple, int] = {}    # keyed by the raw counts
 
     def fill(pos: int) -> None:
-        if pos == len(bounds):
-            content = trim(counts[1:])
-            out[content] = out.get(content, 0) + 1
+        if pos == end:
+            key = tuple(counts)
+            raw[key] = raw.get(key, 0) + 1
             return
         hi, right, up = bounds[pos]
-        if right >= 0 and vals[right] < hi:
+        if vals[right] < hi:
             hi = vals[right]
-        lo = vals[up] + 1 if up >= 0 else 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= limit[v] or (v > 1 and counts[v] >= counts[v - 1]):
+        for v in range(vals[up] + 1, hi + 1):
+            if counts[v] >= limit[v] or counts[v] >= counts[v - 1]:
                 continue
             vals[pos] = v
             counts[v] += 1
@@ -96,7 +99,7 @@ def _lr_contents(lam: IntTuple, nu: IntTuple,
             counts[v] -= 1
 
     fill(0)
-    return out
+    return {trim(key[1:]): n for key, n in raw.items()}
 
 
 def lr_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -107,7 +110,7 @@ def lr_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
             raise InvalidParams(f"not a partition: {w}")
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    if len(nu) < len(lam) or any(nu[r] < lam[r] for r in range(len(lam))):
+    if len(nu) < len(lam) or not all(map(ge, nu, lam)):
         return 0
     return _lr_contents(lam, nu, mu).get(mu, 0)
 
@@ -196,11 +199,12 @@ def _tensor_block(w1: IntTuple, w2: IntTuple,
     n = len(block)
     c1, p1 = _det_shift(w1)
     c2, p2 = _det_shift(w2)
-    # c^nu_{p1,p2} != 0 forces p1 and p2 inside nu and nu_1 <= p1_1 + p2_1
+    # c^nu_{p1,p2} != 0 forces p1, p2 inside nu and nu_{i+j-1} <= p1_i + p2_j
     inner = tuple(max(a, b) for a, b in itertools.zip_longest(p1, p2, fillvalue=0))
-    first = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
+    a, b = p1 + (0,) * n, p2 + (0,) * n
+    outer = [min(map(add, a[:k + 1], b[k::-1])) for k in range(n)]
     out: Dict[Assignment, int] = {}
-    for nu in _shapes_between(inner, (first,) * n, sum(p1) + sum(p2)):
+    for nu in _shapes_between(inner, outer, sum(p1) + sum(p2)):
         c = lr_coeff(p1, p2, nu)
         if c:
             full = nu + (0,) * (n - len(nu))
@@ -285,17 +289,28 @@ def _restrict_block(w: IntTuple, block: IntTuple,
     if n1 == 0 or n2 == 0:
         return {tuple(zip(block, w)): 1}
     shift, xi = _det_shift(w)
+    # c^xi_{lam,mu} = c^xi_{mu,lam} != 0 forces lam, mu inside xi with
+    # |lam| + |mu| = |xi|, so searching the s of at most |xi|/2 cells finds
+    # every pair, as (s, content) or (content, s), in one search for both
+    total, rows = sum(xi), max(n1, n2)
+    pairs: Dict[IntTuple, Dict[IntTuple, int]] = {}
+    for size in range(total - sum(xi[:rows]), total // 2 + 1):
+        # the rows s may have as lam and as mu; -1: the other cannot fit
+        as_lam = n1 if total - size <= sum(xi[:n2]) else -1
+        as_mu = n2 if total - size <= sum(xi[:n1]) else -1
+        for s in _shapes_between((), xi[:max(as_lam, as_mu)], size):
+            lam_ok, mu_ok = len(s) <= as_lam, len(s) <= as_mu
+            for t, c in _lr_contents(s, xi, xi[:max(n2 * lam_ok, n1 * mu_ok)]).items():
+                if lam_ok and len(t) <= n2:
+                    pairs.setdefault(s, {})[t] = c
+                if mu_ok and len(t) <= n1:
+                    pairs.setdefault(t, {})[s] = c
     out: Dict[Assignment, int] = {}
-    # c^xi_{lam,mu} != 0 forces lam, mu inside xi, so one search per lam
-    # inside xi yields every mu, with entries capped by xi's first n2 rows
-    for lam in _shapes_between((), xi[:n1]):
-        contents = _lr_contents(lam, xi, xi[:n2])
-        lam_full = list(lam) + [0] * (n1 - len(lam))
-        # mu in descending order, so the table order does not depend on
-        # the order in which the search meets the contents
-        for mu in sorted(contents, reverse=True):
-            mu_full = list(mu) + [0] * (n2 - len(mu))
-            assign = tuple(list(zip(left, (x - shift for x in lam_full)))
-                           + list(zip(right, (x - shift for x in mu_full))))
-            out[assign] = contents[mu]
+    # lam, then mu, descending (the order of _shapes_between), not the search's
+    for lam in sorted(pairs, reverse=True):
+        half = list(zip(left, (x - shift for x in lam + (0,) * (n1 - len(lam)))))
+        mus = pairs[lam]
+        for mu in sorted(mus, reverse=True):
+            mu_full = mu + (0,) * (n2 - len(mu))
+            out[tuple(half + list(zip(right, (x - shift for x in mu_full))))] = mus[mu]
     return out

@@ -141,6 +141,49 @@ def tensor_mult_oracle(w1: IntTuple, w2: IntTuple, n: int) -> Dict[IntTuple, int
     return out
 
 
+def tensor_mult_brauer(w1: IntTuple, w2: IntTuple, n: int) -> Dict[IntTuple, int]:
+    """GL_n tensor multiplicities by Brauer's formula, in decreasing
+    lexicographic order: each weight beta of the w2 irreducible, with its
+    multiplicity read off the Schur polynomial, moves w1 + beta + rho into
+    the dominant chamber with the sign of the sorting permutation, and a
+    weight on a wall (a repeated entry) contributes nothing.  It needs only
+    the weights of the second factor, so it reaches large first factors."""
+    c2 = -min(list(w2) + [0])
+    out: Dict[IntTuple, int] = {}
+    for e, m in schur_poly(trim(tuple(x + c2 for x in w2)), n).items():
+        v = [w1[i] + e[i] - c2 + n - 1 - i for i in range(n)]
+        if len(set(v)) < n:
+            continue
+        inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+        key = tuple(x - (n - 1 - i) for i, x in enumerate(sorted(v, reverse=True)))
+        out[key] = out.get(key, 0) + (-1) ** inversions * m
+    return {k: out[k] for k in sorted(out, reverse=True) if out[k]}
+
+
+def lr_support(lam: Sequence[int], mu: Sequence[int], n: int) -> Mapping[IntTuple, int]:
+    """{nu: c^nu_{lam,mu}} over the nu with at most n rows: the Schur
+    product of `lr_coeff_oracle` taken in n variables, where s_nu vanishes
+    exactly for the nu with more than n rows."""
+    return _schur_product(trim(lam), trim(mu), n)
+
+
+def weyl_bound(lam: Sequence[int], mu: Sequence[int], n: int) -> IntTuple:
+    """Weyl's row bound nu_k <= min over i + j - 1 = k of lam_i + mu_j
+    (rows from 1, missing rows 0) for k = 1..n, which every nu with
+    c^nu_{lam,mu} != 0 satisfies."""
+    def row(w: Sequence[int], i: int) -> int:
+        return w[i - 1] if i <= len(w) else 0
+    return tuple(min(row(lam, i) + row(mu, k + 1 - i) for i in range(1, k + 1))
+                 for k in range(1, n + 1))
+
+
+def complement(lam: Sequence[int], n: int, width: int) -> IntTuple:
+    """The complement of lam in the n x width box, rotated to a partition:
+    (width - lam_n, ..., width - lam_1), trimmed."""
+    full = list(lam) + [0] * (n - len(lam))
+    return trim(tuple(width - x for x in reversed(full)))
+
+
 def levi_branch_oracle(xi: IntTuple, n1: int, n2: int) -> Dict[Tuple[IntTuple, IntTuple], int]:
     """Restriction of one GL_{n1+n2} irreducible to GL_{n1} x GL_{n2} by
     evaluating the Schur character on split variables and peeling leading

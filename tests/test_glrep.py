@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from fock_oracles import eta_eval
 from glrep_oracles import (
+    complement,
     eta_equiv,
     eta_of,
     levi_branch_oracle,
+    lr_support,
     partitions_with_bound,
     poly_mul,
     schur_expand,
     schur_poly,
+    tensor_mult_brauer,
     tensor_mult_oracle,
+    weyl_bound,
 )
 from torusrep import glrep
 from torusrep.errors import IncompatiblePartitions, InvalidParams
@@ -154,7 +158,18 @@ def test_levi_branch_D_two_merged_blocks_against_oracle():
             assert got == want
 
 
-def test_levi_block_runs_one_lr_search_per_inner_shape(monkeypatch):
+@pytest.mark.parametrize("xi, n1", [
+    ((3, 2, 2, 0), 2),       # n1 = n2, |xi| odd
+    ((4, 1, 0, 0, 0), 3),    # n1 > n2, |xi| odd
+    ((2, 2, 1), 1),          # n1 < n2, |xi| odd
+    ((2, 2, 2, 0), 2),       # n1 = n2, |xi| even
+    ((2, 1, 0, -1), 2),      # n1 = n2, |xi| even after the det shift
+    ((2, 2, 1, 1, 0), 3),    # n1 > n2, |xi| even
+    ((3, 2, 1, 0), 1),       # n1 < n2, |xi| even
+    ((2, 1, 1, 1, 0, 0), 1),  # n1 < n2, only the one-row side searched
+    ((3, 2, 1, 1, 0), 4),    # n1 > n2, both sides searched
+])
+def test_levi_block_searches_only_the_smaller_half(monkeypatch, xi, n1):
     calls = []
     search = glrep._lr_contents
 
@@ -163,15 +178,28 @@ def test_levi_block_runs_one_lr_search_per_inner_shape(monkeypatch):
         return search(lam, nu, cap)
 
     monkeypatch.setattr(glrep, "_lr_contents", counting)
-    for xi, n1 in (((3, 2, 2, 0), 2), ((4, 1, 0, 0, 0), 3), ((2, 2, 1), 1)):
-        n = len(xi)
-        calls.clear()
-        got = levi_branch_D(DominantWeight.of(xi, SetPartition.full(n)),
-                            SetPartition.full(n1), SetPartition.full(n - n1))
-        assert got == levi_branch_oracle(xi, n1, n - n1)
-        inner = [lam for lam in all_partitions_up_to(sum(xi))
-                 if len(lam) <= n1 and all(a <= b for a, b in zip(lam, xi))]
-        assert sorted(calls) == sorted(inner)
+    n = len(xi)
+    got = levi_branch_D(DominantWeight.of(xi, SetPartition.full(n)),
+                        SetPartition.full(n1), SetPartition.full(n - n1))
+    want = levi_branch_oracle(xi, n1, n - n1)
+    assert got == want
+    # lam in the decreasing lexicographic shape walk, mu descending
+    assert list(got) == sorted(want, reverse=True)
+    # one search per shape s inside xi holding at most half of its cells
+    # that can be lam (at most n1 rows) or mu (at most n2 rows) beside a
+    # shape of the other |xi| - |s| cells that fits in the other side's
+    # rows; with |xi| even the equal halves are both searched, so their
+    # pairs are written from both sides
+    shifted = glrep.trim(tuple(x - min(xi + (0,)) for x in xi))
+    total, n2 = sum(shifted), n - n1
+
+    def fits(s, rows, other):
+        return len(s) <= rows and total - sum(s) <= sum(shifted[:other])
+
+    inner = [s for s in all_partitions_up_to(total // 2)
+             if len(s) <= len(shifted) and all(a <= b for a, b in zip(s, shifted))
+             and (fits(s, n1, n2) or fits(s, n2, n1))]
+    assert sorted(calls) == sorted(inner)
 
 
 def test_shape_walk_matches_oracle_enumeration():
@@ -218,6 +246,94 @@ def test_tensor_block_reads_lr_only_on_shapes_containing_both_factors(monkeypatc
                 for inner in (lam, mu):
                     assert len(inner) <= len(nu) and \
                         all(a <= b for a, b in zip(inner, nu)), (lam, mu, nu)
+
+
+def test_every_nonzero_lr_coefficient_lies_under_the_weyl_bound():
+    checked = 0
+    for n in range(1, 5):
+        parts = [p for p in all_partitions_up_to(5) if len(p) <= n]
+        for lam in parts:
+            for mu in parts:
+                bound = weyl_bound(lam, mu, n)
+                for nu, c in lr_support(lam, mu, n).items():
+                    assert c and all(map(int.__le__, nu, bound)), (lam, mu, nu)
+                    checked += 1
+    assert checked == 2376
+
+
+def test_tensor_block_reads_lr_only_under_the_weyl_bound(monkeypatch):
+    seen = []
+    real = glrep.lr_coeff
+
+    def counting(lam, mu, nu):
+        seen.append((lam, mu, nu))
+        return real(lam, mu, nu)
+
+    monkeypatch.setattr(glrep, "lr_coeff", counting)
+    gl4 = SetPartition.full(4)
+    # the weights of the benchmark's diag branching table
+    weights = [(3, 2, 1, 0), (2, 1, 1, 0), (3, 1, 0, -1), (2, 2, 0, 0), (1, 0, 0, -2)]
+    for w1 in weights:
+        for w2 in weights:
+            seen.clear()
+            got = tensor_mult_C([DominantWeight.of(w1, gl4), DominantWeight.of(w2, gl4)])
+            want = tensor_mult_oracle(w1, w2, 4)
+            assert got == want and list(got) == list(want)
+            for lam, mu, nu in seen:
+                assert all(map(int.__le__, nu, weyl_bound(lam, mu, 4))), (lam, mu, nu)
+
+
+def test_tensor_mult_C_matches_brauer_on_the_diag_table():
+    # the whole five-fold product of the benchmark's diag branching table,
+    # the accumulated weights far beyond the Schur-product oracle's reach;
+    # the order is the first appearance over the factors in turn
+    gl4 = SetPartition.full(4)
+    weights = [(3, 2, 1, 0), (2, 1, 1, 0), (3, 1, 0, -1), (2, 2, 0, 0), (1, 0, 0, -2)]
+    want = {weights[0]: 1}
+    for w in weights[1:]:
+        acc = {}
+        for cur, m in want.items():
+            for nu, c in tensor_mult_brauer(cur, w, 4).items():
+                acc[nu] = acc.get(nu, 0) + m * c
+        want = acc
+    got = tensor_mult_C([DominantWeight.of(w, gl4) for w in weights])
+    assert got == want and list(got) == list(want)
+
+
+def test_brauer_oracle_matches_schur_product_oracle():
+    for n in (2, 3):
+        ws = dominant_weights(n, -2, 2)
+        for w1 in ws:
+            for w2 in ws:
+                got = tensor_mult_brauer(w1, w2, n)
+                want = tensor_mult_oracle(w1, w2, n)
+                assert got == want and list(got) == list(want), (w1, w2)
+
+
+def test_lr_complement_symmetry_oracle():
+    # c^nu_{lam,mu} = c^{lam'}_{mu,nu'}, with ' the complement in the
+    # n x (lam_1 + mu_1) box, on every triple with |nu| <= 6 and n <= 4
+    checked = nonzero = 0
+    for n in range(1, 5):
+        parts = [p for p in all_partitions_up_to(6) if len(p) <= n]
+
+        def pad(w):
+            return w + (0,) * (n - len(w))
+
+        for lam in parts:
+            for mu in parts:
+                total = sum(lam) + sum(mu)
+                if total > 6:
+                    continue
+                width = max(lam, default=0) + max(mu, default=0)
+                coeffs = lr_support(lam, mu, n)
+                for nu in partitions_with_bound(total, n, width) if total else [()]:
+                    other = tensor_mult_brauer(pad(complement(nu, n, width)), pad(mu), n)
+                    c = other.get(pad(complement(lam, n, width)), 0)
+                    assert coeffs.get(nu, 0) == c, (n, lam, mu, nu)
+                    checked += 1
+                    nonzero += c > 0
+    assert checked == 1232 and nonzero == 625
 
 
 def test_levi_branch_D_dimension_identity():
